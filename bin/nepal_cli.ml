@@ -661,7 +661,7 @@ let session_runner store () =
   let reply ?trace result =
     {
       Nepal.Server.qr_count = Nepal.Engine.result_count result;
-      qr_text = Format.asprintf "%a" Nepal.Engine.pp_result result;
+      qr_text = Nepal.Engine.result_to_string result;
       qr_trace = trace;
     }
   in

@@ -1343,34 +1343,48 @@ let plan_summary ~conn ~binds q =
 
 let () = plan_summary_ref := fun ~conn ~binds q -> plan_summary ~conn ~binds q
 
-let pp_result ppf = function
+(* The one result renderer: the wire, the CLI and [Nepal.query_on]
+   callers all print these bytes. Every line is appended straight into
+   one buffer, so a result of N bytes costs O(N). *)
+let result_to_string result =
+  let b = Buffer.create 1024 in
+  let line s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\n'
+  in
+  let values vals = line (String.concat " | " (List.map Value.to_string vals)) in
+  (match result with
   | Rows { vars; rows } ->
-      Format.fprintf ppf "%d row(s) of (%s)@." (List.length rows)
-        (String.concat ", " vars);
+      Buffer.add_string b (string_of_int (List.length rows));
+      Buffer.add_string b " row(s) of (";
+      Buffer.add_string b (String.concat ", " vars);
+      line ")";
       List.iter
         (fun r ->
-          List.iter
-            (fun (v, p) -> Format.fprintf ppf "  %s = %s@." v (Path.to_string p))
-            (Strmap.bindings r.paths);
-          match r.coexist with
-          | Some s -> Format.fprintf ppf "  coexist %a@." Interval_set.pp s
-          | None -> ())
+          Strmap.iter
+            (fun v p ->
+              Buffer.add_string b "  ";
+              Buffer.add_string b v;
+              Buffer.add_string b " = ";
+              Path.add_to_buffer b p;
+              Buffer.add_char b '\n')
+            r.paths;
+          Option.iter
+            (fun s ->
+              Buffer.add_string b "  coexist ";
+              Interval_set.add_to_buffer b s;
+              Buffer.add_char b '\n')
+            r.coexist)
         rows
   | Table { columns = [ "explain" ]; rows } ->
       (* EXPLAIN output: one pre-formatted line per row, printed raw
          (Value.to_string would quote them). *)
-      List.iter
-        (fun vals ->
-          match vals with
-          | [ Value.Str line ] -> Format.fprintf ppf "%s@." line
-          | vals ->
-              Format.fprintf ppf "%s@."
-                (String.concat " | " (List.map Value.to_string vals)))
-        rows
+      List.iter (function [ Value.Str s ] -> line s | vals -> values vals) rows
   | Table { columns; rows } ->
-      Format.fprintf ppf "%s@." (String.concat " | " columns);
-      List.iter
-        (fun vals ->
-          Format.fprintf ppf "%s@."
-            (String.concat " | " (List.map Value.to_string vals)))
-        rows
+      line (String.concat " | " columns);
+      List.iter values rows);
+  Buffer.contents b
+
+let pp_result ppf result =
+  Format.pp_print_string ppf (result_to_string result);
+  Format.pp_print_flush ppf ()

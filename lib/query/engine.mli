@@ -234,3 +234,10 @@ val plan :
 
 val result_count : result -> int
 val pp_result : Format.formatter -> result -> unit
+(** Print {!result_to_string} and flush. *)
+
+val result_to_string : result -> string
+(** The rendering the CLI and the wire carry: a [Rows] header line, then
+    one ["  var = <path>"] line per bound variable (plus
+    ["  coexist {...}"] under COEXIST); a [Table] header and ["a | b"]
+    rows; EXPLAIN lines raw. Linear in the output size. *)

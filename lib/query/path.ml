@@ -43,14 +43,24 @@ let field e name = Strmap.find_opt_or name ~default:Value.Null e.fields
 let compare a b = Stdlib.compare (key a) (key b)
 let equal a b = key a = key b
 
-let to_string t =
-  let elem e =
-    if e.is_node then Printf.sprintf "(%s#%d)" e.cls e.uid
-    else Printf.sprintf "-[%s#%d]->" e.cls e.uid
-  in
-  let body = String.concat "" (List.map elem t.elements) in
+let add_element b e =
+  Buffer.add_string b (if e.is_node then "(" else "-[");
+  Buffer.add_string b e.cls;
+  Buffer.add_char b '#';
+  Buffer.add_string b (string_of_int e.uid);
+  Buffer.add_string b (if e.is_node then ")" else "]->")
+
+let add_to_buffer b t =
+  List.iter (add_element b) t.elements;
   match t.valid with
-  | None -> body
-  | Some v -> body ^ " valid " ^ Format.asprintf "%a" Interval_set.pp v
+  | None -> ()
+  | Some v ->
+      Buffer.add_string b " valid ";
+      Interval_set.add_to_buffer b v
+
+let to_string t =
+  let b = Buffer.create 128 in
+  add_to_buffer b t;
+  Buffer.contents b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

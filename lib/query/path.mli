@@ -48,4 +48,10 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
 val to_string : t -> string
+(** [(Cls#uid)-[Cls#uid]->(Cls#uid)], then [" valid {...}"] when the
+    pathway carries an interval set. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the {!to_string} rendering. *)

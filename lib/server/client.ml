@@ -74,9 +74,7 @@ let request t fields =
     (fun () ->
       let id = t.next_id in
       t.next_id <- id + 1;
-      let frame =
-        J.json_to_string (J.Obj (("id", J.Int id) :: fields)) ^ "\n"
-      in
+      let frame = Wire.line (J.Obj (("id", J.Int id) :: fields)) in
       match Net.write_all t.fd frame with
       | exception Unix.Unix_error (err, _, _) ->
           Error ("send failed: " ^ Unix.error_message err)

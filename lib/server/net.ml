@@ -84,78 +84,125 @@ type read_outcome =
   | Timeout
   | Eof
 
+(* Pending bytes live in [lr_buf.[lr_start .. lr_stop)]; the prefix up
+   to [lr_scanned] is known to hold no newline, so each byte is scanned
+   once and each line is cut out with a single copy. Reads land directly
+   in the buffer's tail, which grows by doubling (or is compacted when
+   a line has been taken from its front), keeping a frame of N bytes at
+   O(N) work and allocation however it is split across reads. *)
 type line_reader = {
   lr_fd : Unix.file_descr;
   lr_max : int;
-  lr_buf : Buffer.t;
-  lr_chunk : Bytes.t;
+  mutable lr_buf : Bytes.t;
+  mutable lr_start : int;
+  mutable lr_stop : int;
+  mutable lr_scanned : int;
   mutable lr_discarding : int;  (* > 0: inside an oversized line *)
   mutable lr_eof : bool;
 }
+
+let chunk = 4096
 
 let line_reader ?(max_line = 1 lsl 20) fd =
   {
     lr_fd = fd;
     lr_max = max 1 max_line;
-    lr_buf = Buffer.create 256;
-    lr_chunk = Bytes.create 4096;
+    lr_buf = Bytes.create chunk;
+    lr_start = 0;
+    lr_stop = 0;
+    lr_scanned = 0;
     lr_discarding = 0;
     lr_eof = false;
   }
 
-(* Extract the first complete line from the pending buffer, leaving the
-   remainder. A trailing \r (CRLF peers) is stripped. *)
-let take_line lr =
-  let s = Buffer.contents lr.lr_buf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-      let line =
-        if i > 0 && s.[i - 1] = '\r' then String.sub s 0 (i - 1)
-        else String.sub s 0 i
-      in
-      Buffer.clear lr.lr_buf;
-      Buffer.add_substring lr.lr_buf s (i + 1) (String.length s - i - 1);
-      Some line
+let pending lr = lr.lr_stop - lr.lr_start
+
+let drop_pending lr =
+  lr.lr_start <- 0;
+  lr.lr_stop <- 0;
+  lr.lr_scanned <- 0
+
+(* Index of the first newline among the pending bytes, or -1. *)
+let find_newline lr =
+  let buf = lr.lr_buf and stop = lr.lr_stop in
+  let rec go i =
+    if i >= stop then begin
+      lr.lr_scanned <- stop;
+      -1
+    end
+    else if Bytes.unsafe_get buf i = '\n' then i
+    else go (i + 1)
+  in
+  go lr.lr_scanned
+
+(* Make room for one [chunk] read after the pending bytes: slide them
+   to the front when that frees enough space, else double the buffer. *)
+let make_room lr =
+  let cap = Bytes.length lr.lr_buf in
+  if cap - lr.lr_stop < chunk then begin
+    let n = pending lr in
+    let dst =
+      if n + chunk <= cap then lr.lr_buf else Bytes.create (max (2 * cap) (n + chunk))
+    in
+    Bytes.blit lr.lr_buf lr.lr_start dst 0 n;
+    lr.lr_buf <- dst;
+    lr.lr_scanned <- lr.lr_scanned - lr.lr_start;
+    lr.lr_start <- 0;
+    lr.lr_stop <- n
+  end
 
 let read_line lr =
   let rec go () =
-    match take_line lr with
-    | Some line when lr.lr_discarding > 0 ->
-        (* the newline terminating the oversized line finally arrived *)
-        let total = lr.lr_discarding + String.length line + 1 in
-        lr.lr_discarding <- 0;
-        Too_long total
-    | Some line -> Line line
-    | None when lr.lr_eof -> Eof
-    | None ->
+    match find_newline lr with
+    | i when i >= 0 ->
+        (* a trailing \r (CRLF peers) is stripped *)
+        let stop =
+          if i > lr.lr_start && Bytes.unsafe_get lr.lr_buf (i - 1) = '\r' then i - 1
+          else i
+        in
+        let len = stop - lr.lr_start in
+        let outcome =
+          if lr.lr_discarding > 0 then begin
+            (* the newline terminating the oversized line finally arrived *)
+            let total = lr.lr_discarding + len + 1 in
+            lr.lr_discarding <- 0;
+            Too_long total
+          end
+          else Line (Bytes.sub_string lr.lr_buf lr.lr_start len)
+        in
+        if i + 1 = lr.lr_stop then drop_pending lr
+        else begin
+          lr.lr_start <- i + 1;
+          lr.lr_scanned <- i + 1
+        end;
+        outcome
+    | _ when lr.lr_eof -> Eof
+    | _ ->
         if lr.lr_discarding > 0 then begin
           (* drop pending bytes; only the (absent) newline matters *)
-          lr.lr_discarding <- lr.lr_discarding + Buffer.length lr.lr_buf;
-          Buffer.clear lr.lr_buf
+          lr.lr_discarding <- lr.lr_discarding + pending lr;
+          drop_pending lr
         end;
-        if Buffer.length lr.lr_buf > lr.lr_max then begin
-          lr.lr_discarding <- Buffer.length lr.lr_buf;
-          Buffer.clear lr.lr_buf;
+        if pending lr > lr.lr_max then begin
+          lr.lr_discarding <- pending lr;
+          drop_pending lr;
           go ()
         end
         else begin
-          match Unix.read lr.lr_fd lr.lr_chunk 0 (Bytes.length lr.lr_chunk) with
+          make_room lr;
+          match Unix.read lr.lr_fd lr.lr_buf lr.lr_stop chunk with
           | 0 ->
               lr.lr_eof <- true;
-              (* a final unterminated line still counts as a line *)
-              if Buffer.length lr.lr_buf > 0 then begin
-                let line = Buffer.contents lr.lr_buf in
-                Buffer.clear lr.lr_buf;
-                if lr.lr_discarding > 0 then begin
-                  lr.lr_discarding <- 0;
-                  Too_long (String.length line)
-                end
-                else Line line
+              (* a final unterminated line still counts as a line; an
+                 oversized one was already dropped, so nothing is left *)
+              if pending lr > 0 then begin
+                let line = Bytes.sub_string lr.lr_buf lr.lr_start (pending lr) in
+                drop_pending lr;
+                Line line
               end
               else Eof
           | n ->
-              Buffer.add_subbytes lr.lr_buf lr.lr_chunk 0 n;
+              lr.lr_stop <- lr.lr_stop + n;
               go ()
           | exception
               Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->

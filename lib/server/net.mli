@@ -57,6 +57,8 @@ val line_reader : ?max_line:int -> Unix.file_descr -> line_reader
 (** Buffered reader of newline-terminated frames (default bound 1 MiB).
     The bound caps memory per connection: an over-long line is dropped
     in O(chunk) space, reported once as {!Too_long}, and the stream
-    continues at the next line. *)
+    continues at the next line. Each byte is scanned once and each line
+    copied out once, so an N-byte line costs O(N) time and allocation
+    however the peer splits it across writes. *)
 
 val read_line : line_reader -> read_outcome

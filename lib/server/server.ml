@@ -143,7 +143,7 @@ let default_make_runner store () =
   let reply ?trace result =
     {
       qr_count = Nepal_query.Engine.result_count result;
-      qr_text = Format.asprintf "%a" Nepal_query.Engine.pp_result result;
+      qr_text = Nepal_query.Engine.result_to_string result;
       qr_trace = trace;
     }
   in

@@ -118,7 +118,14 @@ let parse_request line =
 
 (* -- server → client frames ------------------------------------------- *)
 
-let line j = J.json_to_string j ^ "\n"
+(* One frame: the JSON text and its newline rendered into one buffer.
+   [size_hint] is the bulk of the payload when the caller knows it, so
+   a large result frame is built without regrowing the buffer. *)
+let line ?(size_hint = 0) j =
+  let b = Buffer.create (size_hint + 256) in
+  J.add_json b j;
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 let hello () =
   line
@@ -135,7 +142,9 @@ let error_frame ~id msg =
 let pong ~id = line (J.Obj [ ("id", id); ("ok", J.Bool true); ("type", J.Str "pong") ])
 
 let query_result ?trace ~id ~count ~text () =
-  line
+  (* rendered results escape about one byte in a line (the newline) *)
+  let n = String.length text in
+  line ~size_hint:(n + (n / 8))
     (J.Obj
        ([
           ("id", id);

@@ -47,6 +47,10 @@ val parse_request : string -> (J.json * request, J.json * string) result
 
 (** {1 Rendered frames} (newline-terminated, ready to write) *)
 
+val line : ?size_hint:int -> J.json -> string
+(** Any value as one frame. [size_hint] (bytes) presizes the render
+    buffer for a large payload. *)
+
 val hello : unit -> string
 val error_frame : id:J.json -> string -> string
 val pong : id:J.json -> string

@@ -68,11 +68,16 @@ let compare a b =
       | Some x, Some y -> Time_point.compare x y)
   | c -> c
 
+let add_to_buffer b t =
+  Buffer.add_char b '[';
+  Time_point.add_to_buffer b t.start;
+  Buffer.add_string b ", ";
+  Option.iter (Time_point.add_to_buffer b) t.stop;
+  Buffer.add_char b ')'
+
 let to_string t =
-  match t.stop with
-  | None -> Printf.sprintf "[%s, )" (Time_point.to_string t.start)
-  | Some e ->
-      Printf.sprintf "[%s, %s)" (Time_point.to_string t.start)
-        (Time_point.to_string e)
+  let b = Buffer.create 48 in
+  add_to_buffer b t;
+  Buffer.contents b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -40,3 +40,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** ["[start, stop)"], or ["[start, )"] when open. *)
+
+val add_to_buffer : Buffer.t -> t -> unit

@@ -101,9 +101,16 @@ let total_seconds ~now t =
 
 let equal a b = List.length a = List.length b && List.for_all2 Interval.equal a b
 
+let add_to_buffer b t =
+  Buffer.add_char b '{';
+  List.iteri
+    (fun k i ->
+      if k > 0 then Buffer.add_string b "; ";
+      Interval.add_to_buffer b i)
+    t;
+  Buffer.add_char b '}'
+
 let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Interval.pp)
-    t
+  let b = Buffer.create 64 in
+  add_to_buffer b t;
+  Format.pp_print_string ppf (Buffer.contents b)

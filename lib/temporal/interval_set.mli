@@ -35,3 +35,6 @@ val total_seconds : now:Time_point.t -> t -> float
 val cardinality : t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** What {!pp} prints: ["{[a, b); [c, )}"]. *)

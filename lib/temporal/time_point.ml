@@ -144,7 +144,16 @@ let of_string s =
 let of_string_exn s =
   match of_string s with Ok t -> t | Error e -> invalid_arg e
 
-let to_string t =
+(* [v] zero-padded to [width] characters, as Printf's [%0*d] pads it. *)
+let add_padded b width v =
+  let digits = string_of_int (abs v) in
+  if v < 0 then Buffer.add_char b '-';
+  for _ = String.length digits + (if v < 0 then 1 else 0) to width - 1 do
+    Buffer.add_char b '0'
+  done;
+  Buffer.add_string b digits
+
+let add_to_buffer b t =
   let usec = Int64.to_int (Int64.rem t usec_per_sec) in
   let usec, secs64 =
     if usec < 0 then (usec + 1_000_000, Int64.sub (Int64.div t usec_per_sec) 1L)
@@ -154,10 +163,25 @@ let to_string t =
   let days = if secs >= 0 then secs / 86400 else (secs - 86399) / 86400 in
   let sod = secs - (days * 86400) in
   let y, m, d = civil_from_days days in
-  let base =
-    Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d" y m d (sod / 3600)
-      (sod mod 3600 / 60) (sod mod 60)
-  in
-  if usec = 0 then base else Printf.sprintf "%s.%06d" base usec
+  add_padded b 4 y;
+  Buffer.add_char b '-';
+  add_padded b 2 m;
+  Buffer.add_char b '-';
+  add_padded b 2 d;
+  Buffer.add_char b ' ';
+  add_padded b 2 (sod / 3600);
+  Buffer.add_char b ':';
+  add_padded b 2 (sod mod 3600 / 60);
+  Buffer.add_char b ':';
+  add_padded b 2 (sod mod 60);
+  if usec <> 0 then begin
+    Buffer.add_char b '.';
+    add_padded b 6 usec
+  end
+
+let to_string t =
+  let b = Buffer.create 26 in
+  add_to_buffer b t;
+  Buffer.contents b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

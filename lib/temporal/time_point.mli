@@ -34,4 +34,7 @@ val to_string : t -> string
 (** Render as ["YYYY-MM-DD HH:MM:SS"] (microseconds appended only when
     non-zero). *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the {!to_string} rendering. *)
+
 val pp : Format.formatter -> t -> unit

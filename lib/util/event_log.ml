@@ -86,41 +86,49 @@ let utf8_seq_len s i =
     else 0
   else 0
 
+(* Bytes copied through unchanged: ASCII other than control
+   characters, the quote and the backslash. Runs of them go out in one
+   [add_substring]. *)
+let plain c = c >= ' ' && c <= '\x7f' && c <> '"' && c <> '\\'
+
 let escape_into b s =
   let n = String.length s in
   let i = ref 0 in
   while !i < n do
-    (match s.[!i] with
-    | '"' ->
-        Buffer.add_string b "\\\"";
-        incr i
-    | '\\' ->
-        Buffer.add_string b "\\\\";
-        incr i
-    | '\n' ->
-        Buffer.add_string b "\\n";
-        incr i
-    | '\r' ->
-        Buffer.add_string b "\\r";
-        incr i
-    | '\t' ->
-        Buffer.add_string b "\\t";
-        incr i
-    | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c));
-        incr i
-    | c when Char.code c < 0x80 ->
-        Buffer.add_char b c;
-        incr i
-    | _ -> (
-        match utf8_seq_len s !i with
-        | 0 ->
-            (* invalid byte: substitute U+FFFD, escaped to stay ASCII *)
-            Buffer.add_string b "\\ufffd";
-            incr i
-        | len ->
-            Buffer.add_substring b s !i len;
-            i := !i + len))
+    let start = !i in
+    while !i < n && plain (String.unsafe_get s !i) do
+      incr i
+    done;
+    if !i > start then Buffer.add_substring b s start (!i - start);
+    if !i < n then
+      match s.[!i] with
+      | '"' ->
+          Buffer.add_string b "\\\"";
+          incr i
+      | '\\' ->
+          Buffer.add_string b "\\\\";
+          incr i
+      | '\n' ->
+          Buffer.add_string b "\\n";
+          incr i
+      | '\r' ->
+          Buffer.add_string b "\\r";
+          incr i
+      | '\t' ->
+          Buffer.add_string b "\\t";
+          incr i
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c));
+          incr i
+      | _ -> (
+          match utf8_seq_len s !i with
+          | 0 ->
+              (* invalid byte: substitute U+FFFD, escaped to stay ASCII *)
+              Buffer.add_string b "\\ufffd";
+              incr i
+          | len ->
+              Buffer.add_substring b s !i len;
+              i := !i + len)
   done
 
 let rec add_json b = function

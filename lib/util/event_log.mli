@@ -39,6 +39,10 @@ type json =
 
 val json_to_string : json -> string
 
+val add_json : Buffer.t -> json -> unit
+(** Append the rendering {!json_to_string} returns, without the
+    intermediate string. *)
+
 val enabled : unit -> bool
 (** Whether a sink is configured; emitters may skip expensive field
     construction when false. *)

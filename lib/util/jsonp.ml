@@ -17,29 +17,40 @@ exception Fail of int * string
 
 let fail pos msg = raise (Fail (pos, msg))
 
+(* The cursor is read through [at_end]/[cur] rather than an option-
+   returning peek, so scanning a frame allocates nothing per byte. *)
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
+
+(* The byte under the cursor; only read when [not (at_end c)]. *)
+let cur c = String.unsafe_get c.src c.pos
+
+let peek_is c ch = (not (at_end c)) && cur c = ch
 
 let advance c = c.pos <- c.pos + 1
 
 let skip_ws c =
-  let continue = ref true in
-  while !continue do
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance c
-    | _ -> continue := false
+  while
+    (not (at_end c))
+    && match cur c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    advance c
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> fail c.pos (Printf.sprintf "expected %c, found %c" ch x)
-  | None -> fail c.pos (Printf.sprintf "expected %c, found end of input" ch)
+  if at_end c then fail c.pos (Printf.sprintf "expected %c, found end of input" ch)
+  else
+    let x = cur c in
+    if x = ch then advance c
+    else fail c.pos (Printf.sprintf "expected %c, found %c" ch x)
 
 let expect_word c word value =
   let n = String.length word in
-  if c.pos + n <= String.length c.src && String.sub c.src c.pos n = word then begin
+  let rec same i =
+    i = n || (String.unsafe_get c.src (c.pos + i) = String.unsafe_get word i && same (i + 1))
+  in
+  if c.pos + n <= String.length c.src && same 0 then begin
     c.pos <- c.pos + n;
     value
   end
@@ -67,102 +78,114 @@ let add_utf8 buf u =
 let hex4 c =
   let v = ref 0 in
   for _ = 1 to 4 do
-    (match peek c with
-    | Some ch ->
-        let d =
-          match ch with
-          | '0' .. '9' -> Char.code ch - Char.code '0'
-          | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
-          | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
-          | _ -> fail c.pos "invalid \\u escape"
-        in
-        v := (!v * 16) + d
-    | None -> fail c.pos "truncated \\u escape");
+    if at_end c then fail c.pos "truncated \\u escape";
+    let d =
+      match cur c with
+      | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+      | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+      | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+      | _ -> fail c.pos "invalid \\u escape"
+    in
+    v := (!v * 16) + d;
     advance c
   done;
   !v
 
+(* Advance over a run of bytes a string body holds verbatim (anything
+   but the closing quote, a backslash or a control character) and
+   return where the run started. *)
+let plain_run c =
+  let start = c.pos in
+  while
+    (not (at_end c))
+    &&
+    let ch = cur c in
+    ch <> '"' && ch <> '\\' && Char.code ch >= 0x20
+  do
+    advance c
+  done;
+  start
+
+let parse_escape c buf =
+  advance c;
+  if at_end c then fail c.pos "truncated escape";
+  let ch = cur c in
+  advance c;
+  match ch with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'u' ->
+      let u = hex4 c in
+      if u >= 0xD800 && u <= 0xDBFF then begin
+        (* high surrogate: require the low half *)
+        expect c '\\';
+        expect c 'u';
+        let lo = hex4 c in
+        if lo < 0xDC00 || lo > 0xDFFF then fail c.pos "unpaired surrogate"
+        else add_utf8 buf (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
+      end
+      else if u >= 0xDC00 && u <= 0xDFFF then fail c.pos "unpaired surrogate"
+      else add_utf8 buf u
+  | _ -> fail (c.pos - 1) "invalid escape"
+
+(* A body without escapes is one [String.sub]; otherwise each plain run
+   goes into the buffer with one [add_substring]. *)
 let parse_string_body c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c.pos "unterminated string"
-    | Some '"' ->
-        advance c;
-        Buffer.contents buf
-    | Some '\\' -> (
-        advance c;
-        match peek c with
-        | None -> fail c.pos "truncated escape"
-        | Some ch ->
+  let start = plain_run c in
+  if peek_is c '"' then begin
+    advance c;
+    String.sub c.src start (c.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (2 * (c.pos - start) + 16) in
+    Buffer.add_substring buf c.src start (c.pos - start);
+    let rec go () =
+      if at_end c then fail c.pos "unterminated string"
+      else
+        match cur c with
+        | '"' ->
             advance c;
-            (match ch with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                let u = hex4 c in
-                if u >= 0xD800 && u <= 0xDBFF then begin
-                  (* high surrogate: require the low half *)
-                  expect c '\\';
-                  expect c 'u';
-                  let lo = hex4 c in
-                  if lo < 0xDC00 || lo > 0xDFFF then
-                    fail c.pos "unpaired surrogate"
-                  else
-                    add_utf8 buf
-                      (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
-                end
-                else if u >= 0xDC00 && u <= 0xDFFF then
-                  fail c.pos "unpaired surrogate"
-                else add_utf8 buf u
-            | _ -> fail (c.pos - 1) "invalid escape");
-            go ())
-    | Some ch when Char.code ch < 0x20 ->
-        fail c.pos "unescaped control character in string"
-    | Some ch ->
-        advance c;
-        Buffer.add_char buf ch;
-        go ()
-  in
-  go ()
+            Buffer.contents buf
+        | '\\' ->
+            parse_escape c buf;
+            let start = plain_run c in
+            Buffer.add_substring buf c.src start (c.pos - start);
+            go ()
+        | _ -> fail c.pos "unescaped control character in string"
+    in
+    go ()
+  end
+
+let digits c =
+  let start = c.pos in
+  while (not (at_end c)) && match cur c with '0' .. '9' -> true | _ -> false do
+    advance c
+  done;
+  c.pos > start
 
 let parse_number c =
   let start = c.pos in
   let integral = ref true in
-  if peek c = Some '-' then advance c;
-  let digits () =
-    let saw = ref false in
-    let continue = ref true in
-    while !continue do
-      match peek c with
-      | Some '0' .. '9' ->
-          saw := true;
-          advance c
-      | _ -> continue := false
-    done;
-    !saw
-  in
-  if not (digits ()) then fail c.pos "invalid number";
-  (match peek c with
-  | Some '.' ->
-      integral := false;
-      advance c;
-      if not (digits ()) then fail c.pos "invalid number"
-  | _ -> ());
-  (match peek c with
-  | Some ('e' | 'E') ->
-      integral := false;
-      advance c;
-      (match peek c with Some ('+' | '-') -> advance c | _ -> ());
-      if not (digits ()) then fail c.pos "invalid number"
-  | _ -> ());
+  if peek_is c '-' then advance c;
+  if not (digits c) then fail c.pos "invalid number";
+  if peek_is c '.' then begin
+    integral := false;
+    advance c;
+    if not (digits c) then fail c.pos "invalid number"
+  end;
+  if peek_is c 'e' || peek_is c 'E' then begin
+    integral := false;
+    advance c;
+    if peek_is c '+' || peek_is c '-' then advance c;
+    if not (digits c) then fail c.pos "invalid number"
+  end;
   let text = String.sub c.src start (c.pos - start) in
   if !integral then
     match int_of_string_opt text with
@@ -172,16 +195,16 @@ let parse_number c =
 
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> fail c.pos "unexpected end of input"
-  | Some '"' -> J.Str (parse_string_body c)
-  | Some 't' -> expect_word c "true" (J.Bool true)
-  | Some 'f' -> expect_word c "false" (J.Bool false)
-  | Some 'n' -> expect_word c "null" J.Null
-  | Some '{' ->
+  if at_end c then fail c.pos "unexpected end of input";
+  match cur c with
+  | '"' -> J.Str (parse_string_body c)
+  | 't' -> expect_word c "true" (J.Bool true)
+  | 'f' -> expect_word c "false" (J.Bool false)
+  | 'n' -> expect_word c "null" J.Null
+  | '{' ->
       advance c;
       skip_ws c;
-      if peek c = Some '}' then begin
+      if peek_is c '}' then begin
         advance c;
         J.Obj []
       end
@@ -193,20 +216,21 @@ let rec parse_value c =
           expect c ':';
           let v = parse_value c in
           skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              members ((key, v) :: acc)
-          | Some '}' ->
-              advance c;
-              J.Obj (List.rev ((key, v) :: acc))
-          | _ -> fail c.pos "expected , or } in object"
+          if peek_is c ',' then begin
+            advance c;
+            members ((key, v) :: acc)
+          end
+          else if peek_is c '}' then begin
+            advance c;
+            J.Obj (List.rev ((key, v) :: acc))
+          end
+          else fail c.pos "expected , or } in object"
         in
         members []
-  | Some '[' ->
+  | '[' ->
       advance c;
       skip_ws c;
-      if peek c = Some ']' then begin
+      if peek_is c ']' then begin
         advance c;
         J.List []
       end
@@ -214,18 +238,19 @@ let rec parse_value c =
         let rec items acc =
           let v = parse_value c in
           skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              items (v :: acc)
-          | Some ']' ->
-              advance c;
-              J.List (List.rev (v :: acc))
-          | _ -> fail c.pos "expected , or ] in array"
+          if peek_is c ',' then begin
+            advance c;
+            items (v :: acc)
+          end
+          else if peek_is c ']' then begin
+            advance c;
+            J.List (List.rev (v :: acc))
+          end
+          else fail c.pos "expected , or ] in array"
         in
         items []
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c.pos (Printf.sprintf "unexpected character %c" ch)
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c.pos (Printf.sprintf "unexpected character %c" ch)
 
 let parse s =
   let c = { src = s; pos = 0 } in

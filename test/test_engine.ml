@@ -250,6 +250,151 @@ let test_invalid_at_timestamp () =
   check_int "valid AT still works" 3
     (count "AT '2017-03-02 00:00:00' Retrieve P From PATHS P Where P MATCHES App()" db)
 
+(* ---- result rendering ------------------------------------------------ *)
+
+(* The renderer as it stood before the Buffer-based one — Printf per
+   path element, Format per line — kept here as the oracle. Time points
+   take their calendar fields from Unix.gmtime, independently of
+   Time_point's own civil-date arithmetic. *)
+module Oracle = struct
+  let time_point t =
+    let usec = Int64.to_int (Int64.rem t 1_000_000L) in
+    let usec, secs =
+      if usec < 0 then (usec + 1_000_000, Int64.sub (Int64.div t 1_000_000L) 1L)
+      else (usec, Int64.div t 1_000_000L)
+    in
+    let tm = Unix.gmtime (Int64.to_float secs) in
+    let base =
+      Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d" (tm.Unix.tm_year + 1900)
+        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
+        tm.Unix.tm_sec
+    in
+    if usec = 0 then base else Printf.sprintf "%s.%06d" base usec
+
+  let interval (i : Nepal.Interval.t) =
+    match i.stop with
+    | None -> Printf.sprintf "[%s, )" (time_point i.start)
+    | Some e -> Printf.sprintf "[%s, %s)" (time_point i.start) (time_point e)
+
+  let pp_set ppf s =
+    Format.fprintf ppf "{%a}"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+         (fun ppf i -> Format.pp_print_string ppf (interval i)))
+      (Nepal.Interval_set.to_list s)
+
+  let path (t : Nepal.Path.t) =
+    let elem (e : Nepal.Path.element) =
+      if e.is_node then Printf.sprintf "(%s#%d)" e.cls e.uid
+      else Printf.sprintf "-[%s#%d]->" e.cls e.uid
+    in
+    let body = String.concat "" (List.map elem t.elements) in
+    match t.valid with
+    | None -> body
+    | Some v -> body ^ " valid " ^ Format.asprintf "%a" pp_set v
+
+  let value = function
+    | Nepal.Value.Time t -> Printf.sprintf "'%s'" (time_point t)
+    | v -> Nepal.Value.to_string v
+
+  let pp_result ppf = function
+    | Nepal.Engine.Rows { vars; rows } ->
+        Format.fprintf ppf "%d row(s) of (%s)@." (List.length rows)
+          (String.concat ", " vars);
+        List.iter
+          (fun (r : Nepal.Engine.row) ->
+            List.iter
+              (fun (v, p) -> Format.fprintf ppf "  %s = %s@." v (path p))
+              (Nepal.Strmap.bindings r.paths);
+            match r.coexist with
+            | Some s -> Format.fprintf ppf "  coexist %a@." pp_set s
+            | None -> ())
+          rows
+    | Nepal.Engine.Table { columns = [ "explain" ]; rows } ->
+        List.iter
+          (fun vals ->
+            match vals with
+            | [ Nepal.Value.Str line ] -> Format.fprintf ppf "%s@." line
+            | vals ->
+                Format.fprintf ppf "%s@." (String.concat " | " (List.map value vals)))
+          rows
+    | Nepal.Engine.Table { columns; rows } ->
+        Format.fprintf ppf "%s@." (String.concat " | " columns);
+        List.iter
+          (fun vals ->
+            Format.fprintf ppf "%s@." (String.concat " | " (List.map value vals)))
+          rows
+end
+
+let gen_result =
+  let open QCheck.Gen in
+  (* 1653 .. 2096, with and without a microsecond part *)
+  let time =
+    map2
+      (fun s us -> Int64.add (Int64.mul (Int64.of_int s) 1_000_000L) (Int64.of_int us))
+      (int_range (-10_000_000_000) 4_000_000_000)
+      (frequency [ (3, return 0); (1, int_range 0 999_999) ])
+  in
+  let interval =
+    map2
+      (fun start len ->
+        let stop = Option.map (fun l -> Int64.add start (Int64.of_int l)) len in
+        Nepal.Interval.make start stop)
+      time
+      (opt (int_range 1 1_000_000_000_000))
+  in
+  let iset = map Nepal.Interval_set.of_list (list_size (int_range 1 4) interval) in
+  let name = oneofl [ "VM"; "Host"; "VirtualLink"; "Container_2"; "x y"; "é" ] in
+  let element is_node =
+    map2
+      (fun uid cls -> { Nepal.Path.uid; cls; fields = Nepal.Strmap.empty; is_node })
+      (int_range (-5) 10_000_000) name
+  in
+  let path =
+    int_range 0 6 >>= fun hops ->
+    flatten_l (List.init ((2 * hops) + 1) (fun k -> element (k mod 2 = 0)))
+    >>= fun elements ->
+    map (fun valid -> { Nepal.Path.elements; valid }) (opt iset)
+  in
+  let rows_result =
+    list_size (int_range 1 3) (oneofl [ "P"; "Q"; "route_1" ]) >>= fun vars ->
+    let vars = List.sort_uniq String.compare vars in
+    let row =
+      flatten_l (List.map (fun v -> map (fun p -> (v, p)) path) vars)
+      >>= fun bound ->
+      map
+        (fun coexist -> { Nepal.Engine.paths = Nepal.Strmap.of_list bound; coexist })
+        (opt iset)
+    in
+    map (fun rows -> Nepal.Engine.Rows { vars; rows }) (list_size (int_range 0 6) row)
+  in
+  let value =
+    frequency
+      [
+        (2, map (fun s -> Nepal.Value.Str s) (string_size ~gen:printable (int_range 0 20)));
+        (2, map (fun i -> Nepal.Value.Int i) int);
+        (1, map (fun f -> Nepal.Value.Float f) float);
+        (1, map (fun t -> Nepal.Value.Time t) time);
+        (1, oneofl [ Nepal.Value.Null; Nepal.Value.Bool true ]);
+      ]
+  in
+  let table_result =
+    oneofl [ [ "explain" ]; [ "n" ]; [ "P.src"; "total" ] ] >>= fun columns ->
+    map
+      (fun rows -> Nepal.Engine.Table { columns; rows })
+      (list_size (int_range 0 5) (list_size (int_range 1 3) value))
+  in
+  frequency [ (4, rows_result); (1, table_result) ]
+
+let prop_render_matches_oracle =
+  QCheck.Test.make ~name:"pp_result = the Printf/Format renderer, byte for byte"
+    ~count:500 (QCheck.make gen_result) (fun r ->
+      let expected = Format.asprintf "%a" Oracle.pp_result r in
+      let got = Format.asprintf "%a" Nepal.Engine.pp_result r in
+      if got <> expected then
+        QCheck.Test.fail_reportf "rendered:\n%s\noracle:\n%s" got expected;
+      String.equal (Nepal.Engine.result_to_string r) expected)
+
 let () =
   Alcotest.run "nepal_engine"
     [
@@ -280,4 +425,5 @@ let () =
           Alcotest.test_case "engine errors" `Quick test_engine_errors;
           Alcotest.test_case "invalid AT timestamp" `Quick test_invalid_at_timestamp;
         ] );
+      ("rendering", [ QCheck_alcotest.to_alcotest prop_render_matches_oracle ]);
     ]

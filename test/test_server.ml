@@ -67,7 +67,7 @@ let query_on_runner store () =
   let reply ?trace result =
     {
       Server.qr_count = Nepal.Engine.result_count result;
-      qr_text = Format.asprintf "%a" Nepal.Engine.pp_result result;
+      qr_text = Nepal.Engine.result_to_string result;
       qr_trace = trace;
     }
   in
@@ -183,6 +183,172 @@ let test_json_roundtrip () =
   match Json.parse "{\"a\":" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated must fail"
+
+(* What a string survives the wire as: every byte of an ill-formed
+   UTF-8 subsequence becomes U+FFFD, everything else is unchanged.
+   Decoded with the standard library's UTF-8 decoder, independently of
+   the renderer's own validator. *)
+let sanitized s =
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i < String.length s then begin
+      let d = String.get_utf_8_uchar s i in
+      let n = Uchar.utf_decode_length d in
+      if Uchar.utf_decode_is_valid d then Buffer.add_substring b s i n
+      else for _ = 1 to n do Buffer.add_utf_8_uchar b Uchar.rep done;
+      go (i + n)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Long runs of plain ASCII between bytes that need escaping,
+   multi-byte characters and ill-formed UTF-8. *)
+let gen_plain_run =
+  QCheck.Gen.(
+    string_size
+      ~gen:(map Char.chr (int_range 0x20 0x7e) |> map (function '"' | '\\' -> 'q' | c -> c))
+      (int_range 0 3000))
+
+let gen_wire_string =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (4, gen_plain_run);
+        (2, oneofl [ "\""; "\\"; "\n"; "\r\n"; "\t"; "\000"; "\x1f"; "\x7f"; "/" ]);
+        (2, oneofl [ "é"; "€"; "😀"; "中文" ]);
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0x80 0xff));
+        (1, oneofl [ "\xed\xa0\x80"; "\xf0\x90\x80"; "\xe0\x80\x80"; "\xc0\xaf"; "\xe2\x82" ]);
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 12) piece)
+
+let prop_string_roundtrip =
+  QCheck.Test.make ~name:"parse (render (Str s)) = Str (sanitized s)" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_wire_string)
+    (fun s ->
+      match Json.parse (J.json_to_string (J.Str s)) with
+      | Ok (J.Str got) when String.equal got (sanitized s) -> true
+      | Ok _ -> QCheck.Test.fail_reportf "decoded to something else"
+      | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
+
+(* A raw control character stops a long string body at its own offset,
+   on the escape-free fast path and after escapes alike. *)
+let prop_control_char_rejected =
+  let open QCheck.Gen in
+  let gen =
+    quad (oneofl [ ""; {|{"text":|} ]) gen_plain_run
+      (oneofl [ ""; {|\n|}; {|é|}; {|\"|} ])
+      (pair (int_range 0 0x1f) gen_plain_run)
+  in
+  QCheck.Test.make ~name:"raw control character rejected at its offset" ~count:200
+    (QCheck.make gen) (fun (prefix, run, escape, (ctrl, rest)) ->
+      let head = prefix ^ "\"" ^ run ^ escape ^ run in
+      let text = head ^ String.make 1 (Char.chr ctrl) ^ rest ^ "\"" in
+      let expected =
+        Printf.sprintf "json: at offset %d: unescaped control character in string"
+          (String.length head)
+      in
+      match Json.parse text with
+      | Error e when String.equal e expected -> true
+      | Error e -> QCheck.Test.fail_reportf "got %S, want %S" e expected
+      | Ok _ -> QCheck.Test.fail_reportf "accepted a raw control character")
+
+(* ---- bounded line reader -------------------------------------------- *)
+
+(* A line reader over one end of a socket pair; a second thread writes
+   [pieces] to the other end, one write each, then closes it. *)
+let with_peer ?max_line pieces f =
+  Net.init ();
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        (try List.iter (Net.write_all w) pieces with Unix.Unix_error _ -> ());
+        Net.close_noerr w)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.close_noerr r;
+      Thread.join writer)
+    (fun () -> f (Net.line_reader ?max_line r))
+
+let show_outcome = function
+  | Net.Line l when String.length l > 40 -> Printf.sprintf "Line <%d bytes>" (String.length l)
+  | Net.Line l -> Printf.sprintf "Line %S" l
+  | Net.Too_long n -> Printf.sprintf "Too_long %d" n
+  | Net.Timeout -> "Timeout"
+  | Net.Eof -> "Eof"
+
+let expect_reads lr expected =
+  List.iter (fun e -> check_string "read_line" e (show_outcome (Net.read_line lr))) expected
+
+let pieces_of ~size s =
+  let n = String.length s in
+  List.init ((n + size - 1) / size) (fun k -> String.sub s (k * size) (min size (n - (k * size))))
+
+let big_line n = String.init n (fun k -> Char.chr (Char.code 'a' + (k mod 26)))
+
+let test_reader_big_line_in_pieces () =
+  let payload = big_line 600_000 in
+  with_peer (pieces_of ~size:777 (payload ^ "\ntail\n")) (fun lr ->
+      (match Net.read_line lr with
+      | Net.Line l -> check_bool "600 KB line intact" true (String.equal l payload)
+      | o -> Alcotest.failf "expected the long line, got %s" (show_outcome o));
+      expect_reads lr [ {|Line "tail"|}; "Eof" ])
+
+let test_reader_lines_in_one_read () =
+  with_peer [ "a\nbb\n\nccc\n" ] (fun lr ->
+      expect_reads lr [ {|Line "a"|}; {|Line "bb"|}; {|Line ""|}; {|Line "ccc"|}; "Eof" ])
+
+let test_reader_crlf () =
+  with_peer [ "one\r"; "\ntwo\r\n\r"; "\nthree\n" ] (fun lr ->
+      expect_reads lr [ {|Line "one"|}; {|Line "two"|}; {|Line ""|}; {|Line "three"|}; "Eof" ])
+
+let test_reader_oversize_resync () =
+  let long = String.make 5000 'x' ^ "\n" in
+  with_peer ~max_line:100
+    (pieces_of ~size:333 long @ [ String.make 100 'y' ^ "\n"; "ok\n" ])
+    (fun lr ->
+      expect_reads lr
+        [ "Too_long 5001"; "Line <100 bytes>"; {|Line "ok"|}; "Eof" ])
+
+let test_reader_unterminated_last_line () =
+  with_peer [ "first\nla"; "st" ] (fun lr ->
+      expect_reads lr [ {|Line "first"|}; {|Line "last"|}; "Eof"; "Eof" ])
+
+(* Reading an N-byte line costs O(N) allocation: the buffer's doublings
+   plus the one copy handed back, well under one word per byte (a
+   reader that recopies its pending bytes after every 4 KB read
+   allocates tens of words per byte here). *)
+let test_reader_allocation_linear () =
+  let n = 600_000 in
+  let payload = big_line n in
+  let path = Filename.temp_file "nepal_line" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (payload ^ "\n"));
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Sys.remove path)
+    (fun () ->
+      let lr = Net.line_reader fd in
+      (* Gc.quick_stat is only refreshed by collections; these two
+         count every word, minor and direct-to-major alike *)
+      let words () =
+        let _, promoted, major = Gc.counters () in
+        Gc.minor_words () +. major -. promoted
+      in
+      let w0 = words () in
+      let got = Net.read_line lr in
+      let used = words () -. w0 in
+      (match got with
+      | Net.Line l -> check_bool "line intact" true (String.equal l payload)
+      | o -> Alcotest.failf "expected the line, got %s" (show_outcome o));
+      if used > float_of_int n then
+        Alcotest.failf "reading %d bytes allocated %.0f words (bound %d)" n used n)
 
 (* ---- outbox drop discipline ----------------------------------------- *)
 
@@ -1028,6 +1194,22 @@ let () =
         [
           Alcotest.test_case "parse_request" `Quick test_wire_parse;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_string_roundtrip;
+          QCheck_alcotest.to_alcotest prop_control_char_rejected;
+        ] );
+      ( "line reader",
+        [
+          Alcotest.test_case "600 KB line in small pieces" `Quick
+            test_reader_big_line_in_pieces;
+          Alcotest.test_case "several lines in one read" `Quick
+            test_reader_lines_in_one_read;
+          Alcotest.test_case "CRLF endings" `Quick test_reader_crlf;
+          Alcotest.test_case "oversize line then resync" `Quick
+            test_reader_oversize_resync;
+          Alcotest.test_case "unterminated last line" `Quick
+            test_reader_unterminated_last_line;
+          Alcotest.test_case "allocation linear in the line" `Quick
+            test_reader_allocation_linear;
         ] );
       ( "outbox",
         [
