@@ -8,9 +8,6 @@
      backends — Section 5: the same workload through SQL and Gremlin targets
      anchors  — Section 5.1: anchor-selection ablation
      temporal — Section 4: snapshot vs timeslice vs time-range costs
-     rpe_fastpath — fast-path evaluator A/B on the Range-constrained
-                    Table-1 workload (presence cache, frontier dedup,
-                    Domain-parallel walks vs the baseline evaluator)
      planner  — cost-based plan compiler: chosen vs legacy vs every
                 forced plan per query family, plus plan-cache timing
      watch    — incremental standing-query monitoring (CDC + relevance
@@ -591,101 +588,6 @@ let run_temporal () =
     (Nepal.Interval_set.cardinality w) dt
 
 (* ------------------------------------------------------------------ *)
-(* RPE fast path A/B                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The Table-1 workload under a 60-day Range constraint — where presence
-   interval-sets are consulted for every (element, atom) pair on every
-   round — evaluated twice: with the fast path disabled (baseline: no
-   cache, no frontier dedup, one domain, i.e. the pre-fastpath
-   evaluator) and with the default configuration. Path counts must
-   agree exactly. *)
-let run_fastpath () =
-  header "RPE fast path — baseline vs cache+dedup+domains (Range workload)";
-  let t, db = Lazy.force virt_setup in
-  let store = t.Virt.store in
-  let conn = Nepal.conn db in
-  let born = t.Virt.born in
-  let clock = Nepal.Graph_store.clock store in
-  let with_range q =
-    Printf.sprintf "AT '%s' : '%s' %s"
-      (Nepal.Time_point.to_string born)
-      (Nepal.Time_point.to_string clock)
-      q
-  in
-  let take n xs =
-    let rec go n = function
-      | x :: tl when n > 0 -> x :: go (n - 1) tl
-      | _ -> []
-    in
-    go n xs
-  in
-  let cap = if !quick then 5 else 15 in
-  let families =
-    List.map
-      (fun (name, instances) -> (name, List.map with_range (take cap instances)))
-      (table1_instances t conn)
-  in
-  let fast_cfg = Nepal.Eval_rpe.default_config () in
-  let run_all cfg stats qs =
-    List.map
-      (fun q ->
-        match Nepal.Engine.run_string ~conn ~config:cfg ~stats q with
-        | Ok r -> Nepal.Engine.result_count r
-        | Error e -> failwith (e ^ "\n  in query: " ^ q))
-      qs
-  in
-  Printf.printf "domains: %d\n" fast_cfg.Nepal.Eval_rpe.domains;
-  Printf.printf "%-18s %12s %12s %9s %10s %8s %8s\n" "type" "baseline(s)"
-    "fastpath(s)" "speedup" "hit-rate" "merged" "saved";
-  Printf.printf "%s\n" (String.make 82 '-');
-  let sum_b = ref 0. and sum_f = ref 0. in
-  List.iter
-    (fun (name, qs) ->
-      let n = float_of_int (max 1 (List.length qs)) in
-      let base_stats = Nepal.Eval_rpe.new_stats () in
-      let counts_b, t_b =
-        time (fun () -> run_all Nepal.Eval_rpe.baseline_config base_stats qs)
-      in
-      let fast_stats = Nepal.Eval_rpe.new_stats () in
-      let counts_f, t_f = time (fun () -> run_all fast_cfg fast_stats qs) in
-      if counts_b <> counts_f then
-        Printf.printf "!! %s: fast path changed the result counts\n" name;
-      sum_b := !sum_b +. t_b;
-      sum_f := !sum_f +. t_f;
-      let open Nepal.Eval_rpe in
-      let lookups = fast_stats.cache_hits + fast_stats.cache_misses in
-      let hit_rate =
-        if lookups = 0 then 0.
-        else float_of_int fast_stats.cache_hits /. float_of_int lookups
-      in
-      record ~section:"rpe_fastpath" ~label:name
-        [
-          ("baseline_s", t_b /. n);
-          ("fastpath_s", t_f /. n);
-          ("speedup", t_b /. Float.max 1e-9 t_f);
-          ("cache_hits", float_of_int fast_stats.cache_hits);
-          ("cache_misses", float_of_int fast_stats.cache_misses);
-          ("merged_partials", float_of_int fast_stats.merged_partials);
-          ("saved_fetches", float_of_int fast_stats.saved_fetches);
-          ("domains_used", float_of_int fast_stats.domains_used);
-        ];
-      Printf.printf "%-18s %12.4f %12.4f %8.1fx %9.1f%% %8d %8d\n%!" name
-        (t_b /. n) (t_f /. n)
-        (t_b /. Float.max 1e-9 t_f)
-        (hit_rate *. 100.) fast_stats.merged_partials fast_stats.saved_fetches)
-    families;
-  Printf.printf "%s\n" (String.make 82 '-');
-  Printf.printf "%-18s %12.4f %12.4f %8.1fx\n%!" "TOTAL" !sum_b !sum_f
-    (!sum_b /. Float.max 1e-9 !sum_f);
-  record ~section:"rpe_fastpath" ~label:"TOTAL"
-    [
-      ("baseline_s", !sum_b);
-      ("fastpath_s", !sum_f);
-      ("speedup", !sum_b /. Float.max 1e-9 !sum_f);
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -922,11 +824,6 @@ let run_planner () =
       if plans <> [] then begin
         let h_chosen = Nepal.Metrics.unregistered_histogram "chosen" in
         let h_legacy = Nepal.Metrics.unregistered_histogram "legacy" in
-        let decision_of opt =
-          match opt with
-          | Some d -> (d.Nepal.Engine.vd_strategy, d.Nepal.Engine.vd_prune)
-          | None -> (Nepal.Eval_rpe.Auto, None)
-        in
         (* Sub-50ms runs are noisy at single-shot resolution (GC pauses
            dwarf the work); take the min of a few repetitions so
            chosen-vs-forced ratios on identical physical plans converge
@@ -969,8 +866,8 @@ let run_planner () =
            (Timing them in separate passes skews the ratios by ~10%.) *)
         let measured =
           List.map
-            (fun ((norm, tc, opt) as p) ->
-              let strategy, prune = decision_of opt in
+            (fun ((norm, tc, (d : Nepal.Engine.var_decision)) as p) ->
+              let strategy = d.vd_strategy and prune = d.vd_prune in
               ignore (find conn ~strategy ?prune (norm, tc));
               let c_chosen, dt_chosen =
                 time_adaptive (fun () -> find conn ~strategy ?prune (norm, tc))
@@ -1089,7 +986,6 @@ let () =
   if want "backends" then run_backends ();
   if want "anchors" then run_anchors ();
   if want "temporal" then run_temporal ();
-  if want "rpe_fastpath" then run_fastpath ();
   if want "planner" then run_planner ();
   if want "watch" then run_watch ();
   if want "micro" then run_micro ();

@@ -122,9 +122,9 @@ let generate_cmd =
     (Cmd.info "generate" ~doc:"Generate an evaluation topology and print its statistics.")
     Term.(ret (const run $ topology_arg $ seed_arg $ scale_arg $ history_arg))
 
-let run_query conn ?optimizer text =
+let run_query conn text =
   let t0 = Unix.gettimeofday () in
-  match Nepal.query_on conn ?optimizer text with
+  match Nepal.query_on conn text with
   | Error e -> Error e
   | Ok result ->
       let dt = Unix.gettimeofday () -. t0 in
@@ -137,19 +137,12 @@ let query_cmd =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"QUERY" ~doc:"The Nepal query text.")
   in
-  let legacy_plan =
-    Arg.(value & flag
-         & info [ "legacy-plan" ]
-             ~doc:"Skip the cost-based plan compiler and use the legacy \
-                   greedy anchor pick.")
-  in
-  let run topology seed nodes history backend legacy_plan text =
+  let run topology seed nodes history backend text =
     let store = build_store topology seed nodes history in
     match connect backend store with
     | Error e -> `Error (false, e)
     | Ok conn -> (
-        let optimizer = if legacy_plan then `Off else `On in
-        match run_query conn ~optimizer text with
+        match run_query conn text with
         | Ok () -> `Ok ()
         | Error e -> `Error (false, e))
   in
@@ -162,7 +155,7 @@ let query_cmd =
                VNF(id=100)->[Vertical()]{1,6}->Server()\"";
          ])
     Term.(ret (const run $ topology_arg $ seed_arg $ scale_arg $ history_arg
-               $ backend_arg $ legacy_plan $ text))
+               $ backend_arg $ text))
 
 let explain_cmd =
   let text =
@@ -176,13 +169,7 @@ let explain_cmd =
                    (wall time, row counts, backend round-trips) instead of \
                    the planned DAG.")
   in
-  let legacy_plan =
-    Arg.(value & flag
-         & info [ "legacy-plan" ]
-             ~doc:"Skip the cost-based plan compiler and show the legacy \
-                   greedy plan.")
-  in
-  let run topology seed nodes history backend analyze legacy_plan text =
+  let run topology seed nodes history backend analyze text =
     let store = build_store topology seed nodes history in
     match connect backend store with
     | Error e -> `Error (false, e)
@@ -190,8 +177,7 @@ let explain_cmd =
         let prefixed =
           (if analyze then "EXPLAIN ANALYZE " else "EXPLAIN ") ^ text
         in
-        let optimizer = if legacy_plan then `Off else `On in
-        match Nepal.query_on conn ~optimizer prefixed with
+        match Nepal.query_on conn prefixed with
         | Error e -> `Error (false, e)
         | Ok result ->
             Nepal.Engine.pp_result Format.std_formatter result;
@@ -200,8 +186,7 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Show the planned operator DAG for a query ($(b,--analyze): \
-             execute it and report measured per-operator spans; \
-             $(b,--legacy-plan): bypass the cost-based planner)."
+             execute it and report measured per-operator spans)."
        ~man:
          [
            `S Manpage.s_examples;
@@ -209,7 +194,7 @@ let explain_cmd =
                Where P MATCHES VM()->[Virtual()]->VM()\"";
          ])
     Term.(ret (const run $ topology_arg $ seed_arg $ scale_arg $ history_arg
-               $ backend_arg $ analyze $ legacy_plan $ text))
+               $ backend_arg $ analyze $ text))
 
 let repl_cmd =
   let run topology seed nodes history backend =
@@ -763,8 +748,8 @@ let serve_cmd =
                   let* ins = Nepal.Server_client.introspect client in
                   let* () =
                     match
-                      ( Nepal.Wire_json.member "sessions" ins,
-                        Nepal.Wire_json.member "executor" ins )
+                      ( Nepal_util.Jsonp.member "sessions" ins,
+                        Nepal_util.Jsonp.member "executor" ins )
                     with
                     | Some (Nepal.Event_log.List (_ :: _)), Some _ -> Ok ()
                     | _ -> Error "introspect frame missing sessions/executor"
@@ -838,7 +823,7 @@ let client_cmd =
     let rec go () =
       match Nepal.Server_client.next_event ~timeout_s:0.05 client with
       | Some e ->
-          print_endline (Nepal.Wire_json.to_string e);
+          print_endline (Nepal_util.Jsonp.to_string e);
           go ()
       | None -> ()
     in
@@ -869,7 +854,7 @@ let client_cmd =
              | Error e -> Printf.printf "error: %s\n" e
            else if line = ":stats" then
              match Nepal.Server_client.stats client with
-             | Ok j -> print_endline (Nepal.Wire_json.to_string j)
+             | Ok j -> print_endline (Nepal_util.Jsonp.to_string j)
              | Error e -> Printf.printf "error: %s\n" e
            else if starts_with ":trace " line then
              let q = String.trim (String.sub line 7 (String.length line - 7)) in
@@ -1519,7 +1504,7 @@ let rate_series pts =
 
 let telemetry_cmd =
   let module Ts = Nepal.Timeseries in
-  let module WJ = Nepal.Wire_json in
+  let module WJ = Nepal_util.Jsonp in
   let module E = Nepal.Event_log in
   let host_arg =
     Arg.(value & opt string "127.0.0.1"
@@ -1658,7 +1643,7 @@ let telemetry_cmd =
 
 let top_cmd =
   let module E = Nepal.Event_log in
-  let module WJ = Nepal.Wire_json in
+  let module WJ = Nepal_util.Jsonp in
   let host_arg =
     Arg.(value & opt string "127.0.0.1"
          & info [ "host" ] ~docv:"ADDR" ~doc:"IPv4 address of the server.")

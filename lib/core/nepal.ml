@@ -43,7 +43,6 @@ module Server = Nepal_server.Server
 module Server_client = Nepal_server.Client
 module Wire = Nepal_server.Wire
 module Http_metrics = Nepal_server.Http_metrics
-module Wire_json = Nepal_server.Json
 module Env = Nepal_util.Env
 module Timeseries = Nepal_util.Timeseries
 module Health = Nepal_server.Health
@@ -105,13 +104,12 @@ let enrich_error ~conn ?binds text e =
         String.concat "\n"
           (e :: List.map (Diagnostic.render ~source:rest) ds)
 
-let query_gen ~conn ?binds ?analyze ?optimizer text =
-  match Explain.run_string ~conn ?binds ?analyze ?optimizer text with
+let query_gen ~conn ?binds ?analyze text =
+  match Explain.run_string ~conn ?binds ?analyze text with
   | Ok _ as ok -> ok
   | Error e -> Error (enrich_error ~conn ?binds text e)
 
-let query t ?binds ?analyze ?optimizer text =
-  query_gen ~conn:t.conn_ ?binds ?analyze ?optimizer text
+let query t ?binds ?analyze text = query_gen ~conn:t.conn_ ?binds ?analyze text
 let check t ?binds text = check_on t.conn_ ?binds text
 
 let ( let* ) = Result.bind
@@ -161,5 +159,4 @@ let native_conn = Nepal_query.Connect.native
 let relational_conn = Nepal_query.Connect.relational
 let gremlin_conn = Nepal_query.Connect.gremlin
 
-let query_on conn ?binds ?analyze ?optimizer text =
-  query_gen ~conn ?binds ?analyze ?optimizer text
+let query_on conn ?binds ?analyze text = query_gen ~conn ?binds ?analyze text

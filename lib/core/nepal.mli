@@ -70,7 +70,6 @@ module Server = Nepal_server.Server
 module Server_client = Nepal_server.Client
 module Wire = Nepal_server.Wire
 module Http_metrics = Nepal_server.Http_metrics
-module Wire_json = Nepal_server.Json
 module Env = Nepal_util.Env
 module Timeseries = Nepal_util.Timeseries
 module Health = Nepal_server.Health
@@ -109,7 +108,6 @@ val query :
   t ->
   ?binds:(string * Backend.conn) list ->
   ?analyze:Engine.analyze_mode ->
-  ?optimizer:Engine.optimizer ->
   string ->
   (Engine.result, string) result
 (** Parse and evaluate a Nepal query. A leading [EXPLAIN] (plan only)
@@ -123,8 +121,8 @@ val query :
     enriched with the analyzer's error-severity findings, including
     caret snippets pointing into the query text.
 
-    [?optimizer] (default [`On]) consults the cost-based plan compiler
-    ({!Planner}); [`Off] keeps the legacy greedy anchor pick. *)
+    The cost-based plan compiler ({!Planner}) picks the evaluation
+    order and each variable's plan. *)
 
 val check :
   t -> ?binds:(string * Backend.conn) list -> string -> Diagnostic.t list
@@ -169,7 +167,6 @@ val query_on :
   Backend.conn ->
   ?binds:(string * Backend.conn) list ->
   ?analyze:Engine.analyze_mode ->
-  ?optimizer:Engine.optimizer ->
   string ->
   (Engine.result, string) result
 (** Run a query against an arbitrary connection (relational, gremlin,

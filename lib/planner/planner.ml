@@ -12,9 +12,9 @@
    in a bounded fingerprint-keyed cache.
 
    Everything here is estimation-only: the single source of truth for
-   result sets stays in [Eval_rpe], and the engine validates/falls
-   back on anything suspicious, so a planner bug can cost time but
-   never rows. *)
+   result sets stays in [Eval_rpe], and every plan is a choice among
+   equivalent evaluations, so a planner bug can cost time but never
+   rows. *)
 
 module Intset = Nepal_util.Intset
 module Metrics = Nepal_util.Metrics
@@ -27,6 +27,8 @@ module Analysis = Nepal_analysis.Analysis
 module Backend_intf = Nepal_query.Backend_intf
 module Engine = Nepal_query.Engine
 module Eval_rpe = Nepal_query.Eval_rpe
+
+let ( let* ) = Result.bind
 
 let m_cache_hit = Metrics.counter "planner.cache_hit"
 let m_cache_miss = Metrics.counter "planner.cache_miss"
@@ -253,12 +255,13 @@ type slot = {
   sl_cands : candidate list;  (** cheapest first; [] = not anchorable *)
 }
 
-(* Cost and per-variable decisions of one evaluation order. [None] when
-   some variable is neither seedable by then nor anchorable. *)
+(* Cost and per-variable decisions of one evaluation order; an error
+   naming the first variable that is neither seedable by then nor
+   anchorable. *)
 let cost_order slots order =
   let slot v = List.find (fun s -> s.sl_input.Engine.pi_var = v) slots in
   let rec go acc_cost acc_rows decided = function
-    | [] -> Some (acc_cost, List.rev decided)
+    | [] -> Ok (acc_cost, List.rev decided)
     | v :: rest ->
         let s = slot v in
         let input = s.sl_input in
@@ -300,7 +303,11 @@ let cost_order slots order =
                         best.cd_id ))
         in
         (match choice with
-        | None -> None
+        | None ->
+            Error
+              (Printf.sprintf
+                 "variable %S is not anchored and cannot import an anchor from a join"
+                 v)
         | Some (cost, rows, strategy, desc, alts, id) ->
             go (acc_cost +. cost)
               ((v, rows) :: acc_rows)
@@ -319,9 +326,11 @@ let rec permutations = function
             (permutations (List.filter (fun y -> y <> x) l)))
         l
 
-(* The legacy greedy order (literal/join-seedable first, then cheapest
+(* The greedy order (literal/join-seedable first, then cheapest
    anchor) — evaluated first so the optimizer must be strictly cheaper
-   to deviate, which keeps result-row order stable on ties. *)
+   to deviate, which keeps result-row order stable on ties. When no
+   order is feasible, its error names the first declared variable that
+   no anchored or literal-seeded variable reaches through joins. *)
 let legacy_order slots =
   let remaining = ref (List.map (fun s -> s.sl_input.Engine.pi_var) slots) in
   let done_ = ref [] in
@@ -364,21 +373,19 @@ let legacy_order slots =
 
 let best_order slots =
   let vars = List.map (fun s -> s.sl_input.Engine.pi_var) slots in
-  let orders =
+  let greedy = legacy_order slots in
+  let others =
     if List.length vars <= 5 then
-      let lo = legacy_order slots in
-      lo :: List.filter (fun p -> p <> lo) (permutations vars)
-    else [ legacy_order slots ]
+      List.filter (fun p -> p <> greedy) (permutations vars)
+    else []
   in
   List.fold_left
     (fun best order ->
-      match cost_order slots order with
-      | None -> best
-      | Some (cost, decided) -> (
-          match best with
-          | Some (bc, _) when bc <= cost -> best
-          | _ -> Some (cost, decided)))
-    None orders
+      match (best, cost_order slots order) with
+      | Error _, (Ok _ as r) -> r
+      | Ok (bc, _), (Ok (cost, _) as r) when cost < bc -> r
+      | _ -> best)
+    (cost_order slots greedy) others
 
 (* -- plan cache ------------------------------------------------------- *)
 
@@ -511,8 +518,8 @@ let fresh_plan inputs =
     List.map (fun i -> { sl_input = i; sl_cands = candidates i }) inputs
   in
   match best_order slots with
-  | None -> None
-  | Some (total, decided) ->
+  | Error _ as e -> e
+  | Ok (total, decided) ->
       let order =
         List.map
           (fun (v, cost, rows, strategy, desc, alts, _) ->
@@ -523,7 +530,7 @@ let fresh_plan inputs =
             decision_of_choice input (cost, rows, strategy, desc, alts))
           decided
       in
-      Some ({ Engine.xp_order = order; xp_cache = `Miss; xp_cost = total }, decided)
+      Ok ({ Engine.xp_order = order; xp_cache = `Miss; xp_cost = total }, decided)
 
 let entry_of inputs decided =
   {
@@ -639,25 +646,21 @@ let replay_plan inputs entry =
 (* -- the hook --------------------------------------------------------- *)
 
 let plan_query ~fingerprint inputs =
-  if inputs = [] then None
-  else
-    let key = cache_key fingerprint inputs in
-    let cached =
-      match cache_find key with
-      | Some entry -> replay_plan inputs entry
-      | None -> None
-    in
-    match cached with
-    | Some ep ->
-        Metrics.incr m_cache_hit;
-        Some ep
-    | None -> (
-        Metrics.incr m_cache_miss;
-        match fresh_plan inputs with
-        | None -> None
-        | Some (ep, decided) ->
-            Metrics.incr m_plans;
-            cache_store key (entry_of inputs decided);
-            Some ep)
+  let key = cache_key fingerprint inputs in
+  let cached =
+    match cache_find key with
+    | Some entry -> replay_plan inputs entry
+    | None -> None
+  in
+  match cached with
+  | Some ep ->
+      Metrics.incr m_cache_hit;
+      Ok ep
+  | None ->
+      Metrics.incr m_cache_miss;
+      let* ep, decided = fresh_plan inputs in
+      Metrics.incr m_plans;
+      cache_store key (entry_of inputs decided);
+      Ok ep
 
 let () = Engine.planner_hook := Some plan_query

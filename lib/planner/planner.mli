@@ -30,17 +30,17 @@
     OpenMetrics counters.
 
     Linking this library is enough: the module registers itself into
-    {!Nepal_query.Engine.planner_hook} at initialization time, and the
-    engine falls back to its legacy greedy pick whenever the planner
-    declines or the [optimizer] is off. *)
+    {!Nepal_query.Engine.planner_hook} at initialization time. It is
+    the only place that decides the evaluation order. *)
 
 val plan_query :
   fingerprint:string ->
   Nepal_query.Engine.planner_input list ->
-  Nepal_query.Engine.exec_plan option
-(** The hook implementation (exposed for direct testing). Returns
-    [None] when no variable can be planned — the engine then uses its
-    legacy pick. Never raises. *)
+  (Nepal_query.Engine.exec_plan, string) result
+(** The hook implementation (exposed for direct testing). An error
+    when no evaluation order is feasible: it names the first declared
+    variable that is not anchored and cannot import an anchor from a
+    join. Never raises. *)
 
 val pruner_of : Nepal_schema.Schema.t -> Nepal_query.Eval_rpe.pruner
 (** Product-automaton pruning against the given schema's frontier

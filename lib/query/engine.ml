@@ -169,8 +169,8 @@ let correlation_key outer_vars outer_row q =
 (* The optimizer lives in [nepal_planner], which depends on this library
    (and on [nepal_analysis]) — so the engine reaches it through a
    forward reference filled at module-initialization time, the same
-   idiom as [analyzer_hook]. Executables that do not link the planner
-   simply run the legacy greedy pick. *)
+   idiom as [analyzer_hook]. It is the only place that decides the
+   evaluation order; a program that runs queries must link it. *)
 
 type var_decision = {
   vd_var : string;
@@ -201,48 +201,73 @@ type planner_input = {
   pi_join_vars : string list;  (** variables this one is joined with *)
 }
 
-type optimizer = [ `On | `Off ]
-
 let planner_hook :
-    (fingerprint:string -> planner_input list -> exec_plan option) option ref =
+    (fingerprint:string ->
+    planner_input list ->
+    (exec_plan, string) Stdlib.result)
+    option
+    ref =
   ref None
 
-(* Ask the planner for a plan; anything suspicious (exception, order
-   not covering exactly the declared variables) falls back to the
-   legacy pick — the optimizer must never be able to break a query. *)
-let consult_planner ~(optimizer : optimizer) ~declared inputs q =
-  match (optimizer, !planner_hook) with
-  | `Off, _ | _, None -> None
-  | `On, Some hook -> (
-      try
-        match hook ~fingerprint:(Stat_statements.fingerprint_of_query q) inputs with
-        | Some ep
-          when List.sort String.compare
-                 (List.map (fun d -> d.vd_var) ep.xp_order)
-               = List.sort String.compare declared ->
-            Some ep
-        | _ -> None
-      with exn ->
-        record_hook_error ~kind:"planner.hook_error" exn;
-        None)
+(* Ask the planner for a plan. A planner that raises, or whose order
+   does not cover exactly the declared variables, fails the query
+   rather than leaving it half-planned. *)
+let consult_planner ~declared inputs q =
+  match !planner_hook with
+  | None -> Error "no query planner is linked into this program"
+  | Some hook -> (
+      match
+        try hook ~fingerprint:(Stat_statements.fingerprint_of_query q) inputs
+        with exn ->
+          record_hook_error ~kind:"planner.hook_error" exn;
+          Error ("query planner failed: " ^ Printexc.to_string exn)
+      with
+      | Ok ep
+        when List.sort String.compare (List.map (fun d -> d.vd_var) ep.xp_order)
+             <> List.sort String.compare declared ->
+          Error "query planner returned a plan for other variables"
+      | r -> r)
 
-(* -- the main evaluation -------------------------------------------- *)
+(* -- validation and planning ---------------------------------------- *)
 
-(* Engine-side span helper; backend round-trips are attributed at the
-   Var level (each variable knows its connection), not here. *)
-let spanned ?trace name detail f =
-  match trace with
-  | None -> f None
-  | Some parent ->
-      let s = Trace.child ~detail parent name in
-      Trace.time s (fun () -> f (Some s))
+type seed_plan =
+  | Seed_anchor of Anchor.selection
+      (** anchored evaluation over the selection's splits *)
+  | Seed_lit of path_fun * Value.t
+      (** seeded from a literal-pinned node function *)
+  | Seed_join of path_fun * string * path_fun
+      (** anchor imported from an already-evaluated join partner:
+          (own function, partner variable, partner function) *)
+  | Seed_bidi of Eval_rpe.bidi_plan
+      (** bidirectional meet-in-the-middle evaluation *)
 
-let rec run ~conn ?(binds = []) ?max_length ?stats ?config ?trace
-    ?(optimizer = (`On : optimizer)) q =
-  let stats = match stats with Some s -> s | None -> Eval_rpe.new_stats () in
-  let conn_of var =
-    match List.assoc_opt var binds with Some c -> c | None -> conn
-  in
+type var_plan = {
+  vp_var : string;
+  vp_backend : string;
+  vp_tc : Time_constraint.t;
+  vp_rpe : Rpe.norm;
+  vp_seed : seed_plan;
+  vp_opt : var_decision;  (** the planner's decision for this variable *)
+}
+
+type plan = {
+  p_order : var_plan list;  (** in evaluation order *)
+  p_joins : (path_fun * string * path_fun * string) list;
+  p_filter_count : int;
+  p_coexist : bool;
+  p_mode : string;
+  p_opt : exec_plan;  (** the compiled plan behind [p_order] *)
+}
+
+let conn_for ~conn binds var =
+  match List.assoc_opt var binds with Some c -> c | None -> conn
+
+(* Everything [run] decides before it touches data: validation, the
+   planner call, and each variable's seed in the planner's order.
+   EXPLAIN renders the [plan] half; [run] evaluates it, using the
+   classified conditions for the joins and filters. *)
+let compile ~conn ~binds q =
+  let conn_of = conn_for ~conn binds in
   let declared = List.map (fun v -> v.var_name) q.vars in
   let* () =
     let rec dup = function
@@ -297,181 +322,156 @@ let rec run ~conn ?(binds = []) ?max_length ?stats ?config ?trace
         | None -> Time_constraint.snapshot)
   in
   let tcs = List.map (fun v -> (v.var_name, var_tc v)) q.vars in
-  (* Anchor cost per variable (infinite when unanchorable). *)
-  let anchor_cost var =
-    let norm = List.assoc var var_rpes in
-    let c = conn_of var in
-    match Anchor.select ~cost:(Backend_intf.estimate_atom c) norm with
-    | Ok sel -> sel.Anchor.cost
-    | Error _ -> Float.infinity
-  in
+  (* A literal-pinned node function supplies a seed. *)
   let lit_anchor var =
-    (* A literal-pinned node function supplies a seed. *)
     List.find_opt (fun (_, v, _) -> v = var) cls.anchors_from_lit
   in
-  (* The cost-based planner (when linked and enabled) replaces the
-     greedy pick with a compiled plan: evaluation order, per-variable
-     strategy (forced anchor / bidirectional), product pruning and
-     estimates. *)
-  let exec_plan =
+  let* ep =
     let join_vars var =
       List.filter_map
         (fun (_, v1, _, v2) ->
           if v1 = var then Some v2 else if v2 = var then Some v1 else None)
         cls.joins
     in
-    let inputs =
-      List.map
-        (fun v ->
-          {
-            pi_var = v.var_name;
-            pi_conn = conn_of v.var_name;
-            pi_tc = List.assoc v.var_name tcs;
-            pi_norm = List.assoc v.var_name var_rpes;
-            pi_lit_seed = lit_anchor v.var_name <> None;
-            pi_join_vars = join_vars v.var_name;
-          })
-        q.vars
-    in
-    consult_planner ~optimizer ~declared inputs q
+    consult_planner ~declared
+      (List.map
+         (fun v ->
+           {
+             pi_var = v.var_name;
+             pi_conn = conn_of v.var_name;
+             pi_tc = List.assoc v.var_name tcs;
+             pi_norm = List.assoc v.var_name var_rpes;
+             pi_lit_seed = lit_anchor v.var_name <> None;
+             pi_join_vars = join_vars v.var_name;
+           })
+         q.vars)
+      q
   in
-  let decision_for var =
-    match exec_plan with
-    | Some ep -> List.find_opt (fun d -> d.vd_var = var) ep.xp_order
-    | None -> None
-  in
-  (* Evaluate variables one by one, importing anchors from joins. *)
-  let evaluated : (string, Path.t list) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let* () =
-    let remaining = ref declared in
-    let rec loop () =
-      if !remaining = [] then Ok ()
-      else begin
-        let join_partner var =
+  (* Seed each variable in the planner's order: a literal or a join
+     partner evaluated earlier, else the planner's strategy. *)
+  let* _, rev_order =
+    List.fold_left
+      (fun acc d ->
+        let* evaluated, order = acc in
+        let var = d.vd_var in
+        let join_partner =
           List.find_map
             (fun (f1, v1, f2, v2) ->
-              if v1 = var && Hashtbl.mem evaluated v2 then Some (f1, v2, f2)
-              else if v2 = var && Hashtbl.mem evaluated v1 then Some (f2, v1, f1)
+              if v1 = var && List.mem v2 evaluated then Some (f1, v2, f2)
+              else if v2 = var && List.mem v1 evaluated then Some (f2, v1, f1)
               else None)
             cls.joins
         in
-        (* Prefer a variable seedable from a literal or a join; fall
-           back to the cheapest anchored one. The planner, when it
-           produced a plan, dictates the order instead. *)
-        let pick =
-          match exec_plan with
-          | Some ep ->
-              List.find_map
-                (fun d ->
-                  if List.mem d.vd_var !remaining then Some d.vd_var else None)
-                ep.xp_order
-          | None ->
-              let seedable =
-                List.filter
-                  (fun v -> lit_anchor v <> None || join_partner v <> None)
-                  !remaining
-              in
-              let pool = if seedable <> [] then seedable else !remaining in
-              List.fold_left
-                (fun best v ->
-                  match best with
-                  | None -> Some v
-                  | Some b ->
-                      if anchor_cost v < anchor_cost b then Some v else best)
-                None pool
+        let* seed =
+          match (lit_anchor var, join_partner, d.vd_strategy) with
+          | Some (f, _, (Value.Int _ as lit)), _, _ -> Ok (Seed_lit (f, lit))
+          | Some _, _, _ ->
+              Error "node functions compare to node identities (integers)"
+          | None, Some (f_self, partner, f_partner), _ ->
+              Ok (Seed_join (f_self, partner, f_partner))
+          | None, None, Eval_rpe.Bidi bp -> Ok (Seed_bidi bp)
+          | None, None, Eval_rpe.Forced sel -> Ok (Seed_anchor sel)
+          | None, None, Eval_rpe.Auto ->
+              Error
+                (Printf.sprintf
+                   "variable %S is not anchored and cannot import an anchor from a join"
+                   var)
         in
-        match pick with
-        | None -> Ok ()
-        | Some var ->
-            let c = conn_of var in
-            let tc = List.assoc var tcs in
-            let norm = List.assoc var var_rpes in
-            let decision = decision_for var in
-            let* paths =
-              spanned ?trace "Var"
-                (Printf.sprintf "%s via %s%s" var (Backend_intf.conn_name c)
-                   (match decision with
-                   | Some d -> Printf.sprintf " [%s, %s]" d.vd_desc d.vd_variant
-                   | None -> ""))
-                (fun vspan ->
-            let rt0 = Backend_intf.conn_roundtrips c in
-            let* seed =
-              match lit_anchor var with
-              | Some (f, _, Value.Int uid) -> (
-                  match Backend_intf.element_by_uid c ~tc uid with
-                  | Some e ->
-                      Ok
-                        (Some
-                           (match f with
-                           | Source -> Eval_rpe.From_nodes [ e ]
-                           | Target -> Eval_rpe.To_nodes [ e ]))
-                  | None ->
-                      Ok
-                        (Some
-                           (match f with
-                           | Source -> Eval_rpe.From_nodes []
-                           | Target -> Eval_rpe.To_nodes [])))
-              | Some _ -> Error "node functions compare to node identities (integers)"
-              | None -> (
-                  match join_partner var with
-                  | Some (f_self, partner, f_partner) ->
-                      let partner_paths = Hashtbl.find evaluated partner in
-                      let uids =
-                        List.map
-                          (fun p -> (node_of_path f_partner p).Path.uid)
-                          partner_paths
-                        |> List.sort_uniq Int.compare
-                      in
-                      let elems =
-                        List.filter_map (Backend_intf.element_by_uid c ~tc) uids
-                      in
-                      Ok
-                        (Some
-                           (match f_self with
-                           | Source -> Eval_rpe.From_nodes elems
-                           | Target -> Eval_rpe.To_nodes elems))
-                  | None ->
-                      if anchor_cost var = Float.infinity then
-                        Error
-                          (Printf.sprintf
-                             "variable %S is not anchored and cannot import an anchor from a join"
-                             var)
-                      else Ok None)
-            in
-            let strategy =
-              (* Seeded walks ignore strategy; the planner marks such
-                 variables [Auto] anyway. *)
-              match decision with
-              | Some d -> d.vd_strategy
-              | None -> Eval_rpe.Auto
-            in
-            let prune =
-              match decision with Some d -> d.vd_prune | None -> None
-            in
-            (match (vspan, decision) with
-            | Some s, Some d -> s.Trace.est_rows <- d.vd_est_rows
-            | _ -> ());
-            let r =
-              Eval_rpe.find c ~tc ?max_length ?seed ~stats ~strategy ?prune
-                ?config ?trace:vspan norm
-            in
-            (match (vspan, r) with
-            | Some s, Ok paths ->
-                s.Trace.rows_out <- List.length paths;
-                s.Trace.calls <- Backend_intf.conn_roundtrips c - rt0
-            | _ -> ());
-            r)
-            in
-            Hashtbl.replace evaluated var paths;
-            order := var :: !order;
-            remaining := List.filter (fun v -> v <> var) !remaining;
-            loop ()
-      end
-    in
-    loop ()
+        Ok
+          ( var :: evaluated,
+            {
+              vp_var = var;
+              vp_backend = Backend_intf.conn_name (conn_of var);
+              vp_tc = List.assoc var tcs;
+              vp_rpe = List.assoc var var_rpes;
+              vp_seed = seed;
+              vp_opt = d;
+            }
+            :: order ))
+      (Ok ([], [])) ep.xp_order
   in
-  let order = List.rev !order in
+  Ok
+    ( {
+        p_order = List.rev rev_order;
+        p_joins = cls.joins;
+        p_filter_count =
+          List.length cls.filters + List.length cls.anchors_from_lit;
+        p_coexist = (match q.q_at with Some (At_range _) -> true | _ -> false);
+        p_mode = (match q.mode with Retrieve _ -> "retrieve" | Select _ -> "select");
+        p_opt = ep;
+      },
+      cls )
+
+let plan ~conn ?(binds = []) q = Result.map fst (compile ~conn ~binds q)
+
+(* -- the main evaluation -------------------------------------------- *)
+
+(* Engine-side span helper; backend round-trips are attributed at the
+   Var level (each variable knows its connection), not here. *)
+let spanned ?trace name detail f =
+  match trace with
+  | None -> f None
+  | Some parent ->
+      let s = Trace.child ~detail parent name in
+      Trace.time s (fun () -> f (Some s))
+
+let rec run ~conn ?(binds = []) ?max_length ?stats ?trace q =
+  let stats = match stats with Some s -> s | None -> Eval_rpe.new_stats () in
+  let* plan, cls = compile ~conn ~binds q in
+  let declared = List.map (fun v -> v.var_name) q.vars in
+  (* Evaluate the variables in plan order, importing anchors from
+     joins. *)
+  let evaluated : (string, Path.t list) Hashtbl.t = Hashtbl.create 8 in
+  let eval_var vp =
+    let var = vp.vp_var and tc = vp.vp_tc and d = vp.vp_opt in
+    let c = conn_for ~conn binds var in
+    spanned ?trace "Var"
+      (Printf.sprintf "%s via %s [%s, %s]" var (Backend_intf.conn_name c)
+         d.vd_desc d.vd_variant)
+      (fun vspan ->
+        let rt0 = Backend_intf.conn_roundtrips c in
+        let from f elems =
+          match f with
+          | Source -> Some (Eval_rpe.From_nodes elems)
+          | Target -> Some (Eval_rpe.To_nodes elems)
+        in
+        let seed =
+          match vp.vp_seed with
+          | Seed_lit (f, Value.Int uid) ->
+              from f (Option.to_list (Backend_intf.element_by_uid c ~tc uid))
+          | Seed_join (f_self, partner, f_partner) ->
+              let uids =
+                List.map
+                  (fun p -> (node_of_path f_partner p).Path.uid)
+                  (Hashtbl.find evaluated partner)
+                |> List.sort_uniq Int.compare
+              in
+              from f_self
+                (List.filter_map (Backend_intf.element_by_uid c ~tc) uids)
+          | Seed_anchor _ | Seed_bidi _ -> None
+          | Seed_lit _ -> None (* [compile] admits integer literals only *)
+        in
+        Option.iter (fun s -> s.Trace.est_rows <- d.vd_est_rows) vspan;
+        let r =
+          Eval_rpe.find c ~tc ?max_length ?seed ~stats ~strategy:d.vd_strategy
+            ?prune:d.vd_prune ?trace:vspan vp.vp_rpe
+        in
+        (match (vspan, r) with
+        | Some s, Ok paths ->
+            s.Trace.rows_out <- List.length paths;
+            s.Trace.calls <- Backend_intf.conn_roundtrips c - rt0
+        | _ -> ());
+        r)
+  in
+  let* () =
+    List.fold_left
+      (fun acc vp ->
+        let* () = acc in
+        let* paths = eval_var vp in
+        Ok (Hashtbl.replace evaluated vp.vp_var paths))
+      (Ok ()) plan.p_order
+  in
+  let order = List.map (fun vp -> vp.vp_var) plan.p_order in
   (* Join the per-variable path sets. *)
   let join_rows =
     spanned ?trace "Join"
@@ -611,7 +611,7 @@ let rec run ~conn ?(binds = []) ?max_length ?stats ?config ?trace
         (* Inherit the outer temporal scope unless the subquery sets
            its own. *)
         let sub' = if sub'.q_at = None then { sub' with q_at = q.q_at } else sub' in
-        let* res = run ~conn ~binds ?max_length ~stats ?config ~optimizer sub' in
+        let* res = run ~conn ~binds ?max_length ~stats sub' in
         let b = result_count res > 0 in
         Hashtbl.replace subquery_memo key b;
         Ok b
@@ -871,7 +871,7 @@ let analysis_diag_to_string d =
 (* The analyzer lives in [nepal_analysis], which depends on this
    library for the query AST — so the engine reaches it through a
    forward reference the analyzer fills at module-initialization time
-   (same idiom as [plan_summary_ref]). Executables that do not link
+   (same idiom as [planner_hook]). Executables that do not link
    the analyzer simply run with analysis off. *)
 let analyzer_hook :
     (schema_of:(string -> Nepal_schema.Schema.t) ->
@@ -886,44 +886,75 @@ let analyzer_hook :
    the same shape the wire protocol returns for traced queries. *)
 let span_json = Trace.to_json
 
-(* Forward declaration: a compact plan rendering for slow-query events,
-   filled in below once [plan] is defined. *)
-let plan_summary_ref :
-    (conn:Backend_intf.conn ->
-    binds:(string * Backend_intf.conn) list ->
-    Query_ast.query ->
-    string)
-    ref =
-  ref (fun ~conn:_ ~binds:_ _ -> "")
+(* One-line-per-operator plan rendering for slow-query events: the
+   evaluation order, seeds and costs, without the per-operator backend
+   request text (EXPLAIN renders that; an event should stay compact). *)
+let plan_summary ~conn ~binds q =
+  match plan ~conn ~binds q with
+  | Error e -> "plan unavailable: " ^ e
+  | Ok p ->
+      let seed_str = function
+        | Seed_anchor sel ->
+            Printf.sprintf "anchor(~%.0f recs, %d split(s))" sel.Anchor.cost
+              (List.length sel.Anchor.splits)
+        | Seed_lit (f, lit) ->
+            Printf.sprintf "lit %s=%s"
+              (Query_ast.path_fun_to_string f)
+              (Value.to_string lit)
+        | Seed_bidi bp ->
+            Printf.sprintf "bidirectional ⟨%s⟩↔⟨%s⟩"
+              bp.Eval_rpe.bd_left.Rpe.cls bp.Eval_rpe.bd_right.Rpe.cls
+        | Seed_join (f_self, partner, f_partner) ->
+            Printf.sprintf "join %s=%s(%s)"
+              (Query_ast.path_fun_to_string f_self)
+              (Query_ast.path_fun_to_string f_partner)
+              partner
+      in
+      let vars =
+        List.map
+          (fun vp ->
+            Printf.sprintf "Var %s via %s seed=%s rpe=%s" vp.vp_var
+              vp.vp_backend (seed_str vp.vp_seed)
+              (Rpe.norm_to_string vp.vp_rpe))
+          p.p_order
+      in
+      String.concat "; "
+        (Printf.sprintf "%s%s" p.p_mode
+           (if p.p_coexist then "+coexist" else "")
+         :: vars
+        @
+        if p.p_filter_count > 0 then
+          [ Printf.sprintf "filters=%d" p.p_filter_count ]
+        else [])
 
-(* Instrumented top-level entry shared by every public run path:
-   counts the query, observes its wall time, accumulates statement
-   statistics under the query's fingerprint, and — when the event log
-   is armed with a slow-query threshold — runs traced so an offending
-   query's event can carry the measured span tree and plan text.
-   [own_trace] marks a root span this function is responsible for
-   stamping (as opposed to a caller's parent span). *)
+(* The linked analyzer's findings for [q], each variable resolved to
+   its bound connection. Shared by the analysis prelude and EXPLAIN. An
+   analyzer or cost-estimator failure is recorded as a hook error; the
+   query then proceeds with what the analyzer did return (nothing when
+   it raised). *)
+let analysis_diagnostics ~conn ?(binds = []) q =
+  match !analyzer_hook with
+  | None -> []
+  | Some hook -> (
+      let conn_of = conn_for ~conn binds in
+      try
+        hook
+          ~schema_of:(fun var -> Backend_intf.conn_schema (conn_of var))
+          ~cost_of:(fun var a ->
+            try Backend_intf.estimate_atom (conn_of var) a
+            with exn ->
+              record_hook_error ~kind:"analysis.cost_error" exn;
+              1.0)
+          q
+      with exn ->
+        record_hook_error ~kind:"analysis.hook_error" exn;
+        [])
+
 let analysis_prelude ~conn ~binds ~(analyze : analyze_mode) q =
-  match (analyze, !analyzer_hook) with
-  | `Off, _ | _, None -> Ok ()
-  | (`Warn | `Strict), Some hook ->
-      let conn_of var =
-        match List.assoc_opt var binds with Some c -> c | None -> conn
-      in
-      let diags =
-        try
-          hook
-            ~schema_of:(fun var -> Backend_intf.conn_schema (conn_of var))
-            ~cost_of:(fun var a ->
-              try Backend_intf.estimate_atom (conn_of var) a
-              with exn ->
-                record_hook_error ~kind:"analysis.cost_error" exn;
-                1.0)
-            q
-        with exn ->
-          record_hook_error ~kind:"analysis.hook_error" exn;
-          []
-      in
+  match analyze with
+  | `Off -> Ok ()
+  | `Warn | `Strict ->
+      let diags = analysis_diagnostics ~conn ~binds q in
       let flagged =
         List.filter
           (fun d -> match d.ad_severity with `Error | `Warning -> true | `Hint -> false)
@@ -955,9 +986,15 @@ let analysis_prelude ~conn ~binds ~(analyze : analyze_mode) q =
              :: List.map (fun d -> "  " ^ analysis_diag_to_string d) flagged))
       else Ok ()
 
-let run_instrumented ~conn ?(binds = []) ?max_length ?stats ?config ?trace
-    ?(own_trace = false) ?(analyze = (`Warn : analyze_mode)) ?optimizer ~text q
-    =
+(* Instrumented top-level entry shared by every public run path:
+   counts the query, observes its wall time, accumulates statement
+   statistics under the query's fingerprint, and — when the event log
+   is armed with a slow-query threshold — runs traced so an offending
+   query's event can carry the measured span tree and plan text.
+   [own_trace] marks a root span this function is responsible for
+   stamping (as opposed to a caller's parent span). *)
+let run_instrumented ~conn ?(binds = []) ?max_length ?stats ?trace
+    ?(own_trace = false) ?(analyze = (`Warn : analyze_mode)) ~text q =
   Metrics.incr m_queries;
   match analysis_prelude ~conn ~binds ~analyze q with
   | Error e ->
@@ -988,7 +1025,7 @@ let run_instrumented ~conn ?(binds = []) ?max_length ?stats ?config ?trace
   let rt0 = Backend_intf.conn_roundtrips conn in
   let ph0 = (Backend_intf.cache_counters conn).Backend_intf.hits in
   let t0 = Unix.gettimeofday () in
-  let res = run ~conn ~binds ?max_length ?stats ?config ?trace:root ?optimizer q in
+  let res = run ~conn ~binds ?max_length ?stats ?trace:root q in
   let wall = Unix.gettimeofday () -. t0 in
   Metrics.observe m_query_seconds wall;
   let rows = match res with Ok r -> result_count r | Error _ -> 0 in
@@ -1040,308 +1077,33 @@ let run_instrumented ~conn ?(binds = []) ?max_length ?stats ?config ?trace
                ("threshold_ms", Event_log.Float (thr *. 1e3));
                ("rows", Event_log.Int rows);
                ("roundtrips", Event_log.Int roundtrips);
-               ("plan", Event_log.Str (!plan_summary_ref ~conn ~binds q));
+               ("plan", Event_log.Str (plan_summary ~conn ~binds q));
              ]
             @ span_fields)
       | _ -> ()));
   res
 
-let run ~conn ?binds ?max_length ?stats ?config ?trace ?analyze ?optimizer q =
-  run_instrumented ~conn ?binds ?max_length ?stats ?config ?trace ?analyze
-    ?optimizer ~text:None q
+let run ~conn ?binds ?max_length ?stats ?trace ?analyze q =
+  run_instrumented ~conn ?binds ?max_length ?stats ?trace ?analyze ~text:None q
 
-let run_traced_aux ~conn ?binds ?max_length ?stats ?config ?analyze ?optimizer
-    ~text q =
+let run_traced_aux ~conn ?binds ?max_length ?stats ?analyze ~text q =
   let root = Trace.make "Query" in
   let* r =
-    run_instrumented ~conn ?binds ?max_length ?stats ?config ?analyze
-      ?optimizer ~trace:root ~own_trace:true ~text q
+    run_instrumented ~conn ?binds ?max_length ?stats ?analyze ~trace:root
+      ~own_trace:true ~text q
   in
   Ok (r, root)
 
-let run_traced ~conn ?binds ?max_length ?stats ?config ?analyze ?optimizer q =
-  run_traced_aux ~conn ?binds ?max_length ?stats ?config ?analyze ?optimizer
-    ~text:None q
+let run_traced ~conn ?binds ?max_length ?stats ?analyze q =
+  run_traced_aux ~conn ?binds ?max_length ?stats ?analyze ~text:None q
 
-let run_string ~conn ?binds ?max_length ?stats ?config ?analyze ?optimizer text
-    =
+let run_string ~conn ?binds ?max_length ?stats ?analyze text =
   let* q = Query_parser.parse text in
-  run_instrumented ~conn ?binds ?max_length ?stats ?config ?analyze ?optimizer
-    ~text:(Some text) q
+  run_instrumented ~conn ?binds ?max_length ?stats ?analyze ~text:(Some text) q
 
-let run_string_traced ~conn ?binds ?max_length ?stats ?config ?analyze
-    ?optimizer text =
+let run_string_traced ~conn ?binds ?max_length ?stats ?analyze text =
   let* q = Query_parser.parse text in
-  run_traced_aux ~conn ?binds ?max_length ?stats ?config ?analyze ?optimizer
-    ~text:(Some text) q
-
-(* -- planning-only surface (EXPLAIN) -------------------------------- *)
-
-type seed_plan =
-  | Seed_anchor of Anchor.selection
-      (** anchored evaluation over the selection's splits *)
-  | Seed_lit of path_fun * Value.t
-      (** seeded from a literal-pinned node function *)
-  | Seed_join of path_fun * string * path_fun
-      (** anchor imported from an already-evaluated join partner:
-          (own function, partner variable, partner function) *)
-  | Seed_bidi of Eval_rpe.bidi_plan
-      (** bidirectional meet-in-the-middle evaluation *)
-
-type var_plan = {
-  vp_var : string;
-  vp_backend : string;
-  vp_tc : Time_constraint.t;
-  vp_rpe : Rpe.norm;
-  vp_seed : seed_plan;
-  vp_opt : var_decision option;
-      (** the planner's decision for this variable, when the optimizer
-          produced the plan *)
-}
-
-type plan = {
-  p_order : var_plan list;  (** in evaluation order *)
-  p_joins : (path_fun * string * path_fun * string) list;
-  p_filter_count : int;
-  p_coexist : bool;
-  p_mode : string;
-  p_opt : exec_plan option;
-      (** the compiled plan, when the optimizer produced one *)
-}
-
-(* Mirror of [run]'s planning prelude — validation, anchor costing, and
-   the evaluation-order pick — without touching the data. Kept next to
-   [run] so the two stay in sync; any change to the pick rule there
-   must be reflected here. *)
-let plan ~conn ?(binds = []) ?(optimizer = (`On : optimizer)) q =
-  let conn_of var =
-    match List.assoc_opt var binds with Some c -> c | None -> conn
-  in
-  let declared = List.map (fun v -> v.var_name) q.vars in
-  let* () =
-    let rec dup = function
-      | [] -> Ok ()
-      | v :: rest ->
-          if List.mem v rest then Error (Printf.sprintf "variable %S declared twice" v)
-          else dup rest
-    in
-    dup declared
-  in
-  let conjs = conjuncts q.where_ in
-  let* () =
-    if
-      List.exists
-        (fun c ->
-          match c with Matches _ -> false | c -> condition_mentions_matches c)
-        conjs
-    then Error "MATCHES may only appear as a top-level conjunct"
-    else Ok ()
-  in
-  let cls = classify conjs in
-  let* var_rpes =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match List.filter (fun (w, _) -> w = v.var_name) cls.matches with
-        | [ (_, rpe) ] ->
-            let schema = Backend_intf.conn_schema (conn_of v.var_name) in
-            let* norm = Rpe.validate schema rpe in
-            Ok ((v.var_name, norm) :: acc)
-        | [] ->
-            Error (Printf.sprintf "variable %S has no MATCHES predicate" v.var_name)
-        | _ ->
-            Error (Printf.sprintf "variable %S has multiple MATCHES predicates" v.var_name))
-      (Ok []) q.vars
-  in
-  let* () =
-    match
-      List.find_opt (fun (w, _) -> not (List.mem w declared)) cls.matches
-    with
-    | Some (w, _) -> Error (Printf.sprintf "MATCHES on undeclared variable %S" w)
-    | None -> Ok ()
-  in
-  let var_tc v =
-    match v.var_tc with
-    | Some tc -> tc_of_spec tc
-    | None -> (
-        match q.q_at with
-        | Some tc -> tc_of_spec tc
-        | None -> Time_constraint.snapshot)
-  in
-  let tcs = List.map (fun v -> (v.var_name, var_tc v)) q.vars in
-  let anchor_selection var =
-    let norm = List.assoc var var_rpes in
-    let c = conn_of var in
-    Anchor.select ~cost:(Backend_intf.estimate_atom c) norm
-  in
-  let anchor_cost var =
-    match anchor_selection var with
-    | Ok sel -> sel.Anchor.cost
-    | Error _ -> Float.infinity
-  in
-  let lit_anchor var =
-    List.find_opt (fun (_, v, _) -> v = var) cls.anchors_from_lit
-  in
-  let exec_plan =
-    let join_vars var =
-      List.filter_map
-        (fun (_, v1, _, v2) ->
-          if v1 = var then Some v2 else if v2 = var then Some v1 else None)
-        cls.joins
-    in
-    let inputs =
-      List.map
-        (fun v ->
-          {
-            pi_var = v.var_name;
-            pi_conn = conn_of v.var_name;
-            pi_tc = List.assoc v.var_name tcs;
-            pi_norm = List.assoc v.var_name var_rpes;
-            pi_lit_seed = lit_anchor v.var_name <> None;
-            pi_join_vars = join_vars v.var_name;
-          })
-        q.vars
-    in
-    consult_planner ~optimizer ~declared inputs q
-  in
-  let decision_for var =
-    match exec_plan with
-    | Some ep -> List.find_opt (fun d -> d.vd_var = var) ep.xp_order
-    | None -> None
-  in
-  let evaluated : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let* () =
-    let remaining = ref declared in
-    let rec loop () =
-      if !remaining = [] then Ok ()
-      else begin
-        let join_partner var =
-          List.find_map
-            (fun (f1, v1, f2, v2) ->
-              if v1 = var && Hashtbl.mem evaluated v2 then Some (f1, v2, f2)
-              else if v2 = var && Hashtbl.mem evaluated v1 then Some (f2, v1, f1)
-              else None)
-            cls.joins
-        in
-        let pick =
-          match exec_plan with
-          | Some ep ->
-              List.find_map
-                (fun d ->
-                  if List.mem d.vd_var !remaining then Some d.vd_var else None)
-                ep.xp_order
-          | None ->
-              let seedable =
-                List.filter
-                  (fun v -> lit_anchor v <> None || join_partner v <> None)
-                  !remaining
-              in
-              let pool = if seedable <> [] then seedable else !remaining in
-              List.fold_left
-                (fun best v ->
-                  match best with
-                  | None -> Some v
-                  | Some b ->
-                      if anchor_cost v < anchor_cost b then Some v else best)
-                None pool
-        in
-        match pick with
-        | None -> Ok ()
-        | Some var ->
-            let decision = decision_for var in
-            let* seed =
-              match lit_anchor var with
-              | Some (f, _, (Value.Int _ as lit)) -> Ok (Seed_lit (f, lit))
-              | Some _ -> Error "node functions compare to node identities (integers)"
-              | None -> (
-                  match join_partner var with
-                  | Some (f_self, partner, f_partner) ->
-                      Ok (Seed_join (f_self, partner, f_partner))
-                  | None -> (
-                      match decision with
-                      | Some { vd_strategy = Eval_rpe.Bidi bp; _ } ->
-                          Ok (Seed_bidi bp)
-                      | Some { vd_strategy = Eval_rpe.Forced sel; _ } ->
-                          Ok (Seed_anchor sel)
-                      | Some { vd_strategy = Eval_rpe.Auto; _ } | None -> (
-                          match anchor_selection var with
-                          | Ok sel -> Ok (Seed_anchor sel)
-                          | Error _ ->
-                              Error
-                                (Printf.sprintf
-                                   "variable %S is not anchored and cannot import an anchor from a join"
-                                   var))))
-            in
-            order :=
-              {
-                vp_var = var;
-                vp_backend = Backend_intf.conn_name (conn_of var);
-                vp_tc = List.assoc var tcs;
-                vp_rpe = List.assoc var var_rpes;
-                vp_seed = seed;
-                vp_opt = decision;
-              }
-              :: !order;
-            Hashtbl.replace evaluated var ();
-            remaining := List.filter (fun v -> v <> var) !remaining;
-            loop ()
-      end
-    in
-    loop ()
-  in
-  Ok
-    {
-      p_order = List.rev !order;
-      p_joins = cls.joins;
-      p_filter_count = List.length cls.filters + List.length cls.anchors_from_lit;
-      p_coexist = (match q.q_at with Some (At_range _) -> true | _ -> false);
-      p_mode = (match q.mode with Retrieve _ -> "retrieve" | Select _ -> "select");
-      p_opt = exec_plan;
-    }
-
-(* One-line-per-operator plan rendering for slow-query events: the
-   evaluation order, seeds and costs, without the per-operator backend
-   request text (EXPLAIN renders that; an event should stay compact). *)
-let plan_summary ~conn ~binds q =
-  match plan ~conn ~binds q with
-  | Error e -> "plan unavailable: " ^ e
-  | Ok p ->
-      let seed_str = function
-        | Seed_anchor sel ->
-            Printf.sprintf "anchor(~%.0f recs, %d split(s))" sel.Anchor.cost
-              (List.length sel.Anchor.splits)
-        | Seed_lit (f, lit) ->
-            Printf.sprintf "lit %s=%s"
-              (Query_ast.path_fun_to_string f)
-              (Value.to_string lit)
-        | Seed_bidi bp ->
-            Printf.sprintf "bidirectional ⟨%s⟩↔⟨%s⟩"
-              bp.Eval_rpe.bd_left.Rpe.cls bp.Eval_rpe.bd_right.Rpe.cls
-        | Seed_join (f_self, partner, f_partner) ->
-            Printf.sprintf "join %s=%s(%s)"
-              (Query_ast.path_fun_to_string f_self)
-              (Query_ast.path_fun_to_string f_partner)
-              partner
-      in
-      let vars =
-        List.map
-          (fun vp ->
-            Printf.sprintf "Var %s via %s seed=%s rpe=%s" vp.vp_var
-              vp.vp_backend (seed_str vp.vp_seed)
-              (Rpe.norm_to_string vp.vp_rpe))
-          p.p_order
-      in
-      String.concat "; "
-        (Printf.sprintf "%s%s" p.p_mode
-           (if p.p_coexist then "+coexist" else "")
-         :: vars
-        @
-        if p.p_filter_count > 0 then
-          [ Printf.sprintf "filters=%d" p.p_filter_count ]
-        else [])
-
-let () = plan_summary_ref := fun ~conn ~binds q -> plan_summary ~conn ~binds q
+  run_traced_aux ~conn ?binds ?max_length ?stats ?analyze ~text:(Some text) q
 
 (* The one result renderer: the wire, the CLI and [Nepal.query_on]
    callers all print these bytes. Every line is appended straight into

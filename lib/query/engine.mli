@@ -2,12 +2,12 @@
     anchors, [NOT EXISTS] subqueries, temporal scoping, and the
     result-processing ([Select]) layer.
 
-    Evaluation order follows the paper: the cheapest anchored variable
-    is evaluated first; variables joined to an evaluated one through
-    [source]/[target] equalities import their anchors from the partner
-    (Section 3.4's [Phys] example); the coordination layer performs the
-    joins — across different backends when variables are bound to
-    different databases (the data-integration story). *)
+    The cost-based planner ({!planner_hook}) picks the evaluation order;
+    variables joined to an evaluated one through [source]/[target]
+    equalities import their anchors from the partner (Section 3.4's
+    [Phys] example); the coordination layer performs the joins — across
+    different backends when variables are bound to different databases
+    (the data-integration story). *)
 
 module Strmap = Nepal_util.Strmap
 module Value = Nepal_schema.Value
@@ -53,8 +53,8 @@ val analysis_diag_to_string : analysis_diag -> string
     The planner proper lives in [Nepal_planner] (which depends on this
     library); the engine only defines the exchange types and a forward
     reference the planner fills at link time — the same idiom as
-    {!analyzer_hook}. When the hook is unset, or the planner declines,
-    evaluation falls back to the legacy greedy pick. *)
+    {!analyzer_hook}. The planner is the only place that decides the
+    evaluation order: a program that runs queries links it. *)
 
 type var_decision = {
   vd_var : string;
@@ -86,17 +86,18 @@ type planner_input = {
   pi_join_vars : string list;  (** variables this one is joined with *)
 }
 
-type optimizer = [ `On | `Off ]
-(** [`Off] forces the legacy greedy pick (the pre-planner behaviour);
-    the ablation side of the bench comparison and the [--legacy-plan]
-    CLI flag. *)
-
 val planner_hook :
-  (fingerprint:string -> planner_input list -> exec_plan option) option ref
+  (fingerprint:string ->
+  planner_input list ->
+  (exec_plan, string) Stdlib.result)
+  option
+  ref
 (** Filled by [Nepal_planner] at link time. [fingerprint] is the
-    statement fingerprint (the plan-cache key component). Returning
-    [None] — or raising, or covering the wrong variable set — falls
-    back to the legacy pick; the optimizer can never break a query. *)
+    statement fingerprint (the plan-cache key component). The planner
+    returns an error when no evaluation order is feasible (some
+    variable is neither anchored nor seedable). A planner that raises
+    bumps [engine.hook_errors] and fails the query, as does a plan that
+    does not cover exactly the declared variables or an unset hook. *)
 
 val analyzer_hook :
   (schema_of:(string -> Nepal_schema.Schema.t) ->
@@ -110,33 +111,37 @@ val analyzer_hook :
     variable to its bound backend's catalog and anchor-cost estimator;
     neither touches backend data. When unset, analysis is a no-op. *)
 
+val analysis_diagnostics :
+  conn:Backend_intf.conn ->
+  ?binds:(string * Backend_intf.conn) list ->
+  Query_ast.query ->
+  analysis_diag list
+(** The linked analyzer's findings for the query, each variable
+    resolved to its bound connection ([[]] when no analyzer is linked).
+    The one analyzer call behind both the pre-execution analysis and
+    EXPLAIN's diagnostics. An analyzer (or cost-estimator) exception
+    bumps [engine.hook_errors] instead of escaping. *)
+
 val run :
   conn:Backend_intf.conn ->
   ?binds:(string * Backend_intf.conn) list ->
   ?max_length:int ->
   ?stats:Eval_rpe.stats ->
-  ?config:Eval_rpe.config ->
   ?trace:Trace.span ->
   ?analyze:analyze_mode ->
-  ?optimizer:optimizer ->
   Query_ast.query ->
   (result, string) Stdlib.result
-(** [binds] maps individual pathway variables to other databases;
-    unbound variables use [conn]. [config] tunes the RPE fast path
-    (see {!Eval_rpe.config}); it also applies to subqueries. [trace]
+(** Evaluate the {!plan} of the query. [binds] maps individual pathway
+    variables to other databases; unbound variables use [conn]. [trace]
     attaches per-operator child spans (Var/Select/Extend/Union, then
-    Join/Coexist/Filter/Result) to the given parent span. [optimizer]
-    (default [`On]) consults the cost-based planner through
-    {!planner_hook}; [`Off] keeps the legacy greedy pick. *)
+    Join/Coexist/Filter/Result) to the given parent span. *)
 
 val run_traced :
   conn:Backend_intf.conn ->
   ?binds:(string * Backend_intf.conn) list ->
   ?max_length:int ->
   ?stats:Eval_rpe.stats ->
-  ?config:Eval_rpe.config ->
   ?analyze:analyze_mode ->
-  ?optimizer:optimizer ->
   Query_ast.query ->
   (result * Trace.span, string) Stdlib.result
 (** Like {!run}, but returns the measured operator span tree alongside
@@ -147,9 +152,7 @@ val run_string :
   ?binds:(string * Backend_intf.conn) list ->
   ?max_length:int ->
   ?stats:Eval_rpe.stats ->
-  ?config:Eval_rpe.config ->
   ?analyze:analyze_mode ->
-  ?optimizer:optimizer ->
   string ->
   (result, string) Stdlib.result
 (** Parse and run. *)
@@ -159,9 +162,7 @@ val run_string_traced :
   ?binds:(string * Backend_intf.conn) list ->
   ?max_length:int ->
   ?stats:Eval_rpe.stats ->
-  ?config:Eval_rpe.config ->
   ?analyze:analyze_mode ->
-  ?optimizer:optimizer ->
   string ->
   (result * Trace.span, string) Stdlib.result
 (** Parse and {!run_traced}. *)
@@ -171,11 +172,9 @@ val run_instrumented :
   ?binds:(string * Backend_intf.conn) list ->
   ?max_length:int ->
   ?stats:Eval_rpe.stats ->
-  ?config:Eval_rpe.config ->
   ?trace:Trace.span ->
   ?own_trace:bool ->
   ?analyze:analyze_mode ->
-  ?optimizer:optimizer ->
   text:string option ->
   Query_ast.query ->
   (result, string) Stdlib.result
@@ -206,8 +205,7 @@ type var_plan = {
   vp_tc : Nepal_temporal.Time_constraint.t;
   vp_rpe : Nepal_rpe.Rpe.norm;
   vp_seed : seed_plan;
-  vp_opt : var_decision option;
-      (** the planner's decision for this variable, when one was made *)
+  vp_opt : var_decision;  (** the planner's decision for this variable *)
 }
 
 type plan = {
@@ -217,20 +215,17 @@ type plan = {
   p_filter_count : int;
   p_coexist : bool;
   p_mode : string;
-  p_opt : exec_plan option;
-      (** the cost-based plan behind [p_order], when the planner
-          produced one *)
+  p_opt : exec_plan;  (** the cost-based plan behind [p_order] *)
 }
 
 val plan :
   conn:Backend_intf.conn ->
   ?binds:(string * Backend_intf.conn) list ->
-  ?optimizer:optimizer ->
   Query_ast.query ->
   (plan, string) Stdlib.result
-(** [run]'s planning prelude — validation, per-variable anchor costing,
-    and the evaluation-order pick — without evaluating anything. The
-    basis of [EXPLAIN]: what it reports is exactly what [run] would do. *)
+(** Validation, the planner call and each variable's seed, without
+    touching backend data. {!run} evaluates exactly this value, so
+    [EXPLAIN] reports what [run] does. *)
 
 val result_count : result -> int
 val pp_result : Format.formatter -> result -> unit

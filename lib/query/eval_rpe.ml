@@ -40,24 +40,10 @@ type pruner = dir:Backend_intf.direction -> Nfa.t -> Nfa.t
 let apply_prune prune ~dir nfa =
   match prune with None -> nfa | Some f -> f ~dir nfa
 
-type config = {
-  presence_cache : bool;
-  frontier_dedup : bool;
-  domains : int;
-  par_threshold : int;
-}
+type config = { domains : int; par_threshold : int }
 
 let default_config () =
-  {
-    presence_cache = true;
-    frontier_dedup = true;
-    domains = Domain_pool.default_domains ();
-    par_threshold = 4;
-  }
-
-(* The pre-fastpath evaluator, for A/B measurement. *)
-let baseline_config =
-  { presence_cache = false; frontier_dedup = false; domains = 1; par_threshold = max_int }
+  { domains = Domain_pool.default_domains (); par_threshold = 4 }
 
 type stats = {
   mutable selects : int;
@@ -128,14 +114,10 @@ let mix u =
 let frontier_elem p =
   match p.rev_elements with e :: _ -> e | [] -> assert false
 
-let presence_for cfg conn ~uid ~window ~ppred =
-  if cfg.presence_cache then presence_cached conn ~uid ~window ~ppred
-  else presence conn ~uid ~window ~pred:(pred_of_presence_pred ppred)
-
 (* Does the element satisfy the atom under the constraint? Under Range
    the predicate may have held in a non-latest version, so presence is
    consulted. *)
-let element_matches cfg conn ~tc sch (elem : Path.element) (a : Rpe.atom) =
+let element_matches conn ~tc sch (elem : Path.element) (a : Rpe.atom) =
   let kind_ok =
     match Rpe.atom_kind sch a with
     | Some Schema.Node_kind -> elem.Path.is_node
@@ -151,28 +133,8 @@ let element_matches cfg conn ~tc sch (elem : Path.element) (a : Rpe.atom) =
       Schema.is_subclass sch ~sub:elem.Path.cls ~sup:a.Rpe.cls
       && not
            (Interval_set.is_empty
-              (presence_for cfg conn ~uid:elem.Path.uid ~window:(w0, w1)
+              (presence_cached conn ~uid:elem.Path.uid ~window:(w0, w1)
                  ~ppred:(P_atom a)))
-
-(* The element's own contribution to the pathway validity set: the
-   union of the presence sets of the atoms it matched (or plain
-   existence when it was consumed by a skip). *)
-let element_validity cfg conn ~tc (elem : Path.element) matched_atoms skipped =
-  match tc with
-  | Time_constraint.Snapshot | Time_constraint.At _ -> None
-  | Time_constraint.Range (w0, w1) ->
-      let sets =
-        (if skipped then
-           [ presence_for cfg conn ~uid:elem.Path.uid ~window:(w0, w1)
-               ~ppred:P_exists ]
-         else [])
-        @ List.map
-            (fun (a : Rpe.atom) ->
-              presence_for cfg conn ~uid:elem.Path.uid ~window:(w0, w1)
-                ~ppred:(P_atom a))
-            matched_atoms
-      in
-      Some (List.fold_left Interval_set.union Interval_set.empty sets)
 
 let combine_validity a b =
   match (a, b) with
@@ -192,15 +154,19 @@ let validity_ok ~tc v =
   | _ -> true
 
 (* Memoized outcome of one NFA step from an interned state set over an
-   element with a given atom-match profile. [e_matched] lists the
-   distinct atoms consumed by Match transitions — a property of the
-   profile, not of the particular element. [e_id] keys the per-walk
-   validity-contribution cache. *)
+   element with a given atom-match profile. [e_classes] lists the ways
+   the step consumed the element — each distinct atom matched by a Match
+   transition, then Skip when a skip could take it — with the presence
+   predicate each stands for. It is a property of the profile, not of
+   the particular element. [e_from] is the state set before the step.
+   [e_plain] is the step's one outcome when validity is not tracked.
+   [e_id] keys the per-walk outcome cache. *)
 type step_entry = {
   e_states : Nfa.states;
   e_sid : int;
-  e_matched : Rpe.atom list;
-  e_skipped : bool;
+  e_classes : (presence_pred * Nfa.transition) list;
+  e_from : Nfa.states;
+  e_plain : (Nfa.states * int * Interval_set.t option) list;
   e_id : int;
 }
 
@@ -209,7 +175,7 @@ type step_entry = {
    the start element) paired with their validity sets.
 
    The hot loop is dominated by per-candidate NFA simulation and
-   presence/validity set construction, so the walk keeps three local
+   presence/validity set construction, so the walk keeps four local
    (single-domain, unsynchronized) memo tables:
 
    - [match_cache]: (element uid, atom) |-> does it match. Within one
@@ -223,14 +189,26 @@ type step_entry = {
      step outcome. Every atom the simulation may query on a transition
      out of the set appears in the set's outgoing-atom universe, so the
      mask of per-atom match bits fully determines the resulting state
-     set, the matched-atom list, and skippability. This bypasses
-     [Nfa.step]'s eps-closure scratch array for all but the first
-     element with a given profile.
+     set and the consumption classes. This bypasses [Nfa.step]'s
+     eps-closure scratch array for all but the first element with a
+     given profile.
 
-   - [vcache]: (element uid, step-entry id) |-> the element's validity
-     contribution (union of presence sets of its matched atoms), saving
-     the presence lookups and interval-set unions on repeats. *)
-let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
+   - [vcache]: (element uid, step-entry id) |-> the element's outcomes
+     (successor state sets with their validity contributions), saving
+     the presence lookups on repeats.
+
+   - [outcome_cache]: (element uid, state-set id) |-> the same outcomes,
+     so the innermost loop costs one probe; the finer caches back its
+     misses and share work across state sets.
+
+   Under Range, a pathway's validity is the union over its runs of the
+   instants at which every element held for the way that run consumed
+   it. When all the consumption classes at an element hold at the same
+   instants, the runs through them can share one partial. When they do
+   not, the partial splits: each class continues with its own successor
+   states and its own presence, and [merge] and the final [dedup_paths]
+   union what the runs have in common. *)
+let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
     (starts : Path.element list) =
   let sch = conn_schema conn in
   let memo = Nfa.Memo.create nfa in
@@ -249,14 +227,13 @@ let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
   let match_cache : (int, bool) Hashtbl.t = Hashtbl.create 64 in
   let elem_match (elem : Path.element) a =
     let i = atom_id a in
-    if (not cfg.presence_cache) || i >= 64 then
-      element_matches cfg conn ~tc sch elem a
+    if i >= 64 then element_matches conn ~tc sch elem a
     else
       let key = (elem.Path.uid lsl 6) lor i in
       match Hashtbl.find_opt match_cache key with
       | Some b -> b
       | None ->
-          let b = element_matches cfg conn ~tc sch elem a in
+          let b = element_matches conn ~tc sch elem a in
           Hashtbl.replace match_cache key b;
           b
   in
@@ -289,101 +266,121 @@ let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
       let matches a =
         let ok = elem_match elem a in
         (* Unrolled repetitions share atoms physically; structural
-           duplicates that slip through are harmless (validity union is
-           idempotent). *)
+           duplicates that slip through are harmless: they stand for
+           the same presence set and the same successors. *)
         if ok && not (List.memq a !matched) then matched := a :: !matched;
         ok
       in
       let states' = Nfa.step nfa ~matches ~is_node:elem.Path.is_node states in
       if states' = [] then None
       else
-        let skipped =
-          Nfa.Memo.can_skip memo ~sid ~is_node:elem.Path.is_node states
+        let skip =
+          if Nfa.Memo.can_skip memo ~sid ~is_node:elem.Path.is_node states
+          then [ (P_exists, Nfa.Skip) ]
+          else []
         in
         let id = !next_entry in
         incr next_entry;
+        let sid' = Nfa.Memo.id memo states' in
         Some
           {
             e_states = states';
-            e_sid = Nfa.Memo.id memo states';
-            e_matched = !matched;
-            e_skipped = skipped;
+            e_sid = sid';
+            e_classes =
+              List.rev_map (fun a -> (P_atom a, Nfa.Match a)) !matched @ skip;
+            e_from = states;
+            e_plain = [ (states', sid', None) ];
             e_id = id;
           }
     in
-    if not cfg.frontier_dedup then direct ()
-    else
-      let atoms = atoms_of ~sid states in
-      if Array.length atoms > 40 || sid >= 1 lsl 20 then direct ()
-      else begin
-        let mask = ref 0 in
-        Array.iteri
-          (fun i a -> if elem_match elem a then mask := !mask lor (1 lsl i))
-          atoms;
-        let key =
-          ((((!mask lsl 1) lor if elem.Path.is_node then 1 else 0) lsl 20)
-           lor sid)
-        in
-        match Hashtbl.find_opt step_cache key with
-        | Some r -> r
-        | None ->
-            let r = direct () in
-            Hashtbl.replace step_cache key r;
-            r
-      end
+    let atoms = atoms_of ~sid states in
+    if Array.length atoms > 40 || sid >= 1 lsl 20 then direct ()
+    else begin
+      let mask = ref 0 in
+      Array.iteri
+        (fun i a -> if elem_match elem a then mask := !mask lor (1 lsl i))
+        atoms;
+      let key =
+        ((((!mask lsl 1) lor if elem.Path.is_node then 1 else 0) lsl 20)
+         lor sid)
+      in
+      match Hashtbl.find_opt step_cache key with
+      | Some r -> r
+      | None ->
+          let r = direct () in
+          Hashtbl.replace step_cache key r;
+          r
+    end
   in
-  let vcache : (int, Interval_set.t option) Hashtbl.t = Hashtbl.create 64 in
-  let contribution (elem : Path.element) (e : step_entry) =
+  let window =
     match tc with
+    | Time_constraint.Range (w0, w1) -> Some (w0, w1)
     | Time_constraint.Snapshot | Time_constraint.At _ -> None
-    | Time_constraint.Range _ ->
-        if (not cfg.presence_cache) || e.e_id >= 4096 then
-          element_validity cfg conn ~tc elem e.e_matched e.e_skipped
-        else
-          let key = (elem.Path.uid lsl 12) lor e.e_id in
-          (match Hashtbl.find_opt vcache key with
-          | Some v -> v
-          | None ->
-              let v =
-                element_validity cfg conn ~tc elem e.e_matched e.e_skipped
-              in
-              Hashtbl.replace vcache key v;
-              v)
   in
-  (* Fused per-(element uid, state-set id) outcome — the innermost loop
-     then costs one probe instead of the mask, step, and contribution
-     probes. The finer-grained caches above still back the misses (they
-     share work across state sets). Only engaged when both fast-path
-     toggles are on. *)
-  let fused = cfg.presence_cache && cfg.frontier_dedup in
-  let outcome_cache :
-      (int, (step_entry * Interval_set.t option) option) Hashtbl.t =
+  (* Under Range, the successor state sets of one step with their
+     validity contributions: one outcome, or one per consumption class
+     when the classes hold at different instants. *)
+  let range_outcomes window (elem : Path.element) (e : step_entry) =
+    let sets =
+      List.map
+        (fun (ppred, _) -> presence_cached conn ~uid:elem.Path.uid ~window ~ppred)
+        e.e_classes
+    in
+    match sets with
+    | s :: rest when List.for_all (Interval_set.equal s) rest ->
+        [ (e.e_states, e.e_sid, Some s) ]
+    | _ ->
+        List.map2
+          (fun (_, via) s ->
+            let states =
+              Nfa.step_via nfa via ~is_node:elem.Path.is_node e.e_from
+            in
+            (states, Nfa.Memo.id memo states, Some s))
+          e.e_classes sets
+  in
+  let vcache : (int, (Nfa.states * int * Interval_set.t option) list) Hashtbl.t
+      =
     Hashtbl.create 64
   in
+  let contribution (elem : Path.element) (e : step_entry) =
+    match window with
+    | None -> e.e_plain
+    | Some window when e.e_id >= 4096 -> range_outcomes window elem e
+    | Some window -> (
+        let key = (elem.Path.uid lsl 12) lor e.e_id in
+        match Hashtbl.find_opt vcache key with
+        | Some v -> v
+        | None ->
+            let v = range_outcomes window elem e in
+            Hashtbl.replace vcache key v;
+            v)
+  in
+  let outcome_cache :
+      (int, (Nfa.states * int * Interval_set.t option) list) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let compute_outcome ~sid states (elem : Path.element) =
+    match do_step ~sid states elem with
+    | None -> []
+    | Some e -> contribution elem e
+  in
   let outcome ~sid states (elem : Path.element) =
-    if (not fused) || sid >= 1 lsl 20 then
-      match do_step ~sid states elem with
-      | None -> None
-      | Some e -> Some (e, contribution elem e)
+    if sid >= 1 lsl 20 then compute_outcome ~sid states elem
     else
       let key = (elem.Path.uid lsl 20) lor sid in
       match Hashtbl.find_opt outcome_cache key with
       | Some r -> r
       | None ->
-          let r =
-            match do_step ~sid states elem with
-            | None -> None
-            | Some e -> Some (e, contribution elem e)
-          in
+          let r = compute_outcome ~sid states elem in
           Hashtbl.replace outcome_cache key r;
           r
   in
   (* The query window as an interval set, built once. *)
   let window_set =
-    match tc with
-    | Time_constraint.Range (w0, w1) ->
-        Some (Interval_set.singleton (Nepal_temporal.Interval.between w0 w1))
-    | _ -> None
+    Option.map
+      (fun (w0, w1) ->
+        Interval_set.singleton (Nepal_temporal.Interval.between w0 w1))
+      window
   in
   let valid_ok v =
     match window_set with
@@ -394,40 +391,46 @@ let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
   let start_states = Nfa.start nfa in
   let start_sid = Nfa.Memo.id memo start_states in
   let init (elem : Path.element) =
-    match outcome ~sid:start_sid start_states elem with
-    | None -> None
-    | Some (e, valid) ->
+    List.filter_map
+      (fun (states, sid, valid) ->
         if not (valid_ok valid) then None
         else
           Some
             {
               rev_elements = [ elem ];
-              states = e.e_states;
-              sid = e.e_sid;
+              states;
+              sid;
               visited = Intset.singleton elem.Path.uid;
               vhash = mix elem.Path.uid;
               valid;
+            })
+      (outcome ~sid:start_sid start_states elem)
+  in
+  (* The next round's partials, collected by [advance]. *)
+  let next = ref [] and n_next = ref 0 in
+  let rec extend partial (elem : Path.element) = function
+    | [] -> ()
+    | (states, sid, contrib) :: rest ->
+        let valid = combine_validity partial.valid contrib in
+        if valid_ok valid then begin
+          next :=
+            {
+              rev_elements = elem :: partial.rev_elements;
+              states;
+              sid;
+              visited = Intset.add elem.Path.uid partial.visited;
+              vhash = partial.vhash lxor mix elem.Path.uid;
+              valid;
             }
+            :: !next;
+          incr n_next
+        end;
+        extend partial elem rest
   in
   (* Advance one partial over one candidate element. *)
   let advance partial (elem : Path.element) =
-    if Intset.mem elem.Path.uid partial.visited then None
-    else
-      match outcome ~sid:partial.sid partial.states elem with
-      | None -> None
-      | Some (e, contrib) ->
-          let valid' = combine_validity partial.valid contrib in
-          if not (valid_ok valid') then None
-          else
-            Some
-              {
-                rev_elements = elem :: partial.rev_elements;
-                states = e.e_states;
-                sid = e.e_sid;
-                visited = Intset.add elem.Path.uid partial.visited;
-                vhash = partial.vhash lxor mix elem.Path.uid;
-                valid = valid';
-              }
+    if not (Intset.mem elem.Path.uid partial.visited) then
+      extend partial elem (outcome ~sid:partial.sid partial.states elem)
   in
   (* Partials agreeing on (frontier uid, state set, visited set) denote
      the same element sequence — a cycle-free alternating pathway is
@@ -435,47 +438,44 @@ let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
      different NFA runs. Keep one, unioning the validity sets (a
      pathway's maximal validity is the union over its runs). *)
   let merge ?(size = 256) parts =
-    if not cfg.frontier_dedup then parts
-    else begin
-      (* One int-keyed probe per partial: the key hashes (frontier uid,
-         state-set id, visited set). Exact equality is re-checked inside
-         a bucket, so hash collisions cost time, never correctness. *)
-      let tbl : (int, partial ref list ref) Hashtbl.t =
-        Hashtbl.create (max 256 size)
-      in
-      let out = ref [] in
-      List.iter
-        (fun p ->
-          let u = (frontier_elem p).Path.uid in
-          let h = mix ((u lsl 20) lxor p.sid) lxor p.vhash in
-          match Hashtbl.find_opt tbl h with
-          | None ->
-              let cell = ref p in
-              Hashtbl.replace tbl h (ref [ cell ]);
-              out := cell :: !out
-          | Some bucket -> (
-              let same q =
-                (frontier_elem q).Path.uid = u
-                && q.sid = p.sid
-                && Intset.equal q.visited p.visited
-              in
-              match List.find_opt (fun c -> same !c) !bucket with
-              | Some cell ->
-                  stats.merged_partials <- stats.merged_partials + 1;
-                  let q = !cell in
-                  let valid =
-                    match (q.valid, p.valid) with
-                    | Some a, Some b -> Some (Interval_set.union a b)
-                    | _ -> None
-                  in
-                  cell := { q with valid }
-              | None ->
-                  let cell = ref p in
-                  bucket := cell :: !bucket;
-                  out := cell :: !out))
-        parts;
-      List.rev_map (fun c -> !c) !out
-    end
+    (* One int-keyed probe per partial: the key hashes (frontier uid,
+       state-set id, visited set). Exact equality is re-checked inside
+       a bucket, so hash collisions cost time, never correctness. *)
+    let tbl : (int, partial ref list ref) Hashtbl.t =
+      Hashtbl.create (max 256 size)
+    in
+    let out = ref [] in
+    List.iter
+      (fun p ->
+        let u = (frontier_elem p).Path.uid in
+        let h = mix ((u lsl 20) lxor p.sid) lxor p.vhash in
+        match Hashtbl.find_opt tbl h with
+        | None ->
+            let cell = ref p in
+            Hashtbl.replace tbl h (ref [ cell ]);
+            out := cell :: !out
+        | Some bucket -> (
+            let same q =
+              (frontier_elem q).Path.uid = u
+              && q.sid = p.sid
+              && Intset.equal q.visited p.visited
+            in
+            match List.find_opt (fun c -> same !c) !bucket with
+            | Some cell ->
+                stats.merged_partials <- stats.merged_partials + 1;
+                let q = !cell in
+                let valid =
+                  match (q.valid, p.valid) with
+                  | Some a, Some b -> Some (Interval_set.union a b)
+                  | _ -> None
+                in
+                cell := { q with valid }
+            | None ->
+                let cell = ref p in
+                bucket := cell :: !bucket;
+                out := cell :: !out))
+      parts;
+    List.rev_map (fun c -> !c) !out
   in
   let accepted = ref [] in
   (* Pathways end on a node, except in a bidirectional half-walk whose
@@ -488,7 +488,7 @@ let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
         accepted := (List.rev p.rev_elements, p.valid) :: !accepted
     | _ -> ()
   in
-  let frontier = ref (merge (List.filter_map init starts)) in
+  let frontier = ref (merge (List.concat_map init starts)) in
   List.iter emit !frontier;
   let rounds = ref 1 in
   while !frontier <> [] && !rounds < max_length do
@@ -505,53 +505,39 @@ let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
        the frontier uid (computing the true intersection costs more than
        the few unprunable candidates it would drop). *)
     let groups, items =
-      if cfg.frontier_dedup then begin
-        let tbl = Hashtbl.create (max 256 n_parts) in
-        let cells = ref [] in
-        let ngroups = ref 0 in
-        List.iter
-          (fun p ->
-            let u = (frontier_elem p).Path.uid in
-            match Hashtbl.find_opt tbl u with
-            | Some cell -> cell := p :: !cell
-            | None ->
-                let cell = ref [ p ] in
-                Hashtbl.replace tbl u cell;
-                cells := (p, cell) :: !cells;
-                incr ngroups)
-          parts;
-        stats.saved_fetches <- stats.saved_fetches + (n_parts - !ngroups);
-        let groups = Array.make !ngroups [] in
-        let items = ref [] in
-        let i = ref !ngroups in
-        (* [cells] is in reverse discovery order, so walking it while
-           counting down yields [items] in discovery order. *)
-        List.iter
-          (fun ((p0 : partial), cell) ->
-            decr i;
-            groups.(!i) <- !cell;
-            let visited =
-              match !cell with
-              | [ only ] -> only.visited
-              | _ -> Intset.singleton (frontier_elem p0).Path.uid
-            in
-            items :=
-              { item_id = !i; frontier = frontier_elem p0; visited }
-              :: !items)
-          !cells;
-        (groups, !items)
-      end
-      else
-        let groups = Array.of_list (List.map (fun p -> [ p ]) parts) in
-        let items =
-          Array.to_list
-            (Array.mapi
-               (fun i members ->
-                 let p0 = List.hd members in
-                 { item_id = i; frontier = frontier_elem p0; visited = p0.visited })
-               groups)
-        in
-        (groups, items)
+      let tbl = Hashtbl.create (max 256 n_parts) in
+      let cells = ref [] in
+      let ngroups = ref 0 in
+      List.iter
+        (fun p ->
+          let u = (frontier_elem p).Path.uid in
+          match Hashtbl.find_opt tbl u with
+          | Some cell -> cell := p :: !cell
+          | None ->
+              let cell = ref [ p ] in
+              Hashtbl.replace tbl u cell;
+              cells := (p, cell) :: !cells;
+              incr ngroups)
+        parts;
+      stats.saved_fetches <- stats.saved_fetches + (n_parts - !ngroups);
+      let groups = Array.make !ngroups [] in
+      let items = ref [] in
+      let i = ref !ngroups in
+      (* [cells] is in reverse discovery order, so walking it while
+         counting down yields [items] in discovery order. *)
+      List.iter
+        (fun ((p0 : partial), cell) ->
+          decr i;
+          groups.(!i) <- !cell;
+          let visited =
+            match !cell with
+            | [ only ] -> only.visited
+            | _ -> Intset.singleton (frontier_elem p0).Path.uid
+          in
+          items :=
+            { item_id = !i; frontier = frontier_elem p0; visited } :: !items)
+        !cells;
+      (groups, !items)
     in
     let spec =
       (* Deduplicate: thousands of partials share the same few state
@@ -582,18 +568,10 @@ let walk conn ~cfg ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
       { atoms = !atoms; with_skip = !with_skip }
     in
     let extensions = bulk_extend conn ~tc ~dir ~spec items in
-    let next = ref [] in
-    let n_next = ref 0 in
+    next := [];
+    n_next := 0;
     List.iter
-      (fun (i, elem) ->
-        List.iter
-          (fun p ->
-            match advance p elem with
-            | Some q ->
-                next := q :: !next;
-                incr n_next
-            | None -> ())
-          groups.(i))
+      (fun (i, elem) -> List.iter (fun p -> advance p elem) groups.(i))
       extensions;
     let merged = merge ~size:!n_next (List.rev !next) in
     List.iter emit merged;
@@ -633,7 +611,7 @@ let seeded_walk conn ~cfg ~tc ~dir ~max_length ~stats nfa seeds =
   in
   if not par then begin
     if seeds <> [] then stats.domains_used <- max stats.domains_used 1;
-    walk conn ~cfg ~tc ~dir ~max_length ~stats nfa seeds
+    walk conn ~tc ~dir ~max_length ~stats nfa seeds
   end
   else begin
     let chunks = chunk cfg.domains seeds in
@@ -642,7 +620,7 @@ let seeded_walk conn ~cfg ~tc ~dir ~max_length ~stats nfa seeds =
       List.map
         (fun c () ->
           let s = new_stats () in
-          (walk conn ~cfg ~tc ~dir ~max_length ~stats:s nfa c, s))
+          (walk conn ~tc ~dir ~max_length ~stats:s nfa c, s))
         chunks
     in
     let out = Domain_pool.run ~domains:cfg.domains thunks in
@@ -656,18 +634,27 @@ let seq_opt parts =
   | [ one ] -> Some one
   | many -> Some (Rpe.N_seq many)
 
+(* One pathway per element sequence. Under Range the same sequence can
+   come out of several runs (alternation branches, anchor splits, split
+   partials); its validity is the union of theirs. *)
 let dedup_paths paths =
   let tbl = Hashtbl.create 64 in
-  List.filter
+  let out = ref [] in
+  List.iter
     (fun p ->
       let k = Path.key p in
-      if Hashtbl.mem tbl k then false
-      else begin
-        Hashtbl.replace tbl k ();
-        true
-      end)
-    paths
-  |> List.sort Path.compare
+      match Hashtbl.find_opt tbl k with
+      | None ->
+          let cell = ref p in
+          Hashtbl.replace tbl k cell;
+          out := cell :: !out
+      | Some cell -> (
+          match (!cell.Path.valid, p.Path.valid) with
+          | Some a, Some b ->
+              cell := { !cell with Path.valid = Some (Interval_set.union a b) }
+          | _ -> ()))
+    paths;
+  List.rev_map (fun c -> !c) !out |> List.sort Path.compare
 
 (* One anchor split, prepared: the Select already ran (sequentially —
    selects are few and mutate relational-backend state), the two
@@ -813,7 +800,7 @@ let eval_anywhere conn ~cfg ~tc ~max_length ~stats ?trace ?prune splits =
               List.map
                 (fun (dir, nfa, anchors) () ->
                   let st = new_stats () in
-                  (walk conn ~cfg ~tc ~dir ~max_length ~stats:st nfa anchors, st))
+                  (walk conn ~tc ~dir ~max_length ~stats:st nfa anchors, st))
                 tasks
             in
             let out = Domain_pool.run ~domains:cfg.domains thunks in
@@ -824,7 +811,7 @@ let eval_anywhere conn ~cfg ~tc ~max_length ~stats ?trace ?prune splits =
             if tasks <> [] then stats.domains_used <- max stats.domains_used 1;
             List.map
               (fun (dir, nfa, anchors) ->
-                walk conn ~cfg ~tc ~dir ~max_length ~stats nfa anchors)
+                walk conn ~tc ~dir ~max_length ~stats nfa anchors)
               tasks
           end
         in
@@ -913,7 +900,7 @@ let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
                 List.map
                   (fun (dir, nfa, seeds, cap) () ->
                     let st = new_stats () in
-                    ( walk conn ~cfg ~tc ~dir ~max_length:cap ~stats:st
+                    ( walk conn ~tc ~dir ~max_length:cap ~stats:st
                         ~emit_edges:true nfa seeds,
                       st ))
                   tasks
@@ -926,7 +913,7 @@ let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
               stats.domains_used <- max stats.domains_used 1;
               List.map
                 (fun (dir, nfa, seeds, cap) ->
-                  walk conn ~cfg ~tc ~dir ~max_length:cap ~stats
+                  walk conn ~tc ~dir ~max_length:cap ~stats
                     ~emit_edges:true nfa seeds)
                 tasks
             end

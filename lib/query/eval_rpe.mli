@@ -7,15 +7,18 @@
     (alternations). Pathways are cycle-free, as in the paper's generated
     SQL.
 
-    The fast path layers three orthogonal accelerations over that core,
-    each individually switchable through {!config}: presence
-    memoization (per-connection, version-invalidated), frontier
-    deduplication (one backend fetch per distinct frontier element, and
-    merging of partials that denote the same element sequence), and
-    Domain-parallel walks (the forward/backward walks of every anchor
-    split, or chunks of a seeded walk, run on a small domain pool when
-    the backend's reads are parallel-safe). All three preserve the
-    result set exactly. *)
+    Three accelerations layer over that core, none of which changes the
+    result set: presence memoization (per-connection,
+    version-invalidated), frontier deduplication (one backend fetch per
+    distinct frontier element, and merging of partials that denote the
+    same element sequence), and Domain-parallel walks (the
+    forward/backward walks of every anchor split, or chunks of a seeded
+    walk, run on a small domain pool when the backend's reads are
+    parallel-safe; sized by {!config}).
+
+    Under a [Range] constraint a pathway's validity is the union, over
+    the runs that match it, of the instants at which each run matches:
+    every element holds, at once, for the way that run consumed it. *)
 
 module Time_constraint = Nepal_temporal.Time_constraint
 module Rpe = Nepal_rpe.Rpe
@@ -59,11 +62,6 @@ type pruner = dir:Backend_intf.direction -> Nepal_rpe.Nfa.t -> Nepal_rpe.Nfa.t
     must preserve the accepted language over conforming stores. *)
 
 type config = {
-  presence_cache : bool;
-      (** memoize presence interval-sets per (uid, predicate, window) *)
-  frontier_dedup : bool;
-      (** one backend fetch per distinct frontier element; merge
-          partials denoting the same element sequence *)
   domains : int;  (** domain-pool width; 1 disables parallelism *)
   par_threshold : int;
       (** minimum anchor/seed count before spawning domains — tiny
@@ -71,12 +69,8 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Everything on; [domains] from [NEPAL_DOMAINS] when set, otherwise
-    [min 4 recommended_domain_count]. *)
-
-val baseline_config : config
-(** The pre-fastpath evaluator (no caching, no dedup, sequential) — the
-    A side of the bench comparison. *)
+(** [domains] from [NEPAL_DOMAINS] when set, otherwise
+    [min 4 recommended_domain_count]; [par_threshold] 4. *)
 
 type stats = {
   mutable selects : int;   (** Select operators executed *)
@@ -115,8 +109,8 @@ val find :
     force a specific anchor candidate or a bidirectional plan; it only
     applies to [Anywhere] evaluation (seeded walks ignore it). [prune]
     (default none) is applied to every compiled NFA. [config] (default
-    {!default_config}) toggles the fast-path accelerations; the result
-    set is the same under any configuration. [trace] (default off)
+    {!default_config}) sizes the domain pool; the result set is the
+    same under any configuration. [trace] (default off)
     attaches per-operator child spans (Select per anchor split, Extend
     per walk phase, Union for the split join) to the given parent
     span. *)

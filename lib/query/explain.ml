@@ -1,16 +1,5 @@
-(* EXPLAIN / EXPLAIN ANALYZE.
-
-   [EXPLAIN <query>] renders the planned operator DAG — evaluation
-   order, anchor split, cost estimates, and the exact backend request
-   (SQL / Gremlin) each Select and Extend operator would emit — using
-   {!Engine.plan}, i.e. the same planning prelude [run] executes.
-
-   [EXPLAIN ANALYZE <query>] executes the query with tracing on and
-   renders the measured span tree plus per-operator totals.
-
-   Output is an ordinary {!Engine.result}: a one-column [Table] whose
-   column is named ["explain"], one row per output line. [pp_result]
-   special-cases that shape and prints the lines raw. *)
+(* EXPLAIN / EXPLAIN ANALYZE; the report shapes are documented in
+   explain.mli. *)
 
 module Rpe = Nepal_rpe.Rpe
 module Anchor = Nepal_rpe.Anchor
@@ -66,16 +55,14 @@ let extend_lines conn ~tc ~dir ~label norm =
    estimate plus the alternatives the planner rejected, so EXPLAIN
    shows why this plan won. *)
 let decision_lines (vp : Engine.var_plan) =
-  match vp.Engine.vp_opt with
-  | None -> []
-  | Some d ->
-      Printf.sprintf "    plan: %s  [variant=%s, est cost ~%.0f, est rows ~%.0f]"
-        d.Engine.vd_desc d.Engine.vd_variant d.Engine.vd_est_cost
-        d.Engine.vd_est_rows
-      :: List.map
-           (fun (desc, cost) ->
-             Printf.sprintf "    rejected: %s  (est cost ~%.0f)" desc cost)
-           d.Engine.vd_alternatives
+  let d = vp.Engine.vp_opt in
+  Printf.sprintf "    plan: %s  [variant=%s, est cost ~%.0f, est rows ~%.0f]"
+    d.Engine.vd_desc d.Engine.vd_variant d.Engine.vd_est_cost
+    d.Engine.vd_est_rows
+  :: List.map
+       (fun (desc, cost) ->
+         Printf.sprintf "    rejected: %s  (est cost ~%.0f)" desc cost)
+       d.Engine.vd_alternatives
 
 let render_var conn (vp : Engine.var_plan) =
   let tc = vp.Engine.vp_tc in
@@ -168,15 +155,11 @@ let render_plan ~conn ?(binds = []) (p : Engine.plan) =
     Printf.sprintf "Query (%s%s)" p.Engine.p_mode
       (if p.Engine.p_coexist then ", coexist" else "")
   in
-  let opt_lines =
-    match p.Engine.p_opt with
-    | None -> [ "  Planner: legacy (greedy anchor pick)" ]
-    | Some ep ->
-        [
-          Printf.sprintf "  Planner: cost-based, total est cost ~%.0f, plan cache %s"
-            ep.Engine.xp_cost
-            (match ep.Engine.xp_cache with `Hit -> "hit" | `Miss -> "miss");
-        ]
+  let planner =
+    let ep = p.Engine.p_opt in
+    Printf.sprintf "  Planner: cost-based, total est cost ~%.0f, plan cache %s"
+      ep.Engine.xp_cost
+      (match ep.Engine.xp_cache with `Hit -> "hit" | `Miss -> "miss")
   in
   let vars =
     List.concat_map
@@ -200,7 +183,7 @@ let render_plan ~conn ?(binds = []) (p : Engine.plan) =
     else []
   in
   let result = [ Printf.sprintf "  Result %s" p.Engine.p_mode ] in
-  (header :: opt_lines) @ vars @ joins @ coexist @ filters @ result
+  (header :: planner :: vars) @ joins @ coexist @ filters @ result
 
 (* -- EXPLAIN ANALYZE ------------------------------------------------ *)
 
@@ -221,23 +204,9 @@ let per_operator_lines root =
 
 (* Static-analyzer findings for a planned query, one bare line each
    (empty when the analyzer library is not linked in). *)
-let diag_items ~conn ?(binds = []) q =
-  match !Engine.analyzer_hook with
-  | None -> []
-  | Some hook ->
-      let conn_of var =
-        match List.assoc_opt var binds with Some c -> c | None -> conn
-      in
-      let diags =
-        try
-          hook
-            ~schema_of:(fun var -> Backend_intf.conn_schema (conn_of var))
-            ~cost_of:(fun var a ->
-              try Backend_intf.estimate_atom (conn_of var) a with _ -> 1.0)
-            q
-        with _ -> []
-      in
-      List.map Engine.analysis_diag_to_string diags
+let diag_items ~conn ?binds q =
+  List.map Engine.analysis_diag_to_string
+    (Engine.analysis_diagnostics ~conn ?binds q)
 
 (* The findings as extra EXPLAIN lines, with a section header. *)
 let diagnostic_lines ~conn ?binds q =
@@ -248,22 +217,20 @@ let diagnostic_lines ~conn ?binds q =
 (* Drop-in replacement for {!Engine.run_string} that intercepts
    [EXPLAIN] / [EXPLAIN ANALYZE] prefixes; plain queries fall through
    unchanged. *)
-let run_string ~conn ?binds ?max_length ?stats ?config ?analyze ?optimizer text
-    =
+let run_string ~conn ?binds ?max_length ?stats ?analyze text =
   match classify text with
   | Plain, _ ->
-      Engine.run_string ~conn ?binds ?max_length ?stats ?config ?analyze
-        ?optimizer text
+      Engine.run_string ~conn ?binds ?max_length ?stats ?analyze text
   | Plan, rest ->
       let* q = Query_parser.parse rest in
-      let* p = Engine.plan ~conn ?binds ?optimizer q in
+      let* p = Engine.plan ~conn ?binds q in
       Ok
         (table_of_lines
            (render_plan ~conn ?binds p @ diagnostic_lines ~conn ?binds q))
   | Analyze, rest ->
       let* _r, root =
-        Engine.run_string_traced ~conn ?binds ?max_length ?stats ?config
-          ?analyze ?optimizer rest
+        Engine.run_string_traced ~conn ?binds ?max_length ?stats ?analyze
+          rest
       in
       Ok (table_of_lines (Trace.render root @ per_operator_lines root))
 
@@ -282,20 +249,19 @@ type traced = {
   tr_diagnostics : string list;
 }
 
-let run_string_wire_traced ~conn ?binds ?max_length ?stats ?config ?analyze
-    ?optimizer text =
+let run_string_wire_traced ~conn ?binds ?max_length ?stats ?analyze text =
   match classify text with
   | (Plan | Analyze), _ ->
       Error
         "trace: true expects a plain query (EXPLAIN is implied by the flag)"
   | Plain, rest ->
       let* q = Query_parser.parse rest in
-      let* p = Engine.plan ~conn ?binds ?optimizer q in
+      let* p = Engine.plan ~conn ?binds q in
       let tr_plan = render_plan ~conn ?binds p in
       let tr_diagnostics = diag_items ~conn ?binds q in
       let* tr_result, tr_root =
-        Engine.run_string_traced ~conn ?binds ?max_length ?stats ?config
-          ?analyze ?optimizer rest
+        Engine.run_string_traced ~conn ?binds ?max_length ?stats ?analyze
+          rest
       in
       Ok { tr_result; tr_root; tr_plan; tr_diagnostics }
 

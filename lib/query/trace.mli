@@ -64,7 +64,7 @@ val to_json : span -> Nepal_util.Event_log.json
     children}], with [est_rows] present only when the planner recorded
     an estimate. This is the shape slow-query events embed and the wire
     protocol returns for [{"trace": true}] queries; it round-trips
-    through the strict RFC 8259 parser ([Nepal_server.Json]). *)
+    through the strict RFC 8259 parser ([Nepal_util.Jsonp]). *)
 
 (** {1 Aggregation} (the bench [--json] per-operator breakdown) *)
 

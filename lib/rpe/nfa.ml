@@ -417,7 +417,7 @@ let start t = eps_closure t [ t.start_state ]
 let kind_admits kinds ~is_node =
   if is_node then kinds.k_node else kinds.k_edge
 
-let step t ~matches ~is_node states =
+let step_gen t ~matches ~skips ~is_node states =
   let next = ref [] in
   List.iter
     (fun s ->
@@ -426,10 +426,18 @@ let step t ~matches ~is_node states =
           if kind_admits kinds ~is_node then
             match tr with
             | Match a -> if matches a then next := s' :: !next
-            | Skip -> next := s' :: !next)
+            | Skip -> if skips then next := s' :: !next)
         t.moves.(s))
     states;
   eps_closure t !next
+
+let step t ~matches ~is_node states =
+  step_gen t ~matches ~skips:true ~is_node states
+
+let step_via t via ~is_node states =
+  match via with
+  | Match a -> step_gen t ~matches:(fun b -> b = a) ~skips:false ~is_node states
+  | Skip -> step_gen t ~matches:(fun _ -> false) ~skips:true ~is_node states
 
 let accepting t states = List.mem t.accept states
 

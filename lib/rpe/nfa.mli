@@ -96,6 +96,13 @@ val step : t -> matches:(Rpe.atom -> bool) -> is_node:bool -> states -> states
     their inferred kinds admit the element. Result is eps-closed; empty
     means the automaton is dead. *)
 
+val step_via : t -> transition -> is_node:bool -> states -> states
+(** The part of {!step} that goes through one consumption class: the
+    Match transitions on atoms structurally equal to the given one (the
+    element is assumed to match it), or the Skip transitions. A time-range
+    walk uses it to follow runs that consumed an element at different
+    instants separately. *)
+
 val accepting : t -> states -> bool
 
 val outgoing_atoms : t -> states -> Rpe.atom list

@@ -8,12 +8,13 @@
    integration tests all share. *)
 
 module J = Nepal_util.Event_log
+module Jsonp = Nepal_util.Jsonp
 
 type t = {
   fd : Unix.file_descr;
   lr : Net.line_reader;
   lock : Mutex.t;  (* serializes request/response exchanges *)
-  events : Json.t Queue.t;  (* unsolicited frames, oldest first *)
+  events : Jsonp.t Queue.t;  (* unsolicited frames, oldest first *)
   mutable next_id : int [@guarded_by "lock"];
   closed : bool Atomic.t;  (* close() may race an in-flight exchange *)
 }
@@ -61,7 +62,7 @@ let rec read_frame t ~deadline =
         | _ -> read_frame t ~deadline)
     | Net.Line "" -> read_frame t ~deadline
     | Net.Line line -> (
-        match Json.parse line with
+        match Jsonp.parse line with
         | Error e -> Error ("bad frame from server: " ^ e)
         | Ok json -> Ok (Some json))
 
@@ -84,22 +85,22 @@ let request t fields =
             | Error _ as e -> e
             | Ok None -> await ()
             | Ok (Some json) -> (
-                match Json.member "event" json with
+                match Jsonp.member "event" json with
                 | Some _ ->
                     Queue.push json t.events;
                     await ()
                 | None -> (
-                    match Json.int_field "id" json with
+                    match Jsonp.int_field "id" json with
                     | Some got when got = id -> Ok json
                     | _ -> Error "response id mismatch"))
           in
           await ())
 
 let expect_ok json =
-  match Json.bool_field "ok" json with
+  match Jsonp.bool_field "ok" json with
   | Some true -> Ok json
   | _ -> (
-      match Json.string_field "error" json with
+      match Jsonp.string_field "error" json with
       | Some e -> Error e
       | None -> Error "malformed response (no ok/error)")
 
@@ -117,13 +118,13 @@ let run_query t ~trace text =
   in
   let* reply = request t fields in
   let* reply = expect_ok reply in
-  match (Json.int_field "count" reply, Json.string_field "text" reply) with
+  match (Jsonp.int_field "count" reply, Jsonp.string_field "text" reply) with
   | Some count, Some text ->
       Ok
         {
           Server.qr_count = count;
           qr_text = text;
-          qr_trace = Json.member "trace" reply;
+          qr_trace = Jsonp.member "trace" reply;
         }
   | _ -> Error "malformed result frame"
 
@@ -133,14 +134,14 @@ let query_traced t text = run_query t ~trace:true text
 let watch t text =
   let* reply = request t [ ("op", J.Str "watch"); ("q", J.Str text) ] in
   let* reply = expect_ok reply in
-  match Json.int_field "watch" reply with
+  match Jsonp.int_field "watch" reply with
   | Some w -> Ok w
   | None -> Error "malformed watch ack"
 
 let unwatch t w =
   let* reply = request t [ ("op", J.Str "unwatch"); ("watch", J.Int w) ] in
   let* reply = expect_ok reply in
-  match Json.bool_field "existed" reply with
+  match Jsonp.bool_field "existed" reply with
   | Some existed -> Ok existed
   | None -> Error "malformed unwatch ack"
 
@@ -168,7 +169,7 @@ let history ?window_s ?res t name =
 let series t =
   let* reply = request t [ ("op", J.Str "history") ] in
   let* reply = expect_ok reply in
-  match Json.list_field "series" reply with
+  match Jsonp.list_field "series" reply with
   | Some l ->
       Ok (List.filter_map (function J.Str s -> Some s | _ -> None) l)
   | None -> Error "malformed series frame"
@@ -177,20 +178,20 @@ let series t =
    than failing the whole frame (a newer server may add fields). *)
 let history_points reply =
   let num j name =
-    match Json.member name j with
+    match Jsonp.member name j with
     | Some (J.Float f) -> Some f
     | Some (J.Int i) -> Some (float_of_int i)
     | Some J.Null -> Some nan
     | _ -> None
   in
-  match Json.list_field "points" reply with
+  match Jsonp.list_field "points" reply with
   | None -> []
   | Some pts ->
       List.filter_map
         (fun p ->
           match
             ( num p "t", num p "min", num p "max", num p "mean", num p "last",
-              Json.int_field "n" p )
+              Jsonp.int_field "n" p )
           with
           | Some ts, Some v_min, Some v_max, Some v_mean, Some v_last, Some v_n
             ->
@@ -219,7 +220,7 @@ let next_event ?(timeout_s = 1.0) t =
             match read_frame t ~deadline with
             | Error _ | Ok None -> None
             | Ok (Some json) -> (
-                match Json.member "event" json with
+                match Jsonp.member "event" json with
                 | Some _ -> Some json
                 | None ->
                     (* a stray response with no request outstanding:

@@ -5,6 +5,7 @@
     driver, and the integration tests. *)
 
 module J := Nepal_util.Event_log
+module Jsonp := Nepal_util.Jsonp
 
 type t
 
@@ -20,7 +21,7 @@ val close : t -> unit
 val fd : t -> Unix.file_descr
 (** The raw socket, for tests that sabotage the connection. *)
 
-val request : t -> (string * J.json) list -> (Json.t, string) result
+val request : t -> (string * J.json) list -> (Jsonp.t, string) result
 (** Send one frame (an ["id"] is added) and block for the matching
     response. *)
 
@@ -44,9 +45,9 @@ val watch : t -> string -> (int, string) result
 val unwatch : t -> int -> (bool, string) result
 (** [Ok true] when the watch existed on this session. *)
 
-val stats : t -> (Json.t, string) result
+val stats : t -> (Jsonp.t, string) result
 
-val introspect : t -> (Json.t, string) result
+val introspect : t -> (Jsonp.t, string) result
 (** The live server-state dump backing [nepal top]: totals, latency
     quantiles, executor/rwlock occupancy, per-session table. *)
 
@@ -55,17 +56,17 @@ val history :
   ?res:Nepal_util.Timeseries.resolution ->
   t ->
   string ->
-  (Json.t, string) result
+  (Jsonp.t, string) result
 (** Retained telemetry points for one series (the raw [history] reply
     frame; decode with {!history_points}). *)
 
 val series : t -> (string list, string) result
 (** The server's retained series names ([history] with no series). *)
 
-val history_points : Json.t -> Nepal_util.Timeseries.point list
+val history_points : Jsonp.t -> Nepal_util.Timeseries.point list
 (** Decode a {!history} reply's ["points"] member (malformed entries
     are skipped). *)
 
-val next_event : ?timeout_s:float -> t -> Json.t option
+val next_event : ?timeout_s:float -> t -> Jsonp.t option
 (** Next unsolicited frame: stashed ones first, then whatever arrives
     on the socket within [timeout_s] (default 1s). *)

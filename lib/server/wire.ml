@@ -10,6 +10,7 @@
    outbox has shed on its behalf. *)
 
 module J = Nepal_util.Event_log
+module Jsonp = Nepal_util.Jsonp
 
 let proto_version = 1
 let default_max_line = 1 lsl 20
@@ -40,27 +41,27 @@ let verb_of_request = function
    client can correlate; [J.Null] when absent. Only scalar ids are
    accepted — an object id smells like a confused client. *)
 let id_of json =
-  match Json.member "id" json with
+  match Jsonp.member "id" json with
   | None -> Ok J.Null
   | Some (J.Int _ | J.Str _ | J.Null) as s -> (
       match s with Some v -> Ok v | None -> Ok J.Null)
   | Some _ -> Error "id must be an integer, string, or null"
 
 let parse_request line =
-  match Json.parse line with
+  match Jsonp.parse line with
   | Error e -> Error (J.Null, e)
   | Ok json -> (
       match id_of json with
       | Error e -> Error (J.Null, e)
       | Ok id -> (
           let text_arg verb k =
-            match Json.string_field "q" json with
+            match Jsonp.string_field "q" json with
             | Some q when String.trim q <> "" -> k q
             | Some _ -> Error (id, Printf.sprintf "%s: empty \"q\"" verb)
             | None ->
                 Error (id, Printf.sprintf "%s requires a string field \"q\"" verb)
           in
-          match Json.string_field "op" json with
+          match Jsonp.string_field "op" json with
           | None -> Error (id, "missing string field \"op\"")
           | Some "ping" -> Ok (id, Ping)
           | Some "stats" -> Ok (id, Stats)
@@ -68,14 +69,14 @@ let parse_request line =
           | Some "query" ->
               text_arg "query" (fun q ->
                   let trace =
-                    match Json.bool_field "trace" json with
+                    match Jsonp.bool_field "trace" json with
                     | Some b -> b
                     | None -> false
                   in
                   Ok (id, Query { q; trace }))
           | Some "watch" -> text_arg "watch" (fun q -> Ok (id, Watch q))
           | Some "unwatch" -> (
-              match Json.int_field "watch" json with
+              match Jsonp.int_field "watch" json with
               | Some w -> Ok (id, Unwatch w)
               | None ->
                   Error (id, "unwatch requires an integer field \"watch\""))
@@ -83,20 +84,20 @@ let parse_request line =
               (* all fields optional: no "series" asks for the name
                  list, no "window_s" for all retained points *)
               let series =
-                match Json.member "series" json with
+                match Jsonp.member "series" json with
                 | Some (J.Str s) when String.trim s <> "" -> Ok (Some s)
                 | Some _ -> Error "history: \"series\" must be a string"
                 | None -> Ok None
               in
               let window_s =
-                match Json.member "window_s" json with
+                match Jsonp.member "window_s" json with
                 | Some (J.Int i) when i > 0 -> Ok (Some (float_of_int i))
                 | Some (J.Float f) when f > 0. -> Ok (Some f)
                 | Some _ -> Error "history: \"window_s\" must be a positive number"
                 | None -> Ok None
               in
               let res =
-                match Json.member "res" json with
+                match Jsonp.member "res" json with
                 | Some (J.Str s) -> (
                     match Nepal_util.Timeseries.resolution_of_string s with
                     | Some r -> Ok r
@@ -255,14 +256,14 @@ let render_trace trace =
   in
   let span_line j =
     let field name =
-      match Json.member name j with
+      match Jsonp.member name j with
       | Some (J.Str s) -> s
       | Some (J.Int i) -> string_of_int i
       | Some (J.Float f) -> Printf.sprintf "%g" f
       | _ -> ""
     in
     let num name =
-      match Json.member name j with
+      match Jsonp.member name j with
       | Some (J.Int i) -> Some (float_of_int i)
       | Some (J.Float f) -> Some f
       | _ -> None
@@ -294,13 +295,13 @@ let render_trace trace =
   in
   let rec render_span depth j acc =
     let acc = (String.make (depth * 2) ' ' ^ span_line j) :: acc in
-    match Json.member "children" j with
+    match Jsonp.member "children" j with
     | Some (J.List kids) ->
         List.fold_left (fun acc k -> render_span (depth + 1) k acc) acc kids
     | _ -> acc
   in
   let spans =
-    match Json.member "spans" trace with
+    match Jsonp.member "spans" trace with
     | Some s -> List.rev (render_span 0 s [])
     | None -> []
   in
@@ -308,5 +309,5 @@ let render_trace trace =
     match items with [] -> [] | l -> ("" :: header :: List.map (fun s -> "  " ^ s) l)
   in
   spans
-  @ section "plan:" (str_items (Json.member "plan" trace))
-  @ section "diagnostics:" (str_items (Json.member "diagnostics" trace))
+  @ section "plan:" (str_items (Jsonp.member "plan" trace))
+  @ section "diagnostics:" (str_items (Jsonp.member "diagnostics" trace))

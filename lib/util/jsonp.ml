@@ -4,10 +4,10 @@
    one representation. Strict enough for a network-facing surface: no
    trailing garbage, no unescaped control characters in strings, \u
    escapes decoded (surrogate pairs included), numbers kept as [Int]
-   when they are integral and fit. Lives in nepal_util (rather than the
-   server library, where it started) so that offline consumers —
-   {!Timeseries.load}, {!Bench_gate.read_file} — can parse without
-   linking the server stack; {!Nepal_server.Json} re-exports it. *)
+   when they are integral and fit. Lives in nepal_util so that the wire
+   protocol and offline consumers — {!Timeseries.load},
+   {!Bench_gate.read_file} — share one parser without the latter
+   linking the server stack. *)
 
 module J = Event_log
 

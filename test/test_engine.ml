@@ -230,7 +230,20 @@ let test_engine_errors () =
       "Retrieve P From PATHS P Where P MATCHES [Link()]{0,3}";
       (* MATCHES under Or. *)
       "Retrieve P From PATHS P Where P MATCHES App() Or P MATCHES Box()";
-    ]
+    ];
+  (* No evaluation order is feasible: the planner's error names the
+     variable that nothing anchors or reaches through a join. *)
+  match
+    Nepal.query db
+      "Retrieve P, Q From PATHS P, PATHS Q \
+       Where P MATCHES App() And Q MATCHES [Link()]{0,3}"
+  with
+  | Ok _ -> Alcotest.fail "accepted an unanchorable Q"
+  | Error e ->
+      let want = "variable \"Q\" is not anchored and cannot import an anchor" in
+      check_bool "error names Q" true
+        (String.length e >= String.length want
+        && String.sub e 0 (String.length want) = want)
 
 let test_invalid_at_timestamp () =
   let db = build () in

@@ -426,9 +426,9 @@ let test_rotation () =
       let seq p =
         List.filter_map
           (fun l ->
-            match Nepal.Wire_json.parse l with
+            match Nepal_util.Jsonp.parse l with
             | Error _ -> Alcotest.failf "unparsable rotated line: %s" l
-            | Ok j -> Nepal.Wire_json.int_field "i" j)
+            | Ok j -> Nepal_util.Jsonp.int_field "i" j)
           (lines_of p)
       in
       let rotated = seq (numbered 1) and live = seq path in

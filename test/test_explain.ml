@@ -155,6 +155,28 @@ let test_explain_errors_propagate () =
       "EXPLAIN AT '2017-02-30 10:00:00' Retrieve P From PATHS P Where P MATCHES VNF()";
     ]
 
+(* EXPLAIN's diagnostics go through the same analyzer call as the
+   pre-execution analysis: a raising analyzer is counted in
+   [engine.hook_errors] rather than swallowed, and the plan still
+   renders. *)
+let test_analyzer_errors_counted () =
+  let conns, families = Lazy.force setup in
+  let conn = List.assoc "relational" conns in
+  let q = List.assoc "Top-down" families in
+  let hook_errors = Nepal.Metrics.counter "engine.hook_errors" in
+  let saved = !Nepal.Engine.analyzer_hook in
+  Nepal.Engine.analyzer_hook :=
+    Some (fun ~schema_of:_ ~cost_of:_ _ -> failwith "analyzer broke");
+  let before = Nepal.Metrics.counter_value hook_errors in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> Nepal.Engine.analyzer_hook := saved)
+      (fun () -> explain_lines conn ("EXPLAIN " ^ q))
+  in
+  check_bool "EXPLAIN counts the analyzer failure" true
+    (Nepal.Metrics.counter_value hook_errors > before);
+  check_bool "the plan still renders" true (contains lines "Planner: cost-based")
+
 let () =
   Alcotest.run "nepal_explain"
     [
@@ -168,5 +190,7 @@ let () =
           Alcotest.test_case "metrics registry populated" `Quick
             test_metrics_registry_populated;
           Alcotest.test_case "errors propagate" `Quick test_explain_errors_propagate;
+          Alcotest.test_case "analyzer errors counted" `Quick
+            test_analyzer_errors_counted;
         ] );
     ]

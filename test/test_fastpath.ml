@@ -1,7 +1,8 @@
 (* The RPE fast path: presence memoization at the connection,
    frontier-level dedup inside walks, and Domain-parallel anchor walks.
-   These tests pin down the cache observability (hits, invalidation)
-   and the invariant that the fast path never changes result sets. *)
+   These tests pin down the cache observability (hits, invalidation),
+   agreement with the reference evaluator (test/reference.ml), and that
+   the domain count never changes result sets. *)
 
 open Nepal_schema
 open Nepal_temporal
@@ -9,6 +10,7 @@ module Store = Nepal_store.Graph_store
 module Rpe = Nepal_rpe.Rpe
 module Rpe_parser = Nepal_rpe.Rpe_parser
 module Q = Nepal_query
+module Nepal = Core.Nepal
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -145,28 +147,37 @@ let test_cache_invalidated_on_delete () =
   ignore (ok (Q.Eval_rpe.find conn ~tc:range rpe));
   check_bool "delete invalidates" true (c.Q.Backend_intf.invalidations > 0)
 
-(* ---------------- fast path = slow path ---------------- *)
+(* ---------------- engine and mirrors = reference ---------------- *)
 
-let test_fastpath_matches_baseline () =
+(* Every query, in snapshot, AT and range form, through the engine on
+   the native store and on the relational and Gremlin mirrors: each
+   returns the reference evaluator's pathways, validity sets
+   included. *)
+let test_matches_reference () =
   let st, _ = build () in
-  let conn = Q.Connect.native st in
+  let db = Nepal.of_store st in
+  let conns =
+    [
+      ("native", Nepal.conn db);
+      ("relational", Nepal.relational_conn (ok (Nepal.to_relational db)));
+      ("gremlin", Nepal.gremlin_conn (ok (Nepal.to_gremlin db)));
+    ]
+  in
   List.iter
     (fun text ->
       let rpe = parse st text in
       List.iter
         (fun tc ->
-          let slow =
-            ok
-              (Q.Eval_rpe.find conn ~tc ~config:Q.Eval_rpe.baseline_config rpe)
-          in
-          let fast =
-            ok
-              (Q.Eval_rpe.find conn ~tc
-                 ~config:(Q.Eval_rpe.default_config ())
-                 rpe)
-          in
-          check_keys (text ^ " same paths") (keys slow) (keys fast))
-        [ Time_constraint.snapshot; range ])
+          let want = Reference.find_canon st ~tc rpe in
+          List.iter
+            (fun (name, conn) ->
+              let q = Reference.query_text tc text in
+              let got = Reference.of_result (ok (Nepal.query_on conn q)) in
+              if got <> want then
+                Alcotest.failf "%s: %s\nengine:\n%s\nreference:\n%s" name q
+                  (Reference.show got) (Reference.show want))
+            conns)
+        [ Time_constraint.snapshot; Time_constraint.At t1; range ])
     queries
 
 (* ---------------- domain count does not change results ---------------- *)
@@ -176,7 +187,7 @@ let test_domain_count_determinism () =
   let conn = Q.Connect.native st in
   let base = Q.Eval_rpe.default_config () in
   let one = { base with Q.Eval_rpe.domains = 1 } in
-  let many = { base with Q.Eval_rpe.domains = 4; par_threshold = 1 } in
+  let many = { Q.Eval_rpe.domains = 4; par_threshold = 1 } in
   List.iter
     (fun text ->
       let rpe = parse st text in
@@ -227,8 +238,8 @@ let () =
         ] );
       ( "equivalence",
         [
-          Alcotest.test_case "fastpath = baseline" `Quick
-            test_fastpath_matches_baseline;
+          Alcotest.test_case "engine and mirrors = reference" `Quick
+            test_matches_reference;
           Alcotest.test_case "domain count determinism" `Quick
             test_domain_count_determinism;
           Alcotest.test_case "relational backend" `Quick

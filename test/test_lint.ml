@@ -10,7 +10,7 @@
 module L = Nepal_lint.Lint_rules
 module D = Nepal_lint.Lint_diag
 module LC = Nepal_lint.Lint_config
-module Json = Nepal_server.Json
+module Json = Nepal_util.Jsonp
 module Rwlock = Nepal_util.Rwlock
 
 let check_int = Alcotest.(check int)

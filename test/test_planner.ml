@@ -1,7 +1,8 @@
-(* Cost-based plan compiler (lib/planner): optimizer-vs-legacy result
-   equivalence on all three backends (QCheck), golden EXPLAIN output
-   for the Table-1 families, plan-cache hit/miss/version behaviour, and
-   product-automaton pruning (language preservation + memoized masks). *)
+(* Cost-based plan compiler (lib/planner): planned results equal the
+   reference evaluator's (test/reference.ml) on all three backends
+   (QCheck), golden EXPLAIN output for the Table-1 families, plan-cache
+   hit/miss/version behaviour, and product-automaton pruning (language
+   preservation + memoized masks). *)
 
 module Nepal = Core.Nepal
 module Virt = Nepal.Virt_service
@@ -40,19 +41,6 @@ let conns () =
     ("gremlin", Nepal.gremlin_conn gb);
   ]
 
-(* Order-insensitive canonical key of a query result: per row, the
-   bound variables with their pathway keys; rows sorted. *)
-let result_key = function
-  | Nepal.Engine.Rows { rows; _ } ->
-      List.sort compare
-        (List.map
-           (fun (r : Nepal.Engine.row) ->
-             Nepal.Strmap.fold
-               (fun v p acc -> (v, Nepal.Path.key p) :: acc)
-               r.Nepal.Engine.paths [])
-           rows)
-  | Nepal.Engine.Table { rows; _ } -> [ [ ("#table", [ List.length rows ]) ] ]
-
 let explain_lines conn q =
   match ok (Nepal.query_on conn q) with
   | Nepal.Engine.Table { columns = [ "explain" ]; rows } ->
@@ -63,11 +51,12 @@ let explain_lines conn q =
         rows
   | _ -> Alcotest.fail "expected an explain table"
 
-(* ---------------- QCheck: optimizer ≡ legacy ---------------- *)
+(* ---------------- QCheck: planned = reference ---------------- *)
 
 (* Random single-pathway queries over the virtualized topology: a
    Table-1/2 shape with random literals, repetition bounds and temporal
-   form. Either plan must return the same pathway set. *)
+   form. Whatever plan the compiler picks, every backend must return
+   the reference evaluator's pathways (validity sets included). *)
 let arb_case =
   let open QCheck in
   let gen =
@@ -79,49 +68,59 @@ let arb_case =
   in
   make ~print:(fun (s, a, b, k, tc) -> Printf.sprintf "shape=%d a=%d b=%d k=%d tc=%d" s a b k tc) gen
 
-let query_of_case (shape, a, b, k, tcpick) =
+let rpe_of_case (shape, a, b, k, _) =
   let vs, _, _, _ = Lazy.force shared in
   let pick (arr : int array) i = arr.(i mod Array.length arr) in
   let vnf = pick vs.Virt.vnf_ids and srv = pick vs.Virt.server_ids in
   let cont = pick vs.Virt.container_ids in
-  let rpe =
-    match shape mod 7 with
-    | 0 -> Printf.sprintf "VNF(id=%d)->[Vertical()]{1,%d}->Server()" (vnf a) k
-    | 1 -> Printf.sprintf "VNF()->[Vertical()]{1,%d}->Server(id=%d)" k (srv b)
-    | 2 ->
-        Printf.sprintf "Server(id=%d)->[Connects()]{1,%d}->Server(id=%d)"
-          (srv a) k (srv b)
-    | 3 ->
-        Printf.sprintf
-          "Container(id=%d)->[VirtualLink()]{1,%d}->Container(id=%d)" (cont a)
-          k (cont b)
-    | 4 -> Printf.sprintf "VNF(id=%d)->ComposedOf()->VFC()" (vnf a)
-    | 5 ->
-        Printf.sprintf
-          "VFC()->OnVM()->Container()->OnServer()->Server(id=%d)" (srv b)
-    | _ ->
-        Printf.sprintf "(VNF(id=%d)|VNF(id=%d))->[Vertical()]{1,3}->Container()"
-          (vnf a) (vnf b)
-  in
-  let prefix =
-    match tcpick with
-    | 0 -> ""
-    | 1 -> "AT '2017-02-10 00:00:00' "
-    | _ -> "AT '2017-02-01 00:00:00' : '2017-03-01 00:00:00' "
-  in
-  Printf.sprintf "%sRetrieve P From PATHS P Where P MATCHES %s" prefix rpe
+  match shape mod 7 with
+  | 0 -> Printf.sprintf "VNF(id=%d)->[Vertical()]{1,%d}->Server()" (vnf a) k
+  | 1 -> Printf.sprintf "VNF()->[Vertical()]{1,%d}->Server(id=%d)" k (srv b)
+  | 2 ->
+      Printf.sprintf "Server(id=%d)->[Connects()]{1,%d}->Server(id=%d)"
+        (srv a) k (srv b)
+  | 3 ->
+      Printf.sprintf
+        "Container(id=%d)->[VirtualLink()]{1,%d}->Container(id=%d)" (cont a)
+        k (cont b)
+  | 4 -> Printf.sprintf "VNF(id=%d)->ComposedOf()->VFC()" (vnf a)
+  | 5 ->
+      Printf.sprintf
+        "VFC()->OnVM()->Container()->OnServer()->Server(id=%d)" (srv b)
+  | _ ->
+      Printf.sprintf "(VNF(id=%d)|VNF(id=%d))->[Vertical()]{1,3}->Container()"
+        (vnf a) (vnf b)
 
-let prop_optimizer_equivalence =
-  QCheck.Test.make ~name:"optimizer and legacy plans return the same rows"
+let tc_of_case (_, _, _, _, tcpick) =
+  let tp = Nepal.Time_point.of_string_exn in
+  match tcpick with
+  | 0 -> Nepal.Time_constraint.Snapshot
+  | 1 -> Nepal.Time_constraint.At (tp "2017-02-10 00:00:00")
+  | _ ->
+      Nepal.Time_constraint.Range
+        (tp "2017-02-01 00:00:00", tp "2017-03-01 00:00:00")
+
+(* The reference answer for an RPE text under a constraint. *)
+let reference_of rpe tc =
+  let vs, db, _, _ = Lazy.force shared in
+  let norm =
+    ok (Nepal.Rpe.validate (Nepal.schema db) (Nepal.Rpe_parser.parse_exn rpe))
+  in
+  Reference.find_canon vs.Virt.store ~tc norm
+
+let prop_planned_equals_reference =
+  QCheck.Test.make ~name:"planned = reference on all backends"
     ~count:30 arb_case (fun case ->
-      let q = query_of_case case in
+      let rpe = rpe_of_case case and tc = tc_of_case case in
+      let q = Reference.query_text tc rpe in
+      let want = reference_of rpe tc in
       List.for_all
         (fun (name, conn) ->
-          let opt = result_key (ok (Nepal.query_on conn q)) in
-          let leg = result_key (ok (Nepal.query_on conn ~optimizer:`Off q)) in
-          if opt <> leg then
-            QCheck.Test.fail_reportf "%s: optimizer differs on %s (%d vs %d rows)"
-              name q (List.length opt) (List.length leg);
+          let got = Reference.of_result (ok (Nepal.query_on conn q)) in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: %s (%d vs %d pathways)\n%s\nreference:\n%s"
+              name q (List.length got) (List.length want) (Reference.show got)
+              (Reference.show want);
           true)
         (conns ()))
 
@@ -161,26 +160,6 @@ let test_explain_anchored () =
   check_bool "lists rejected alternatives" true
     (contains_line lines "    rejected: ")
 
-let test_explain_legacy_mode () =
-  let vs, db, _, _ = Lazy.force shared in
-  let q = Virt.q_top_down ~vnf_id:vs.Virt.vnf_ids.(0) in
-  match
-    ok
-      (Nepal.Explain.run_string ~conn:(Nepal.conn db) ~optimizer:`Off
-         ("EXPLAIN " ^ q))
-  with
-  | Nepal.Engine.Table { rows; _ } ->
-      let lines =
-        List.filter_map
-          (function [ Nepal.Value.Str l ] -> Some l | _ -> None)
-          rows
-      in
-      check_bool "legacy header" true
-        (contains_line lines "Planner: legacy (greedy anchor pick)");
-      check_bool "no cost-based header" false
-        (contains_line lines "Planner: cost-based")
-  | _ -> Alcotest.fail "expected explain table"
-
 (* ---------------- plan cache ---------------- *)
 
 let test_cache_hit_on_repeat () =
@@ -209,11 +188,16 @@ let test_cache_hit_across_literals () =
   Nepal.Planner.cache_clear ();
   ignore (ok (Nepal.query_on conn qa));
   let _, h0, _ = Nepal.Planner.cache_stats () in
-  let replayed = result_key (ok (Nepal.query_on conn qb)) in
+  let replayed = Reference.of_result (ok (Nepal.query_on conn qb)) in
   let _, h1, _ = Nepal.Planner.cache_stats () in
   check_int "different literals share the cached plan" (h0 + 1) h1;
-  let legacy = result_key (ok (Nepal.query_on conn ~optimizer:`Off qb)) in
-  check_bool "replayed plan answers correctly" true (replayed = legacy)
+  let rpe =
+    Printf.sprintf "VNF(id=%d)->[Vertical()]{1,6}->Server()" vs.Virt.vnf_ids.(1)
+  in
+  check_bool "the literal-replay query is the one the reference runs" true
+    (qb = Reference.query_text Nepal.Time_constraint.Snapshot rpe);
+  check_bool "replayed plan answers correctly" true
+    (replayed = reference_of rpe Nepal.Time_constraint.Snapshot)
 
 let test_cache_versioned_by_schema () =
   (* The same query text against a different schema instance (as after
@@ -300,13 +284,12 @@ let () =
   Alcotest.run "nepal_planner"
     [
       ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_optimizer_equivalence ] );
+        [ QCheck_alcotest.to_alcotest prop_planned_equals_reference ] );
       ( "explain",
         [
           Alcotest.test_case "bidirectional plan" `Quick
             test_explain_bidirectional;
           Alcotest.test_case "anchored plan" `Quick test_explain_anchored;
-          Alcotest.test_case "legacy mode" `Quick test_explain_legacy_mode;
         ] );
       ( "plan cache",
         [

@@ -10,7 +10,7 @@ module Store = Nepal.Graph_store
 module Server = Nepal.Server
 module Client = Nepal.Server_client
 module Wire = Nepal.Wire
-module Json = Nepal.Wire_json
+module Json = Nepal_util.Jsonp
 module Outbox = Nepal_server.Outbox
 module Net = Nepal_server.Net
 module J = Nepal.Event_log

@@ -8,7 +8,7 @@ module Metrics = Nepal_util.Metrics
 module Bench_gate = Nepal_util.Bench_gate
 module Health = Nepal_server.Health
 module Wire = Nepal_server.Wire
-module Json = Nepal_server.Json
+module Json = Nepal_util.Jsonp
 module J = Nepal_util.Event_log
 
 let check_bool = Alcotest.(check bool)

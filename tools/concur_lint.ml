@@ -6,7 +6,7 @@
    the frozen-grandfather list, and reports what remains — as
    grep-able "file:line:col: [LNTnnn] (func) message" lines on stderr,
    or with --json as one JSON report object on stdout (shape-compatible
-   with the strict Nepal_server.Json parser). Exit 1 on violations.
+   with the strict Nepal_util.Jsonp parser). Exit 1 on violations.
 
    --gate additionally errors on stale freeze entries (a frozen
    violation that no longer exists must be deleted from

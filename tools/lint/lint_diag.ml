@@ -5,7 +5,7 @@
    as one JSON object per diagnostic through the same
    [Nepal_util.Event_log.json] value type the wire protocol uses, so
    [concur_lint --json] round-trips through the strict
-   [Nepal_server.Json] parser by construction. *)
+   [Nepal_util.Jsonp] parser by construction. *)
 
 module J = Nepal_util.Event_log
 

@@ -65,7 +65,7 @@ let check_file file =
 let mli_grandfathered =
   [
     "backend_intf.ml"; "connect.ml"; "native_backend.ml"; "query_ast.ml";
-    "explain.ml"; "domain_pool.ml"; "intmap.ml"; "intset.ml"; "strmap.ml";
+    "domain_pool.ml"; "intmap.ml"; "intset.ml"; "strmap.ml";
     "strset.ml"; "join_cache.ml";
   ]
 
