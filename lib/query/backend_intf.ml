@@ -16,7 +16,6 @@
 module Value = Nepal_schema.Value
 module Metrics = Nepal_util.Metrics
 module Strmap = Nepal_util.Strmap
-module Intset = Nepal_util.Intset
 module Time_constraint = Nepal_temporal.Time_constraint
 module Time_point = Nepal_temporal.Time_point
 module Interval_set = Nepal_temporal.Interval_set
@@ -28,7 +27,10 @@ type direction = Fwd | Bwd
 type extend_item = {
   item_id : int;      (** caller's identifier for the partial pathway *)
   frontier : Path.element;
-  visited : Intset.t; (** uids already on the pathway, for cycle pruning *)
+  prefix : Path.element list;
+      (** elements already on the pathway, frontier first, for cycle
+          pruning: the partial's own parent chain, shared and never
+          copied, so at most the walk's length bound *)
 }
 
 (** What the next element may be matched against: the classes let the
@@ -72,7 +74,7 @@ module type S = sig
   (** One-element extension of every item (Extend operator). [Fwd] from
       a node follows outgoing edges; from an edge reaches its target
       node. [Bwd] mirrors. Candidates that would revisit a uid in
-      [visited] are pruned; candidates that match no atom are pruned
+      [prefix] are pruned; candidates that match no atom are pruned
       unless [with_skip]. The exact per-atom match is re-checked by the
       evaluator; the backend may over-approximate (e.g. class-only
       filtering). *)

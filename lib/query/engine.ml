@@ -647,10 +647,15 @@ let rec run ~conn ?(binds = []) ?max_length ?stats ?trace q =
     let seen = Hashtbl.create 64 in
     List.filter
       (fun r ->
-        let k = List.map (fun (v, p) -> (v, Path.key p)) (Strmap.bindings r.paths) in
-        if Hashtbl.mem seen k then false
+        let h =
+          Strmap.fold
+            (fun v p h -> (((h * 31) + Hashtbl.hash v) * 31) + Path.hash p)
+            r.paths 0
+        in
+        let bucket = try Hashtbl.find seen h with Not_found -> [] in
+        if List.exists (Strmap.equal Path.equal r.paths) bucket then false
         else begin
-          Hashtbl.replace seen k ();
+          Hashtbl.replace seen h (r.paths :: bucket);
           true
         end)
       rows

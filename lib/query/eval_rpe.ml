@@ -1,7 +1,6 @@
 module Time_constraint = Nepal_temporal.Time_constraint
 module Interval_set = Nepal_temporal.Interval_set
 module Schema = Nepal_schema.Schema
-module Intset = Nepal_util.Intset
 module Metrics = Nepal_util.Metrics
 module Domain_pool = Nepal_util.Domain_pool
 module Rpe = Nepal_rpe.Rpe
@@ -91,22 +90,24 @@ let kind_of_for sch (a : Rpe.atom) =
   | None -> None
 
 (* A partial pathway during one directional walk. [rev_elements] is in
-   walk order reversed (frontier first); [valid] tracks the running
-   interval-set intersection under Range constraints. [sid] is the
-   memo-interned id of [states]. *)
+   walk order reversed (frontier first): each partial conses one element
+   onto its parent's list, so the partials of a walk form a
+   prefix-shared tree and the list doubles as the visited set — the
+   cycle check walks it, at most [max_length] cells. [valid] tracks the
+   running interval-set intersection under Range constraints. [sid] is
+   the memo-interned id of [states]. *)
 type partial = {
   rev_elements : Path.element list;
   states : Nfa.states;
   sid : int;
-  visited : Intset.t;
   vhash : int;
-      (* order-independent hash of [visited], maintained incrementally;
-         merge keys on it and re-checks exact set equality on hits *)
+      (* order-independent hash of the uids on [rev_elements],
+         maintained incrementally; merge keys on it *)
   valid : Interval_set.t option;
 }
 
 (* Cheap avalanching int mixer (xorshift-multiply); uid hashes are
-   XOR-combined so the visited-set hash is insertion-order independent. *)
+   XOR-combined so the element-set hash is insertion-order independent. *)
 let mix u =
   let h = u * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
@@ -400,7 +401,6 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
               rev_elements = [ elem ];
               states;
               sid;
-              visited = Intset.singleton elem.Path.uid;
               vhash = mix elem.Path.uid;
               valid;
             })
@@ -418,7 +418,6 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
               rev_elements = elem :: partial.rev_elements;
               states;
               sid;
-              visited = Intset.add elem.Path.uid partial.visited;
               vhash = partial.vhash lxor mix elem.Path.uid;
               valid;
             }
@@ -429,18 +428,20 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
   in
   (* Advance one partial over one candidate element. *)
   let advance partial (elem : Path.element) =
-    if not (Intset.mem elem.Path.uid partial.visited) then
+    if not (Path.mem_uid elem.Path.uid partial.rev_elements) then
       extend partial elem (outcome ~sid:partial.sid partial.states elem)
   in
-  (* Partials agreeing on (frontier uid, state set, visited set) denote
+  (* Partials agreeing on (frontier uid, state set, element set) denote
      the same element sequence — a cycle-free alternating pathway is
      determined by its element set and endpoint — reached through
      different NFA runs. Keep one, unioning the validity sets (a
      pathway's maximal validity is the union over its runs). *)
   let merge ?(size = 256) parts =
     (* One int-keyed probe per partial: the key hashes (frontier uid,
-       state-set id, visited set). Exact equality is re-checked inside
-       a bucket, so hash collisions cost time, never correctness. *)
+       state-set id, [vhash]). Exact equality is re-checked inside a
+       bucket, so hash collisions cost time, never correctness: both
+       chains are cycle-free, so equal lengths plus one lying inside the
+       other is set equality. *)
     let tbl : (int, partial ref list ref) Hashtbl.t =
       Hashtbl.create (max 256 size)
     in
@@ -458,7 +459,11 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
             let same q =
               (frontier_elem q).Path.uid = u
               && q.sid = p.sid
-              && Intset.equal q.visited p.visited
+              && q.vhash = p.vhash
+              && List.compare_lengths q.rev_elements p.rev_elements = 0
+              && List.for_all
+                   (fun (e : Path.element) -> Path.mem_uid e.Path.uid q.rev_elements)
+                   p.rev_elements
             in
             match List.find_opt (fun c -> same !c) !bucket with
             | Some cell ->
@@ -498,12 +503,12 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
     let n_parts = List.length parts in
     stats.frontier_peak <- max stats.frontier_peak n_parts;
     (* Partials sharing a frontier element share its neighbourhood: one
-       backend fetch per distinct frontier uid. The item's [visited] is
-       only a pruning hint — [advance] re-applies each member's own
-       visited set — so any subset of the members' intersection is
-       sound: a singleton group passes its full set, a shared group just
-       the frontier uid (computing the true intersection costs more than
-       the few unprunable candidates it would drop). *)
+       backend fetch per distinct frontier uid. The item's [prefix] is
+       only a pruning hint — [advance] re-checks each member's own
+       chain — so any subset of the members' common elements is sound:
+       a singleton group passes its whole chain, a shared group just the
+       frontier (computing the true intersection costs more than the few
+       unprunable candidates it would drop). *)
     let groups, items =
       let tbl = Hashtbl.create (max 256 n_parts) in
       let cells = ref [] in
@@ -529,13 +534,11 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
         (fun ((p0 : partial), cell) ->
           decr i;
           groups.(!i) <- !cell;
-          let visited =
-            match !cell with
-            | [ only ] -> only.visited
-            | _ -> Intset.singleton (frontier_elem p0).Path.uid
+          let frontier = frontier_elem p0 in
+          let prefix =
+            match !cell with [ only ] -> only.rev_elements | _ -> [ frontier ]
           in
-          items :=
-            { item_id = !i; frontier = frontier_elem p0; visited } :: !items)
+          items := { item_id = !i; frontier; prefix } :: !items)
         !cells;
       (groups, !items)
     in
@@ -634,19 +637,20 @@ let seq_opt parts =
   | [ one ] -> Some one
   | many -> Some (Rpe.N_seq many)
 
+module Path_tbl = Hashtbl.Make (Path)
+
 (* One pathway per element sequence. Under Range the same sequence can
    come out of several runs (alternation branches, anchor splits, split
    partials); its validity is the union of theirs. *)
 let dedup_paths paths =
-  let tbl = Hashtbl.create 64 in
+  let tbl = Path_tbl.create 64 in
   let out = ref [] in
   List.iter
     (fun p ->
-      let k = Path.key p in
-      match Hashtbl.find_opt tbl k with
+      match Path_tbl.find_opt tbl p with
       | None ->
           let cell = ref p in
-          Hashtbl.replace tbl k cell;
+          Path_tbl.replace tbl p cell;
           out := cell :: !out
       | Some cell -> (
           match (!cell.Path.valid, p.Path.valid) with
@@ -698,52 +702,56 @@ let prepare_split conn ~tc ~stats ?prune (split : Anchor.split) =
       }
   end
 
+(* Do two element lists share no uid? Bounded by their lengths (at most
+   [max_length] each); allocation-free. *)
+let rec disjoint xs ys =
+  match xs with
+  | [] -> true
+  | (x : Path.element) :: tl -> (not (Path.mem_uid x.Path.uid ys)) && disjoint tl ys
+
+let join_validity ~tc a b =
+  match tc with Time_constraint.Range _ -> combine_validity a b | _ -> None
+
 (* Join the two directional walks of one split on the shared anchor
-   element. *)
-let join_split ~tc ~max_length fwd bwd =
-  let by_anchor side =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (elems, valid) ->
-        match elems with
-        | anchor :: _ -> Hashtbl.add tbl anchor.Path.uid (elems, valid)
-        | [] -> ())
-      side;
-    tbl
-  in
-  let fwd_tbl = by_anchor fwd and bwd_tbl = by_anchor bwd in
-  let results = ref [] in
-  Hashtbl.iter
-    (fun anchor_uid (bwd_elems, bwd_valid) ->
-      let bwd_tail = List.tl bwd_elems in
-      (* Hash the backward-tail uids once; each forward pairing is then
-         a membership probe instead of a quadratic list scan. *)
-      let bwd_set =
-        List.fold_left (fun s e -> Intset.add e.Path.uid s) Intset.empty bwd_tail
-      in
-      List.iter
-        (fun (fwd_elems, fwd_valid) ->
-          let fwd_tail = List.tl fwd_elems in
-          (* Elements must be disjoint across the two sides. *)
-          let overlap =
-            List.exists (fun e -> Intset.mem e.Path.uid bwd_set) fwd_tail
-          in
-          if not overlap then begin
-            let elements = List.rev bwd_tail @ fwd_elems in
-            if List.length elements <= max_length then begin
-              let valid =
-                match tc with
-                | Time_constraint.Range _ -> combine_validity bwd_valid fwd_valid
-                | _ -> None
-              in
-              let p = { Path.elements; valid } in
-              if Path.well_formed p && validity_ok ~tc valid then
-                results := p :: !results
-            end
-          end)
-        (Hashtbl.find_all fwd_tbl anchor_uid))
-    bwd_tbl;
-  !results
+   element, consing the pathways onto [acc]. Both halves are in walk
+   order from the anchor; a pathway is the backward tail reversed onto
+   the forward half, which it shares rather than copies. *)
+let join_split ~tc ~max_length ~acc fwd bwd =
+  let fwd_tbl = Hashtbl.create 64 in
+  List.iter
+    (fun ((elems, _) as half) ->
+      match elems with
+      | (anchor : Path.element) :: _ ->
+          let u = anchor.Path.uid in
+          let others = try Hashtbl.find fwd_tbl u with Not_found -> [] in
+          Hashtbl.replace fwd_tbl u (half :: others)
+      | [] -> ())
+    fwd;
+  List.fold_left
+    (fun acc (bwd_elems, bwd_valid) ->
+      match bwd_elems with
+      | [] -> acc
+      | (anchor : Path.element) :: bwd_tail -> (
+          match Hashtbl.find fwd_tbl anchor.Path.uid with
+          | exception Not_found -> acc
+          | fwds ->
+              let bwd_len = List.length bwd_tail in
+              List.fold_left
+                (fun acc (fwd_elems, fwd_valid) ->
+                  (* Elements must be disjoint across the two sides. *)
+                  if
+                    bwd_len + List.length fwd_elems > max_length
+                    || not (disjoint (List.tl fwd_elems) bwd_tail)
+                  then acc
+                  else
+                    let valid = join_validity ~tc bwd_valid fwd_valid in
+                    let p =
+                      { Path.elements = List.rev_append bwd_tail fwd_elems; valid }
+                    in
+                    if Path.well_formed p && validity_ok ~tc valid then p :: acc
+                    else acc)
+                acc fwds))
+    acc bwd
 
 (* Wrap [f] in a child span of [trace] (when tracing), attributing its
    wall time and backend round-trip delta. Only called from the
@@ -835,7 +843,7 @@ let eval_anywhere conn ~cfg ~tc ~max_length ~stats ?trace ?prune splits =
         match (prepared, results) with
         | [], [] -> acc
         | _ :: ps, fwd :: bwd :: rs ->
-            join (join_split ~tc ~max_length fwd bwd @ acc) ps rs
+            join (join_split ~tc ~max_length ~acc fwd bwd) ps rs
         | _ -> assert false
       in
       let paths = join [] prepared walk_results in
@@ -933,57 +941,36 @@ let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
       match walk_results with [ f; b ] -> (f, b) | _ -> assert false
     in
     spanned ?trace conn "Union" "meet-in-the-middle" (fun s ->
-        (* Index backward half-pathways by their final (shared) edge. *)
+        (* Index backward half-pathways by their final (shared) edge.
+           Each is in backward walk order [right; ...; shared edge], so
+           reversing it once and dropping the shared edge yields the
+           pathway tail after the midpoint. *)
         let tbl = Hashtbl.create 64 in
         List.iter
           (fun (elems, valid) ->
             match List.rev elems with
-            | last :: _ when not last.Path.is_node ->
-                Hashtbl.add tbl last.Path.uid (elems, valid)
+            | last :: tail when not last.Path.is_node ->
+                Hashtbl.add tbl last.Path.uid (tail, valid)
             | _ -> ())
           bwd;
         let out = ref [] in
         List.iter
           (fun (felems, fvalid) ->
-            match List.rev felems with
-            | flast :: _ when not flast.Path.is_node ->
-                let candidates = Hashtbl.find_all tbl flast.Path.uid in
-                if candidates <> [] then begin
-                  let fset =
-                    List.fold_left
-                      (fun s e -> Intset.add e.Path.uid s)
-                      Intset.empty felems
-                  in
-                  List.iter
-                    (fun (belems, bvalid) ->
-                      (* [belems] is in backward walk order
-                         [right; ...; shared edge]; reversing and
-                         dropping the shared edge yields the pathway
-                         tail after the midpoint. *)
-                      let tail = List.tl (List.rev belems) in
-                      let overlap =
-                        List.exists
-                          (fun e -> Intset.mem e.Path.uid fset)
-                          tail
-                      in
-                      if not overlap then begin
-                        let elements = felems @ tail in
-                        let len = List.length elements in
-                        if len <= max_length && len >= bp.bd_min_length
-                        then begin
-                          let valid =
-                            match tc with
-                            | Time_constraint.Range _ ->
-                                combine_validity fvalid bvalid
-                            | _ -> None
-                          in
-                          let p = { Path.elements; valid } in
-                          if Path.well_formed p && validity_ok ~tc valid then
-                            out := p :: !out
-                        end
-                      end)
-                    candidates
-                end
+            match Path.target { Path.elements = felems; valid = None } with
+            | flast when not flast.Path.is_node ->
+                List.iter
+                  (fun (tail, bvalid) ->
+                    let len = List.length felems + List.length tail in
+                    if
+                      len <= max_length && len >= bp.bd_min_length
+                      && disjoint tail felems
+                    then begin
+                      let valid = join_validity ~tc fvalid bvalid in
+                      let p = { Path.elements = felems @ tail; valid } in
+                      if Path.well_formed p && validity_ok ~tc valid then
+                        out := p :: !out
+                    end)
+                  (Hashtbl.find_all tbl flast.Path.uid)
             | _ -> ())
           fwd;
         (match s with

@@ -308,9 +308,9 @@ let bulk_extend t ~tc ~dir ~spec items =
         match (tr.path, G.Pgraph.element t.graph tr.here) with
         | start :: _, Some e ->
             Hashtbl.find_all by_uid start
-            |> List.filter_map (fun { item_id; visited; _ } ->
+            |> List.filter_map (fun { item_id; prefix; _ } ->
                    if
-                     Nepal_util.Intset.mem e.G.Pgraph.id visited
+                     Path.mem_uid e.G.Pgraph.id prefix
                      || Hashtbl.mem seen (item_id, e.G.Pgraph.id)
                    then None
                    else begin

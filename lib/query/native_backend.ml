@@ -100,29 +100,31 @@ let class_admissible sch (spec : extend_spec) (e : Entity.t) =
 
 let bulk_extend t ~tc ~dir ~spec items =
   let sch = Store.schema t in
-  List.concat_map
-    (fun { item_id; frontier; visited } ->
-      let candidates =
-        if frontier.Path.is_node then
-          match dir with
-          | Fwd -> Store.out_edges t ~tc frontier.Path.uid
-          | Bwd -> Store.in_edges t ~tc frontier.Path.uid
-        else
-          let edge = Store.get t ~tc frontier.Path.uid in
-          match edge with
-          | Some e when Entity.is_edge e ->
-              let next = match dir with Fwd -> Entity.dst e | Bwd -> Entity.src e in
-              Option.to_list (Store.get t ~tc next)
-          | _ -> []
-      in
-      List.filter_map
-        (fun (e : Entity.t) ->
-          if Nepal_util.Intset.mem e.uid visited then None
-          else if class_admissible sch spec e then
-            Some (item_id, element_of_entity e)
-          else None)
-        candidates)
-    items
+  let rev_out =
+    List.fold_left
+      (fun acc { item_id; frontier; prefix } ->
+        let candidates =
+          if frontier.Path.is_node then
+            match dir with
+            | Fwd -> Store.out_edges t ~tc frontier.Path.uid
+            | Bwd -> Store.in_edges t ~tc frontier.Path.uid
+          else
+            let edge = Store.get t ~tc frontier.Path.uid in
+            match edge with
+            | Some e when Entity.is_edge e ->
+                let next = match dir with Fwd -> Entity.dst e | Bwd -> Entity.src e in
+                Option.to_list (Store.get t ~tc next)
+            | _ -> []
+        in
+        List.fold_left
+          (fun acc (e : Entity.t) ->
+            if Path.mem_uid e.uid prefix || not (class_admissible sch spec e)
+            then acc
+            else (item_id, element_of_entity e) :: acc)
+          acc candidates)
+      [] items
+  in
+  List.rev rev_out
 
 let describe_select t ~tc (a : Rpe.atom) =
   let access =

@@ -39,14 +39,25 @@ val nodes : t -> element list
 val edges : t -> element list
 
 val key : t -> int list
-(** Uid sequence — identity for deduplication. *)
+(** Uid sequence — a pathway's identity. {!compare}, {!equal} and
+    {!hash} agree with it without building it. *)
+
+val mem_uid : int -> element list -> bool
+(** Does an element with this uid occur in the list? Allocation-free. *)
 
 val field : element -> string -> Value.t
 
 val compare : t -> t -> int
-(** By uid sequence. *)
+(** By uid sequence, as [Stdlib.compare (key a) (key b)] orders it.
+    Allocation-free, as are {!equal}, {!hash}, {!target} and
+    {!length}. *)
 
 val equal : t -> t -> bool
+(** Same uid sequence. *)
+
+val hash : t -> int
+(** Of the uid sequence: [equal a b] implies [hash a = hash b]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

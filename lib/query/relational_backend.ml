@@ -640,8 +640,10 @@ let bulk_extend t ~tc ~dir ~spec items =
                   Value.Int i.item_id;
                   Value.Int i.frontier.Path.uid;
                   Value.List
-                    (List.map (fun u -> Value.Int u)
-                       (Nepal_util.Intset.elements i.visited));
+                    (List.map
+                       (fun u -> Value.Int u)
+                       (List.sort_uniq Int.compare
+                          (List.map (fun (e : Path.element) -> e.Path.uid) i.prefix)));
                 |])
               is;
         }
@@ -702,7 +704,7 @@ let bulk_extend t ~tc ~dir ~spec items =
         let key = match dir with Fwd -> "target_id_" | Bwd -> "source_id_" in
         match Strmap.find_opt key i.frontier.Path.fields with
         | Some (Value.Int next_uid) ->
-            if Nepal_util.Intset.mem next_uid i.visited then None
+            if Path.mem_uid next_uid i.prefix then None
             else
               Option.map (fun e -> (i.item_id, e)) (element_by_uid t ~tc next_uid)
         | _ -> None)

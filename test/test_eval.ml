@@ -361,6 +361,114 @@ let prop_anchor_choice_irrelevant =
       in
       List.map Q.Path.key best = List.map Q.Path.key worst)
 
+(* ---------------- pathway identity and allocation ---------------- *)
+
+(* Words allocated while [f] runs, minor and direct-to-major alike
+   (Gc.quick_stat is only refreshed by collections). *)
+let words_during f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (words () -. w0, r)
+
+let path_of_uids uids =
+  {
+    Q.Path.elements =
+      List.mapi
+        (fun i uid ->
+          {
+            Q.Path.uid;
+            cls = (if i mod 2 = 0 then "Host" else "Connects");
+            fields = Nepal_util.Strmap.empty;
+            is_node = i mod 2 = 0;
+          })
+        uids;
+    valid = None;
+  }
+
+(* Joins, sorts and row deduplication call these per candidate pair, so
+   they walk the element lists in place. Over [n] calls each, fewer than
+   [n] words in all means none per call. *)
+let test_path_ops_allocation_free () =
+  let a = path_of_uids [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+  and b = path_of_uids [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+  and c = path_of_uids [ 1; 2; 3; 4; 5; 6; 7; 10; 11 ] in
+  let n = 1_000 in
+  let per_call name f =
+    let used, () =
+      words_during (fun () ->
+          for _ = 1 to n do
+            ignore (Sys.opaque_identity (f ()))
+          done)
+    in
+    if used >= float_of_int n then
+      Alcotest.failf "%s: %.0f words over %d calls" name used n
+  in
+  per_call "compare" (fun () -> Q.Path.compare a c);
+  per_call "equal" (fun () -> Q.Path.equal a b);
+  per_call "hash" (fun () -> Q.Path.hash a);
+  per_call "target" (fun () -> (Q.Path.target a).Q.Path.uid);
+  per_call "length" (fun () -> Q.Path.length a);
+  check_int "target" 9 (Q.Path.target a).Q.Path.uid;
+  check_int "length" 4 (Q.Path.length a)
+
+(* Small uids and short paths, so equal pairs are common. *)
+let arb_path_pair =
+  let path = QCheck.(map path_of_uids (list_of_size Gen.(0 -- 5) (int_range 0 3))) in
+  QCheck.pair path path
+
+let prop_compare_matches_key =
+  QCheck.Test.make ~name:"Path.compare orders as the uid keys do" ~count:500
+    arb_path_pair (fun (a, b) ->
+      Int.compare (Q.Path.compare a b) 0
+      = Int.compare (compare (Q.Path.key a) (Q.Path.key b)) 0)
+
+let prop_hash_agrees_with_equal =
+  QCheck.Test.make ~name:"Path.hash agrees with Path.equal" ~count:500
+    arb_path_pair (fun (a, b) ->
+      Q.Path.equal a b = (Q.Path.key a = Q.Path.key b)
+      && ((not (Q.Path.equal a b)) || Q.Path.hash a = Q.Path.hash b))
+
+(* A reverse service path on a small flat legacy graph: thousands of
+   pathways grown backward from one sink. The bound is the measured
+   words per returned pathway plus 15%; evaluation that copies or
+   re-keys finished pathways to compare, join or deduplicate them
+   allocates about three times as much. Sequential, so the count is
+   deterministic. *)
+let reverse_path_words_per_path = 353.
+
+let test_reverse_path_allocation () =
+  let module L = Nepal_wrap.Legacy in
+  let t = L.generate ~nodes:2_000 L.Flat in
+  let st = t.L.store in
+  let query = L.q_reverse_path t ~sink:t.L.service_sink_ids.(0) in
+  let rpe =
+    let m = "MATCHES " in
+    let rec at i = if String.sub query i (String.length m) = m then i else at (i + 1) in
+    let from = at 0 + String.length m in
+    String.sub query from (String.length query - from)
+  in
+  let norm = ok (Rpe.validate (Store.schema st) (Rpe_parser.parse_exn rpe)) in
+  let c = conn st in
+  let run () =
+    ok
+      (Q.Eval_rpe.find c ~tc:Time_constraint.snapshot
+         ~config:{ Q.Eval_rpe.domains = 1; par_threshold = 4 }
+         norm)
+  in
+  ignore (run ());
+  let used, paths = words_during run in
+  let n = List.length paths in
+  check_bool "thousands of pathways" true (n > 1_000);
+  let per_path = used /. float_of_int n in
+  let bound = reverse_path_words_per_path *. 1.15 in
+  if per_path > bound then
+    Alcotest.failf "%.0f words per pathway over %d pathways (bound %.0f)"
+      per_path n bound
+
 let () =
   Alcotest.run "nepal_eval"
     [
@@ -390,11 +498,20 @@ let () =
         ] );
       ("troubleshooting", [ Alcotest.test_case "shared fate" `Quick test_shared_fate ]);
       ("shortest", [ Alcotest.test_case "shortest paths" `Quick test_shortest_paths ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "path identity allocation-free" `Quick
+            test_path_ops_allocation_free;
+          Alcotest.test_case "reverse path words per pathway" `Quick
+            test_reverse_path_allocation;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_paths_satisfy_rpe;
             prop_snapshot_equals_timeslice_now;
             prop_anchor_choice_irrelevant;
+            prop_compare_matches_key;
+            prop_hash_agrees_with_equal;
           ] );
     ]
