@@ -8,14 +8,24 @@ type element = {
   endpoints : (int * int) option;
 }
 
+let rec same_chars a b i n = i = n || (a.[i] = b.[i] && same_chars a b (i + 1) n)
+
+(* Hash of a label's first segment (up to the first ':'), computed in
+   place. *)
+let rec segment_hash label i h =
+  if i = String.length label || label.[i] = ':' then h land max_int
+  else segment_hash label (i + 1) ((h * 31) + Char.code label.[i])
+
 type t = {
   mutable next_id : int;
   elements : (int, element) Hashtbl.t;
   adj_out : (int, int list) Hashtbl.t;
   adj_in : (int, int list) Hashtbl.t;
   (* Label-segment index: first segment -> element ids, to make prefix
-     scans cheaper than a full pass. *)
-  by_first_segment : (string, int list) Hashtbl.t;
+     scans cheaper than a full pass. Keyed by the segment's hash, so a
+     lookup allocates nothing; a collision only adds candidates that
+     the prefix test rejects. *)
+  by_first_segment : (int, int list) Hashtbl.t;
 }
 
 let create () =
@@ -27,18 +37,15 @@ let create () =
     by_first_segment = Hashtbl.create 64;
   }
 
-let first_segment label =
-  match String.index_opt label ':' with
-  | Some i -> String.sub label 0 i
-  | None -> label
+let segment_ids t label =
+  match Hashtbl.find t.by_first_segment (segment_hash label 0 0) with
+  | ids -> ids
+  | exception Not_found -> []
 
 let register t e =
   Hashtbl.replace t.elements e.id e;
-  let seg = first_segment e.label in
-  let existing =
-    match Hashtbl.find_opt t.by_first_segment seg with Some l -> l | None -> []
-  in
-  Hashtbl.replace t.by_first_segment seg (e.id :: existing)
+  Hashtbl.replace t.by_first_segment (segment_hash e.label 0 0)
+    (e.id :: segment_ids t e.label)
 
 let take_id t = function
   | Some id ->
@@ -84,11 +91,8 @@ let unregister t id =
   | None -> ()
   | Some e ->
       Hashtbl.remove t.elements id;
-      let seg = first_segment e.label in
-      (match Hashtbl.find_opt t.by_first_segment seg with
-      | Some l ->
-          Hashtbl.replace t.by_first_segment seg (List.filter (fun x -> x <> id) l)
-      | None -> ());
+      Hashtbl.replace t.by_first_segment (segment_hash e.label 0 0)
+        (List.filter (fun x -> x <> id) (segment_ids t e.label));
       (match e.endpoints with
       | Some (s, d) ->
           let strip tbl k =
@@ -127,24 +131,33 @@ let edges t = List.filter (fun e -> not (is_vertex e)) (all_elements t)
 (* Prefix on whole segments: "Node:VM" matches "Node:VM" and
    "Node:VM:X" but not "Node:VMX". *)
 let label_has_prefix ~prefix label =
-  let lp = String.length prefix and ll = String.length label in
-  lp <= ll
-  && String.sub label 0 lp = prefix
-  && (ll = lp || label.[lp] = ':')
+  let lp = String.length prefix in
+  lp <= String.length label
+  && same_chars prefix label 0 lp
+  && (String.length label = lp || label.[lp] = ':')
 
-let by_label_prefix t prefix ~want_vertex =
-  let candidates =
-    match Hashtbl.find_opt t.by_first_segment (first_segment prefix) with
-    | Some ids -> List.filter_map (Hashtbl.find_opt t.elements) ids
-    | None -> []
-  in
-  List.filter
-    (fun e -> is_vertex e = want_vertex && label_has_prefix ~prefix e.label)
-    candidates
+let matches ~prefix ~vertices e =
+  is_vertex e = vertices && label_has_prefix ~prefix e.label
+
+let by_label_prefix t prefix ~vertices =
+  List.fold_left
+    (fun acc id ->
+      let e = Hashtbl.find t.elements id in
+      if matches ~prefix ~vertices e then e :: acc else acc)
+    [] (segment_ids t prefix)
   |> List.sort (fun a b -> Int.compare a.id b.id)
 
-let vertices_by_label_prefix t prefix = by_label_prefix t prefix ~want_vertex:true
-let edges_by_label_prefix t prefix = by_label_prefix t prefix ~want_vertex:false
+let vertices_by_label_prefix t prefix = by_label_prefix t prefix ~vertices:true
+let edges_by_label_prefix t prefix = by_label_prefix t prefix ~vertices:false
+
+let rec count_matching elements ~prefix ~vertices n = function
+  | [] -> n
+  | id :: rest ->
+      let n = if matches ~prefix ~vertices (Hashtbl.find elements id) then n + 1 else n in
+      count_matching elements ~prefix ~vertices n rest
+
+let label_prefix_count t ~vertices prefix =
+  count_matching t.elements ~prefix ~vertices 0 (segment_ids t prefix)
 
 let incident t tbl id =
   match Hashtbl.find_opt tbl id with
@@ -156,5 +169,7 @@ let incident t tbl id =
 let out_edges t id = incident t t.adj_out id
 let in_edges t id = incident t t.adj_in id
 
-let vertex_count t = List.length (vertices t)
-let edge_count t = List.length (edges t)
+let vertex_count t =
+  Hashtbl.fold (fun _ e n -> if is_vertex e then n + 1 else n) t.elements 0
+
+let edge_count t = Hashtbl.length t.elements - vertex_count t

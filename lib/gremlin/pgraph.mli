@@ -51,8 +51,19 @@ val vertices_by_label_prefix : t -> string -> element list
 
 val edges_by_label_prefix : t -> string -> element list
 
+val label_has_prefix : prefix:string -> string -> bool
+(** The whole-segment prefix test behind the two functions above,
+    compared in place: it allocates nothing. *)
+
+val label_prefix_count : t -> vertices:bool -> string -> int
+(** [List.length] of {!vertices_by_label_prefix} (or of
+    {!edges_by_label_prefix} when [vertices] is false), counted in
+    place over the first-segment label index: no element list, no sort,
+    no allocation. Cost probes use it. *)
+
 val out_edges : t -> int -> element list
 val in_edges : t -> int -> element list
 
 val vertex_count : t -> int
 val edge_count : t -> int
+(** Both count in place, without building element lists. *)

@@ -63,12 +63,7 @@ let rec apply g (trs : traverser list) (step : pstep) : traverser list =
   | V -> List.map (fun (e : Pgraph.element) -> fresh e.id) (Pgraph.vertices g)
   | E -> List.map (fun (e : Pgraph.element) -> fresh e.id) (Pgraph.edges g)
   | V_ids ids | E_ids ids -> List.map fresh ids
-  | Has_label prefix ->
-      with_elem (fun _ e ->
-          let lp = String.length prefix and ll = String.length e.label in
-          lp <= ll
-          && String.sub e.label 0 lp = prefix
-          && (ll = lp || e.label.[lp] = ':'))
+  | Has_label prefix -> with_elem (fun _ e -> Pgraph.label_has_prefix ~prefix e.label)
   | Has (prop, op, v) ->
       with_elem (fun _ e ->
           compare_ok op (Strmap.find_opt_or prop ~default:Value.Null e.props) v)
@@ -161,7 +156,17 @@ let rec apply g (trs : traverser list) (step : pstep) : traverser list =
         trs
   | Limit n -> List.filteri (fun i _ -> i < n) trs
 
-let run g ?(sources = []) steps = List.fold_left (apply g) sources steps
+(* A traversal that opens with V()/E().hasLabel(p) starts from the
+   label index: the same id-ordered traversers the step fold yields,
+   without materializing the whole graph. *)
+let run g ?(sources = []) steps =
+  let fresh_all = List.map (fun (e : Pgraph.element) -> fresh e.id) in
+  match steps with
+  | V :: Has_label p :: rest ->
+      List.fold_left (apply g) (fresh_all (Pgraph.vertices_by_label_prefix g p)) rest
+  | E :: Has_label p :: rest ->
+      List.fold_left (apply g) (fresh_all (Pgraph.edges_by_label_prefix g p)) rest
+  | _ -> List.fold_left (apply g) sources steps
 
 let results g trs = List.filter_map (fun t -> Pgraph.element g t.here) trs
 

@@ -39,11 +39,17 @@ type traverser = {
   path : int list;                 (** ids walked, oldest first *)
 }
 
+val apply : Pgraph.t -> traverser list -> pstep -> traverser list
+(** One step over the current traversers. *)
+
 val run :
   Pgraph.t -> ?sources:traverser list -> pstep list -> traverser list
 (** [sources] feeds an already-materialized frontier into the traversal
     (the "channel" mechanism of Section 5.2); when absent the step list
-    must begin with [V], [E], [V_ids] or [E_ids]. *)
+    must begin with [V], [E], [V_ids] or [E_ids]. Equal to
+    [List.fold_left (apply g) sources steps]; a leading
+    [V]/[E] + [Has_label p] pair starts from the label index instead of
+    the whole graph. *)
 
 val results : Pgraph.t -> traverser list -> Pgraph.element list
 (** Resolve final positions. *)

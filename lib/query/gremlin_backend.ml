@@ -237,10 +237,8 @@ let estimate_atom t (a : Rpe.atom) =
   let prefix = Schema.inheritance_label t.schema a.Rpe.cls in
   let count =
     match Schema.kind_of t.schema a.Rpe.cls with
-    | Some Schema.Node_kind ->
-        List.length (G.Pgraph.vertices_by_label_prefix t.graph prefix)
-    | Some Schema.Edge_kind ->
-        List.length (G.Pgraph.edges_by_label_prefix t.graph prefix)
+    | Some Schema.Node_kind -> G.Pgraph.label_prefix_count t.graph ~vertices:true prefix
+    | Some Schema.Edge_kind -> G.Pgraph.label_prefix_count t.graph ~vertices:false prefix
     | None -> 0
   in
   let count =

@@ -390,7 +390,8 @@ let rec compile_pred (p : Predicate.t) : R.Expr.t =
       R.Expr.Cmp (base, op', R.Expr.Const lit)
 
 let run_logged t plan =
-  log_sql t (R.Plan.to_sql plan);
+  (* Render only while the log still keeps entries. *)
+  if t.log_len < max_log then log_sql t (R.Plan.to_sql plan);
   R.Plan.run t.db plan
 
 let element_of_row sch cls rs row =
@@ -562,25 +563,28 @@ let rows_by_uid t cls uids =
   in
   match R.Plan.run t.db plan with Ok rs -> Some rs | Error _ -> None
 
+(* Elements for [uids] of one class: the latest row admitted by the
+   constraint per uid, in uid order. *)
+let elements_by_uids t ~tc cls uids =
+  match rows_by_uid t cls uids with
+  | None -> []
+  | Some rs ->
+      let qualifying =
+        List.filter
+          (fun row ->
+            match R.Ivalue.to_interval (R.Plan.column_value rs row "sys_period") with
+            | Some iv -> Time_constraint.admits tc iv
+            | None -> false)
+          rs.R.Plan.rows
+      in
+      dedup_latest { rs with R.Plan.rows = qualifying }
+      |> List.filter_map (element_of_row t.schema cls rs)
+
 let element_by_uid t ~tc uid =
   match current_class_of t uid with
   | None -> None
   | Some cls -> (
-      match rows_by_uid t cls [ uid ] with
-      | None -> None
-      | Some rs -> (
-          let env row = R.Plan.column_value rs row in
-          let qualifying =
-            List.filter
-              (fun row ->
-                match R.Ivalue.to_interval (env row "sys_period") with
-                | Some iv -> Time_constraint.admits tc iv
-                | None -> false)
-              rs.R.Plan.rows
-          in
-          match dedup_latest { rs with R.Plan.rows = qualifying } with
-          | row :: _ -> element_of_row t.schema cls rs row
-          | [] -> None))
+      match elements_by_uids t ~tc cls [ uid ] with e :: _ -> Some e | [] -> None)
 
 (* Candidate edge classes to join against when extending from nodes. *)
 let extend_edge_classes sch (spec : extend_spec) =
@@ -697,18 +701,39 @@ let bulk_extend t ~tc ~dir ~spec items =
       ignore (R.Database.drop_table t.db temp);
       results
   in
-  (* From an edge the next element is its endpoint node. *)
+  (* From an edge the next element is its endpoint node: one uid probe
+     batch per endpoint class, results in item order. *)
   let from_edges =
+    let key = match dir with Fwd -> "target_id_" | Bwd -> "source_id_" in
+    let wanted =
+      List.filter_map
+        (fun i ->
+          match Strmap.find_opt key i.frontier.Path.fields with
+          | Some (Value.Int next_uid) when not (Path.mem_uid next_uid i.prefix) ->
+              Some (i.item_id, next_uid)
+          | _ -> None)
+        edge_items
+    in
+    let by_class = Hashtbl.create 8 in
+    List.iter
+      (fun (_, uid) ->
+        match current_class_of t uid with
+        | Some cls ->
+            let uids = Option.value (Hashtbl.find_opt by_class cls) ~default:[] in
+            Hashtbl.replace by_class cls (uid :: uids)
+        | None -> ())
+      wanted;
+    let found = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun cls uids ->
+        List.iter
+          (fun (e : Path.element) -> Hashtbl.replace found e.Path.uid e)
+          (elements_by_uids t ~tc cls (List.sort_uniq Int.compare uids)))
+      by_class;
     List.filter_map
-      (fun i ->
-        let key = match dir with Fwd -> "target_id_" | Bwd -> "source_id_" in
-        match Strmap.find_opt key i.frontier.Path.fields with
-        | Some (Value.Int next_uid) ->
-            if Path.mem_uid next_uid i.prefix then None
-            else
-              Option.map (fun e -> (i.item_id, e)) (element_by_uid t ~tc next_uid)
-        | _ -> None)
-      edge_items
+      (fun (item_id, uid) ->
+        Option.map (fun e -> (item_id, e)) (Hashtbl.find_opt found uid))
+      wanted
   in
   from_nodes @ from_edges
 

@@ -35,7 +35,12 @@ let env_of cols =
     | Some i -> row.(i)
     | None -> Value.Null
 
-let column_value rs row c = env_of rs.cols row c
+let rec find_column cols row c i =
+  if i = Array.length cols then Value.Null
+  else if String.equal cols.(i) c then row.(i)
+  else find_column cols row c (i + 1)
+
+let column_value rs row c = find_column rs.cols row c 0
 let rowset_count rs = List.length rs.rows
 
 (* Project a child-table row (whose columns extend the parent's) onto

@@ -41,6 +41,8 @@ val create_temp : Database.t -> t -> (string, string) result
 val to_sql : t -> string
 
 val column_value : rowset -> Value.t array -> string -> Value.t
-(** Lookup by column name; [Null] when absent. *)
+(** Lookup by column name; [Null] when absent. The first column of that
+    name wins, as in plan evaluation. Scans [cols] in place and
+    allocates nothing, so it is cheap enough to call per cell. *)
 
 val rowset_count : rowset -> int

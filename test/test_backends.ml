@@ -233,6 +233,177 @@ let test_storage_roundtrip_counts () =
     (Nepal.Gremlin_backend.element_count gb)
 
 
+(* ---------------- mirror cost ---------------- *)
+
+(* Words allocated while [f] runs, minor and direct-to-major alike
+   (Gc.quick_stat is only refreshed by collections). *)
+let words_during f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (words () -. w0, r)
+
+let churn_schema () =
+  Nepal.Tosca.parse_exn
+    "node_types:\n  N:\n    properties:\n      id: int\n      tag: string\n\
+     edge_types:\n  E:\n    properties:\n      w: int\n"
+
+(* A Gremlin mirror of [n] fresh N vertices. *)
+let gremlin_of_nodes n =
+  let db = Nepal.create (churn_schema ()) in
+  let at = ref (tp "2017-04-01 00:00:00") in
+  for k = 1 to n do
+    at := Nepal.Time_point.add_seconds !at 1.;
+    ignore
+      (ok
+         (Nepal.insert_node db ~at:!at ~cls:"N"
+            ~fields:(Nepal.Strmap.of_list [ ("id", Nepal.Value.Int k) ])))
+  done;
+  ok (Nepal.to_gremlin db)
+
+(* The planner asks for the anchor cost of Node and Edge several times
+   per query; the answer is a count, so it costs the same on any graph
+   size. *)
+let test_gremlin_estimate_flat () =
+  let measure n =
+    let gb = gremlin_of_nodes n in
+    let atom = Nepal.Rpe.atom "Node" in
+    let est () = Nepal.Gremlin_backend.estimate_atom gb atom in
+    ignore (est ());
+    let words, e = words_during est in
+    check_int (Printf.sprintf "estimate on %d vertices" n) n (int_of_float e);
+    words
+  in
+  let small = measure 200 and large = measure 2_000 in
+  if small <> large then
+    Alcotest.failf "estimate_atom: %.0f words on 200 vertices, %.0f on 2,000" small large
+
+(* History with changed fields, deleted nodes (and their edges) and
+   re-created edges, so that an endpoint lookup's answer depends on
+   the constraint. *)
+let endpoint_scenario () =
+  let db = Nepal.create (churn_schema ()) in
+  let clock = ref (tp "2017-04-01 00:00:00") in
+  let next () =
+    clock := Nepal.Time_point.add_seconds !clock 60.;
+    !clock
+  in
+  let f l = Nepal.Strmap.of_list l in
+  let node k =
+    ok
+      (Nepal.insert_node db ~at:(next ()) ~cls:"N"
+         ~fields:(f [ ("id", Nepal.Value.Int k); ("tag", Nepal.Value.Str "a") ]))
+  in
+  let nodes = Array.init 8 node in
+  let edge a b w =
+    ignore
+      (ok
+         (Nepal.insert_edge db ~at:(next ()) ~cls:"E" ~src:nodes.(a) ~dst:nodes.(b)
+            ~fields:(f [ ("w", Nepal.Value.Int w) ])))
+  in
+  List.iteri (fun w (a, b) -> edge a b w)
+    [ (0, 1); (1, 2); (2, 3); (3, 0); (1, 4); (4, 5); (5, 6); (6, 7); (7, 1); (2, 5) ];
+  let mid = next () in
+  ok (Nepal.update db ~at:(next ()) nodes.(1) ~fields:(f [ ("tag", Nepal.Value.Str "b") ]));
+  ok (Nepal.update db ~at:(next ()) nodes.(5) ~fields:(f [ ("tag", Nepal.Value.Str "c") ]));
+  ok (Nepal.delete db ~at:(next ()) ~cascade:true nodes.(4));
+  ok (Nepal.delete db ~at:(next ()) ~cascade:true nodes.(7));
+  edge 0 2 20;
+  ok (Nepal.update db ~at:(next ()) nodes.(2) ~fields:(f [ ("tag", Nepal.Value.Str "d") ]));
+  let born = tp "2017-04-01 00:00:00" in
+  (db, [ Nepal.Time_constraint.Snapshot; Nepal.Time_constraint.at mid;
+         Nepal.Time_constraint.range born (next ()) ])
+
+let element_key (e : Nepal.Path.element) =
+  (e.Nepal.Path.uid, e.Nepal.Path.cls, Nepal.Strmap.bindings e.Nepal.Path.fields,
+   e.Nepal.Path.is_node)
+
+(* Every edge ever stored, as frontier items: alone, and with either
+   endpoint already on the pathway (the cycle exclusion). *)
+let edge_items rb =
+  let all_time = Nepal.Time_constraint.range (tp "2000-01-01 00:00") (tp "2100-01-01 00:00") in
+  let edges =
+    Nepal.Relational_backend.select_atom rb ~tc:all_time (Nepal.Rpe.atom "Edge")
+  in
+  let endpoint key (e : Nepal.Path.element) =
+    match Nepal.Strmap.find_opt key e.Nepal.Path.fields with
+    | Some (Nepal.Value.Int u) ->
+        [ { Nepal.Path.uid = u; cls = "N"; fields = Nepal.Strmap.empty; is_node = true } ]
+    | _ -> []
+  in
+  List.concat_map
+    (fun e -> [ [ e ]; e :: endpoint "source_id_" e; e :: endpoint "target_id_" e ])
+    edges
+  |> List.mapi (fun item_id prefix ->
+         { Nepal.Backend.item_id; frontier = List.hd prefix; prefix })
+
+(* The edge -> endpoint hop, batched per class, must equal a per-uid
+   element_by_uid for every item, constraint and direction. *)
+let test_endpoint_batch_matches_single () =
+  let check_on rb tcs =
+    let items = edge_items rb in
+    check_bool "has edge items" true (items <> []);
+    List.iter
+      (fun tc ->
+        List.iter
+          (fun (dir, key) ->
+            let batched =
+              Nepal.Relational_backend.bulk_extend rb ~tc ~dir
+                ~spec:{ Nepal.Backend.atoms = []; with_skip = false } items
+            in
+            let single =
+              List.filter_map
+                (fun (i : Nepal.Backend.extend_item) ->
+                  match Nepal.Strmap.find_opt key i.frontier.Nepal.Path.fields with
+                  | Some (Nepal.Value.Int u) when not (Nepal.Path.mem_uid u i.prefix) ->
+                      Option.map (fun e -> (i.item_id, e))
+                        (Nepal.Relational_backend.element_by_uid rb ~tc u)
+                  | _ -> None)
+                items
+            in
+            let keys = List.map (fun (id, e) -> (id, element_key e)) in
+            check_bool "some endpoints found" true (single <> []);
+            if keys batched <> keys single then
+              Alcotest.failf "batched endpoints differ: %d vs %d results"
+                (List.length batched) (List.length single))
+          [ (Nepal.Backend.Fwd, "target_id_"); (Nepal.Backend.Bwd, "source_id_") ])
+      tcs
+  in
+  let db, tcs = endpoint_scenario () in
+  check_on (ok (Nepal.to_relational db)) tcs;
+  let _, _, rb, _ = Lazy.force shared in
+  check_on rb [ Nepal.Time_constraint.Snapshot; Nepal.Time_constraint.at t1;
+                Nepal.Time_constraint.range t0 t_end ]
+
+(* One endpoint probe batch per class, not one per frontier edge: the
+   words per item are about an element's fields. The bound is the
+   measured words per edge on the shared virtualized topology plus
+   15%; a probe per edge, each rendering the build side's SQL key and
+   reading cells through a fresh column table, took about 1,100. *)
+let endpoint_words_per_item = 74.
+
+let test_endpoint_batch_words () =
+  let _, _, rb, _ = Lazy.force shared in
+  let items =
+    List.filter
+      (fun (i : Nepal.Backend.extend_item) -> List.length i.prefix = 1)
+      (edge_items rb)
+  in
+  let run () =
+    Nepal.Relational_backend.bulk_extend rb ~tc:Nepal.Time_constraint.Snapshot
+      ~dir:Nepal.Backend.Fwd ~spec:{ Nepal.Backend.atoms = []; with_skip = false } items
+  in
+  ignore (run ());
+  let words, results = words_during run in
+  check_bool "endpoints found" true (List.length results > 100);
+  let per_item = words /. float_of_int (List.length items) in
+  if per_item > endpoint_words_per_item *. 1.15 then
+    Alcotest.failf "%.0f words per frontier edge over %d edges (bound %.0f)" per_item
+      (List.length items) (endpoint_words_per_item *. 1.15)
+
 (* Property: under a *random* mutation history, the three backends
    agree on a battery of queries at every temporal constraint. *)
 let prop_random_churn_equivalence =
@@ -343,6 +514,15 @@ let () =
           Alcotest.test_case "Select on all backends" `Quick test_engine_query_on_all_backends;
           Alcotest.test_case "changed-field timeslice" `Quick test_changed_field_timeslice;
           Alcotest.test_case "storage counts" `Quick test_storage_roundtrip_counts;
+        ] );
+      ( "mirror cost",
+        [
+          Alcotest.test_case "Gremlin estimate independent of size" `Quick
+            test_gremlin_estimate_flat;
+          Alcotest.test_case "batched endpoints = element_by_uid" `Quick
+            test_endpoint_batch_matches_single;
+          Alcotest.test_case "endpoint batch words per edge" `Quick
+            test_endpoint_batch_words;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_random_churn_equivalence ] );

@@ -204,6 +204,112 @@ let test_temporal_steps () =
     (List.length
        (ids [ Traversal.Has_period_overlaps (tp "2017-02-06 00:00", tp "2017-02-07 00:00") ]))
 
+(* ---------------- label index ---------------- *)
+
+(* Segment-boundary traps, a label with no ':', an edge labelled like a
+   vertex concept, first segments whose hashes collide ("Aa" and "BB"),
+   and removals (a vertex removal drops its edges). *)
+let trap_graph () =
+  let g = Pgraph.create () in
+  let v label k = Pgraph.add_vertex g ~label (props [ ("w", i k) ]) in
+  let a = v "Node:VM" 1 and b = v "Node:VMX" 2 and c = v "Node:VM:X" 3 in
+  let d = v "Node" 4 and e = v "NodeX" 5 and f = v "Whatever" 6 in
+  let gone = v "Node:VM:X" 7 in
+  ignore (v "Aa" 8);
+  ignore (v "BB:X" 9);
+  let edge label src dst k = Pgraph.add_edge g ~label ~src ~dst (props [ ("w", i k) ]) in
+  ignore (edge "Edge:L" a b 1);
+  ignore (edge "Edge:L:M" b c 2);
+  ignore (edge "Node:VM" c d 3);
+  ignore (edge "Edge:LX" d e 4);
+  ignore (edge "Whatever" e f 5);
+  ignore (edge "Edge:L" gone a 6);
+  let dropped = edge "Edge:L:M" a c 7 in
+  Pgraph.remove g gone;
+  Pgraph.remove g dropped;
+  g
+
+let trap_prefixes =
+  [ "Node"; "Node:VM"; "Node:VMX"; "Node:VM:X"; "Node:V"; "Node:"; "NodeX";
+    "Edge"; "Edge:L"; "Edge:L:M"; "Whatever"; "Nope"; ""; "Aa"; "BB"; "BB:X" ]
+
+(* The index-started V()/E().hasLabel(p) must hand back exactly the
+   traversers of the generic step fold, followed by more steps or not. *)
+let test_index_start_matches_fold () =
+  let g = trap_graph () in
+  let tails =
+    [ []; [ Traversal.Has ("w", Traversal.Gt, i 1) ]; [ Traversal.Out_e; Traversal.In_v ];
+      [ Traversal.Out_v ] ]
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun start ->
+          List.iter
+            (fun tail ->
+              let steps = start :: Traversal.Has_label p :: tail in
+              let fold = List.fold_left (Traversal.apply g) [] steps in
+              if Traversal.run g steps <> fold then
+                Alcotest.failf "index start differs from the fold for %s"
+                  (Traversal.to_gremlin steps))
+            tails)
+        [ Traversal.V; Traversal.E ])
+    trap_prefixes
+
+let test_counts_match_lists () =
+  let g = trap_graph () in
+  check_int "vertex_count" (List.length (Pgraph.vertices g)) (Pgraph.vertex_count g);
+  check_int "edge_count" (List.length (Pgraph.edges g)) (Pgraph.edge_count g);
+  check_int "traps removed" 8 (Pgraph.vertex_count g);
+  check_int "Node:VM vertices" 2 (List.length (Pgraph.vertices_by_label_prefix g "Node:VM"));
+  check_int "colliding segments kept apart" 1 (Pgraph.label_prefix_count g ~vertices:true "BB");
+  List.iter
+    (fun p ->
+      check_int ("vertices " ^ p)
+        (List.length (Pgraph.vertices_by_label_prefix g p))
+        (Pgraph.label_prefix_count g ~vertices:true p);
+      check_int ("edges " ^ p)
+        (List.length (Pgraph.edges_by_label_prefix g p))
+        (Pgraph.label_prefix_count g ~vertices:false p))
+    trap_prefixes
+
+(* Words allocated while [f] runs, minor and direct-to-major alike
+   (Gc.quick_stat is only refreshed by collections). *)
+let words_during f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+(* Cost probes run the prefix test and the count several times per
+   query; over [n] calls each, fewer than [n] words means none per call.
+   The element counts fold the element table, which costs the fold's
+   closure and nothing per element. *)
+let test_prefix_probes_allocation_free () =
+  let g = trap_graph () in
+  let n = 1_000 in
+  let per_call ?(words = 1) name f =
+    let used =
+      words_during (fun () ->
+          for _ = 1 to n do
+            ignore (Sys.opaque_identity (f ()))
+          done)
+    in
+    if used >= float_of_int (words * n) then
+      Alcotest.failf "%s: %.0f words over %d calls" name used n
+  in
+  per_call "label_has_prefix" (fun () ->
+      Pgraph.label_has_prefix ~prefix:"Node:VM" "Node:VM:X"
+      && not (Pgraph.label_has_prefix ~prefix:"Node:VM" "Node:VMX"));
+  per_call "label_prefix_count" (fun () ->
+      Pgraph.label_prefix_count g ~vertices:true "Node:VM"
+      + Pgraph.label_prefix_count g ~vertices:false "Edge");
+  per_call ~words:12 "vertex_count + edge_count" (fun () ->
+      Pgraph.vertex_count g + Pgraph.edge_count g)
+
 let () =
   Alcotest.run "nepal_gremlin"
     [
@@ -223,5 +329,13 @@ let () =
           Alcotest.test_case "path recording" `Quick test_traversal_paths;
           Alcotest.test_case "gremlin text" `Quick test_gremlin_rendering;
           Alcotest.test_case "temporal steps" `Quick test_temporal_steps;
+          Alcotest.test_case "index start = step fold" `Quick
+            test_index_start_matches_fold;
+        ] );
+      ( "label index",
+        [
+          Alcotest.test_case "counts = list lengths" `Quick test_counts_match_lists;
+          Alcotest.test_case "prefix probes allocation-free" `Quick
+            test_prefix_probes_allocation_free;
         ] );
     ]

@@ -287,6 +287,43 @@ let test_iset_union_aggregate () =
         (Nepal_temporal.Interval_set.cardinality set)
   | None -> Alcotest.fail "expected an interval set"
 
+(* -- allocation ---------------------------------------------------- *)
+
+(* Words allocated while [f] runs, minor and direct-to-major alike
+   (Gc.quick_stat is only refreshed by collections). *)
+let words_during f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (words () -. w0, r)
+
+(* Mirror backends read every joined cell by name, several times per
+   row; the lookup scans the column names in place. Over [n] calls,
+   fewer than [n] words in all means none per call. *)
+let test_column_value_allocation_free () =
+  let rs =
+    {
+      Plan.cols = [| "item_id"; "curr_uid"; "id_"; "source_id_"; "id_"; "status" |];
+      rows = [ [| i 1; i 2; i 3; i 4; i 5; s "Green" |] ];
+    }
+  in
+  let row = List.hd rs.Plan.rows in
+  check_bool "first match wins" true (Plan.column_value rs row "id_" = i 3);
+  check_bool "absent is NULL" true (Plan.column_value rs row "dc" = Value.Null);
+  let n = 1_000 in
+  let used, () =
+    words_during (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Plan.column_value rs row "status"));
+          ignore (Sys.opaque_identity (Plan.column_value rs row "dc"))
+        done)
+  in
+  if used >= float_of_int n then
+    Alcotest.failf "column_value: %.0f words over %d calls" used (2 * n)
+
 let () =
   Alcotest.run "nepal_relational"
     [
@@ -314,4 +351,9 @@ let () =
         ] );
       ("sql", [ Alcotest.test_case "rendering" `Quick test_sql_rendering ]);
       ("cache", [ Alcotest.test_case "invalidation" `Quick test_join_cache_invalidation ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "column_value allocation-free" `Quick
+            test_column_value_allocation_free;
+        ] );
     ]
