@@ -637,7 +637,7 @@ let serve_metrics_cmd =
              endpoint (GET /metrics) over a minimal HTTP/1.0 listener.")
     Term.(ret (const run $ port_arg $ once_arg $ warm_arg))
 
-(* ---- JSONL server / client / bench ----------------------------------- *)
+(* ---- JSONL server / client ------------------------------------------- *)
 
 (* Per-session runner on the Nepal.query_on path, so wire answers carry
    exactly the text (and enriched errors) the in-process API produces. *)
@@ -933,254 +933,6 @@ let client_cmd =
            `P "nepal client -p 9642   # interactive";
          ])
     Term.(ret (const run $ host_arg $ wire_port_arg $ trace_arg $ query_pos))
-
-let bench_cmd =
-  let clients_arg =
-    Arg.(value & opt int 4
-         & info [ "clients" ] ~docv:"N"
-             ~doc:"Concurrent closed-loop client connections.")
-  in
-  let seconds_arg =
-    Arg.(value & opt float 5.
-         & info [ "seconds" ] ~docv:"SECS"
-             ~doc:"Measured duration per repeat.")
-  in
-  let workers_arg =
-    Arg.(value & opt (some int) None
-         & info [ "workers" ] ~docv:"N" ~doc:"Query-executor domains.")
-  in
-  let bench_trace_arg =
-    Arg.(value & flag
-         & info [ "trace" ]
-             ~doc:"Send every query with {\"trace\": true}: measures the \
-                   cost of span collection and trace serialization on the \
-                   same closed-loop mix (compare against a run without the \
-                   flag).")
-  in
-  let repeats_arg =
-    Arg.(value & opt int 3
-         & info [ "repeats" ] ~docv:"N"
-             ~doc:"Interleaved repeats of the measured run; medians and the \
-                   noise band in trajectory files come from these.")
-  in
-  let noise_arg =
-    Arg.(value & opt float 0.25
-         & info [ "noise" ] ~docv:"FRAC"
-             ~doc:"Noise-band widening as a fraction of each metric's \
-                   median, beyond the observed repeat spread.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the run's trajectory (per-metric medians + noise \
-                   band) as JSON to FILE.")
-  in
-  let baseline_arg =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Write this run as the baseline trajectory FILE for later \
-                   $(b,--compare) runs (same as $(b,--json)).")
-  in
-  let compare_arg =
-    Arg.(value & opt (some string) None
-         & info [ "compare" ] ~docv:"FILE"
-             ~doc:"Compare this run's medians against the baseline \
-                   trajectory in FILE; exit non-zero when any metric lands \
-                   outside its noise band in the bad direction.")
-  in
-  let telemetry_arg =
-    Arg.(value & opt (some float) None
-         & info [ "telemetry" ] ~docv:"MS"
-             ~doc:"Telemetry tick interval for the benched server (0 \
-                   disables; default \\$NEPAL_TELEM_INTERVAL_MS or 1000) — \
-                   for measuring the tick's own overhead.")
-  in
-  let run seed history clients seconds workers trace repeats noise json_file
-      baseline_file compare_file telemetry_ms =
-    if clients < 1 then `Error (false, "--clients must be >= 1")
-    else if repeats < 1 then `Error (false, "--repeats must be >= 1")
-    else begin
-      let module V = Nepal.Virt_service in
-      let t = V.generate ~seed () in
-      if history then V.simulate_history ~seed:(seed + 1) t;
-      let store = t.V.store in
-      let config =
-        {
-          Nepal.Server.default_config with
-          port = 0;
-          max_sessions = clients + 4;
-          workers;
-          telemetry_interval_ms = telemetry_ms;
-        }
-      in
-      match
-        Nepal.Server.start ~config ~make_runner:(session_runner store) store
-      with
-      | Error e -> `Error (false, e)
-      | Ok server ->
-          let port = Nepal.Server.port server in
-          (* The Table-1 mix: top-down, bottom-up, VM-VM and Host-Host(4)
-             instances sampled per client from its own rng. *)
-          let pick_query rng k =
-            match k mod 4 with
-            | 0 -> V.q_top_down ~vnf_id:(Nepal.Prng.choose rng t.V.vnf_ids)
-            | 1 -> V.q_bottom_up ~server_id:(V.sample_server_id rng t)
-            | 2 ->
-                let a = V.sample_container_id rng t in
-                let b = V.sample_container_id rng t in
-                V.q_vm_vm ~a ~b
-            | _ ->
-                let a = V.sample_server_id rng t in
-                let b = V.sample_server_id rng t in
-                V.q_host_host ~hops:4 ~a ~b
-          in
-          (* One measured segment against the still-running server: its
-             own client-latency histogram, its own client rngs (seeded
-             per segment so repeats interleave distinct query mixes). *)
-          let run_segment seg =
-            let lat =
-              Nepal.Metrics.unregistered_histogram "bench.client_seconds"
-            in
-            let requests = Array.make clients 0 in
-            let errors = Array.make clients 0 in
-            let deadline = Unix.gettimeofday () +. Float.max 0.5 seconds in
-            let client_loop i =
-              match Nepal.Server_client.connect ~port () with
-              | Error e ->
-                  Printf.eprintf "client %d: connect: %s\n%!" i e;
-                  errors.(i) <- errors.(i) + 1
-              | Ok client ->
-                  let rng = Nepal.Prng.create (seed + 101 + (31 * seg) + i) in
-                  let run_one =
-                    if trace then Nepal.Server_client.query_traced
-                    else Nepal.Server_client.query
-                  in
-                  let k = ref i in
-                  while Unix.gettimeofday () < deadline do
-                    let q = pick_query rng !k in
-                    incr k;
-                    let t0 = Unix.gettimeofday () in
-                    (match run_one client q with
-                    | Ok _ -> requests.(i) <- requests.(i) + 1
-                    | Error _ -> errors.(i) <- errors.(i) + 1);
-                    Nepal.Metrics.observe lat (Unix.gettimeofday () -. t0)
-                  done;
-                  Nepal.Server_client.close client
-            in
-            let t0 = Unix.gettimeofday () in
-            let threads =
-              List.init clients (fun i -> Thread.create client_loop i)
-            in
-            List.iter Thread.join threads;
-            let elapsed = Unix.gettimeofday () -. t0 in
-            let total = Array.fold_left ( + ) 0 requests in
-            let errs = Array.fold_left ( + ) 0 errors in
-            let s = Nepal.Metrics.stats_of lat in
-            Format.printf
-              "repeat %d/%d: requests %d  errors %d  elapsed %.2fs  \
-               throughput %.1f q/s  p50 %.2fms  p95 %.2fms  p99 %.2fms%s@."
-              (seg + 1) repeats total errs elapsed
-              (float_of_int total /. elapsed)
-              (s.Nepal.Metrics.p50 *. 1e3) (s.Nepal.Metrics.p95 *. 1e3)
-              (s.Nepal.Metrics.p99 *. 1e3)
-              (if trace then "  (traced)" else "");
-            ( errs,
-              [
-                ("throughput_qps", float_of_int total /. elapsed);
-                ("client_p50_ms", s.Nepal.Metrics.p50 *. 1e3);
-                ("client_p95_ms", s.Nepal.Metrics.p95 *. 1e3);
-                ("client_p99_ms", s.Nepal.Metrics.p99 *. 1e3);
-              ] )
-          in
-          let segments = ref [] in
-          for seg = 0 to repeats - 1 do
-            segments := run_segment seg :: !segments
-          done;
-          let segments = List.rev !segments in
-          Nepal.Server.stop server;
-          let sv =
-            Nepal.Metrics.stats_of
-              (Nepal.Metrics.histogram "server.query_seconds")
-          in
-          Format.printf
-            "server-side evaluation: p50 %.2fms  p95 %.2fms  p99 %.2fms \
-             (n=%d)@."
-            (sv.Nepal.Metrics.p50 *. 1e3) (sv.Nepal.Metrics.p95 *. 1e3)
-            (sv.Nepal.Metrics.p99 *. 1e3) sv.Nepal.Metrics.count;
-          let reps = List.map snd segments in
-          let config_kv =
-            [
-              ("clients", string_of_int clients);
-              ("history", string_of_bool history);
-              ("repeats", string_of_int repeats);
-              ("seconds", Printf.sprintf "%g" seconds);
-              ("seed", string_of_int seed);
-              ("trace", string_of_bool trace);
-              ( "workers",
-                match workers with
-                | Some n -> string_of_int n
-                | None -> "default" );
-            ]
-          in
-          let traj =
-            Nepal.Bench_gate.of_repeats ~section:"wire" ~config:config_kv
-              ~noise reps
-          in
-          let write_traj = function
-            | None -> Ok ()
-            | Some path -> (
-                match Nepal.Bench_gate.write_file path traj with
-                | Ok () ->
-                    Format.printf "trajectory written to %s@." path;
-                    Ok ()
-                | Error e -> Error (path ^ ": " ^ e))
-          in
-          let outcome =
-            let ( let* ) = Result.bind in
-            let* () = write_traj json_file in
-            let* () = write_traj baseline_file in
-            match compare_file with
-            | None -> Ok ()
-            | Some path -> (
-                match Nepal.Bench_gate.read_file path with
-                | Error e -> Error e
-                | Ok baseline -> (
-                    match Nepal.Bench_gate.compare_traj ~baseline traj with
-                    | Error e -> Error ("compare: " ^ e)
-                    | Ok verdicts ->
-                        print_string (Nepal.Bench_gate.render_report verdicts);
-                        if Nepal.Bench_gate.any_regression verdicts then
-                          Error
-                            (Printf.sprintf "regression vs baseline %s" path)
-                        else begin
-                          Format.printf "no regression vs %s@." path;
-                          Ok ()
-                        end))
-          in
-          match outcome with
-          | Ok () -> `Ok ()
-          | Error e -> `Error (false, e)
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Closed-loop wire benchmark: start an in-process server, drive \
-             it with N concurrent clients running the Table-1 query mix \
-             over interleaved repeats, report throughput and latency \
-             quantiles, and optionally write or gate against a trajectory \
-             file."
-       ~man:
-         [
-           `S Manpage.s_examples;
-           `P "nepal bench --clients 8 --seconds 10";
-           `P "nepal bench --history --clients 4 --workers 4";
-           `P "nepal bench --clients 4 --trace";
-           `P "nepal bench --clients 2 --seconds 2 --json BENCH_wire.json";
-           `P "nepal bench --clients 2 --seconds 2 --compare BENCH_wire.json";
-         ])
-    Term.(ret (const run $ seed_arg $ history_arg $ clients_arg $ seconds_arg
-               $ workers_arg $ bench_trace_arg $ repeats_arg $ noise_arg
-               $ json_arg $ baseline_arg $ compare_arg $ telemetry_arg))
 
 let events_cmd =
   let file_arg =
@@ -1827,6 +1579,6 @@ let main =
        ~doc:"Nepal — a graph database for a virtualized network infrastructure.")
     [ schema_cmd; generate_cmd; query_cmd; explain_cmd; check_cmd; repl_cmd;
       paths_cmd; when_exists_cmd; watch_cmd; stats_cmd; serve_cmd; client_cmd;
-      bench_cmd; serve_metrics_cmd; events_cmd; top_cmd; telemetry_cmd ]
+      serve_metrics_cmd; events_cmd; top_cmd; telemetry_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -46,7 +46,6 @@ module Http_metrics = Nepal_server.Http_metrics
 module Env = Nepal_util.Env
 module Timeseries = Nepal_util.Timeseries
 module Health = Nepal_server.Health
-module Bench_gate = Nepal_util.Bench_gate
 
 (* A module alias alone does not force the planner to link (and its
    [Engine.planner_hook] registration to run); referencing a value

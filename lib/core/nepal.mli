@@ -73,7 +73,6 @@ module Http_metrics = Nepal_server.Http_metrics
 module Env = Nepal_util.Env
 module Timeseries = Nepal_util.Timeseries
 module Health = Nepal_server.Health
-module Bench_gate = Nepal_util.Bench_gate
 
 (** {1 Databases} *)
 

@@ -205,8 +205,6 @@ let stats () =
       Hashtbl.fold (fun _ e acc -> stat_of_entry e :: acc) table [])
   |> List.sort (fun a b -> compare b.st_total_s a.st_total_s)
 
-let top n = List.filteri (fun i _ -> i < n) (stats ())
-
 let count () = with_lock (fun () -> Hashtbl.length table)
 
 (* -- rendering ------------------------------------------------------ *)

@@ -60,8 +60,6 @@ type stat = {
 val stats : unit -> stat list
 (** All entries, heaviest total wall time first. *)
 
-val top : int -> stat list
-
 val count : unit -> int
 (** Number of live entries (<= capacity). *)
 

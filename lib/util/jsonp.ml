@@ -1,13 +1,12 @@
 (* RFC 8259 JSON parsing onto {!Event_log.json} — the same value type
-   the rest of the system renders, so the wire protocol, the telemetry
-   snapshot files and the bench trajectory files all round-trip through
-   one representation. Strict enough for a network-facing surface: no
-   trailing garbage, no unescaped control characters in strings, \u
-   escapes decoded (surrogate pairs included), numbers kept as [Int]
-   when they are integral and fit. Lives in nepal_util so that the wire
-   protocol and offline consumers — {!Timeseries.load},
-   {!Bench_gate.read_file} — share one parser without the latter
-   linking the server stack. *)
+   the rest of the system renders, so the wire protocol and the
+   telemetry snapshot files round-trip through one representation.
+   Strict enough for a network-facing surface: no trailing garbage, no
+   unescaped control characters in strings, \u escapes decoded
+   (surrogate pairs included), numbers kept as [Int] when they are
+   integral and fit. Lives in nepal_util so that the wire protocol and
+   the offline consumer {!Timeseries.load} share one parser without the
+   latter linking the server stack. *)
 
 module J = Event_log
 

@@ -143,7 +143,6 @@ let time h f =
 
 let histogram_name h = h.h_name
 let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
 
 (* Estimate the [q]-quantile by linear interpolation within the bucket
    holding the target rank; exact min/max clamp the two ends, so small

@@ -56,7 +56,6 @@ val quantile : histogram -> float -> float
 
 val histogram_name : histogram -> string
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 type histogram_stats = {
   name : string;

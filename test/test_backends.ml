@@ -235,17 +235,6 @@ let test_storage_roundtrip_counts () =
 
 (* ---------------- mirror cost ---------------- *)
 
-(* Words allocated while [f] runs, minor and direct-to-major alike
-   (Gc.quick_stat is only refreshed by collections). *)
-let words_during f =
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let w0 = words () in
-  let r = f () in
-  (words () -. w0, r)
-
 let churn_schema () =
   Nepal.Tosca.parse_exn
     "node_types:\n  N:\n    properties:\n      id: int\n      tag: string\n\
@@ -273,7 +262,7 @@ let test_gremlin_estimate_flat () =
     let atom = Nepal.Rpe.atom "Node" in
     let est () = Nepal.Gremlin_backend.estimate_atom gb atom in
     ignore (est ());
-    let words, e = words_during est in
+    let words, e = Words.during est in
     check_int (Printf.sprintf "estimate on %d vertices" n) n (int_of_float e);
     words
   in
@@ -397,7 +386,7 @@ let test_endpoint_batch_words () =
       ~dir:Nepal.Backend.Fwd ~spec:{ Nepal.Backend.atoms = []; with_skip = false } items
   in
   ignore (run ());
-  let words, results = words_during run in
+  let words, results = Words.during run in
   check_bool "endpoints found" true (List.length results > 100);
   let per_item = words /. float_of_int (List.length items) in
   if per_item > endpoint_words_per_item *. 1.15 then

@@ -363,17 +363,6 @@ let prop_anchor_choice_irrelevant =
 
 (* ---------------- pathway identity and allocation ---------------- *)
 
-(* Words allocated while [f] runs, minor and direct-to-major alike
-   (Gc.quick_stat is only refreshed by collections). *)
-let words_during f =
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let w0 = words () in
-  let r = f () in
-  (words () -. w0, r)
-
 let path_of_uids uids =
   {
     Q.Path.elements =
@@ -399,7 +388,7 @@ let test_path_ops_allocation_free () =
   let n = 1_000 in
   let per_call name f =
     let used, () =
-      words_during (fun () ->
+      Words.during (fun () ->
           for _ = 1 to n do
             ignore (Sys.opaque_identity (f ()))
           done)
@@ -460,7 +449,7 @@ let test_reverse_path_allocation () =
          norm)
   in
   ignore (run ());
-  let used, paths = words_during run in
+  let used, paths = Words.during run in
   let n = List.length paths in
   check_bool "thousands of pathways" true (n > 1_000);
   let per_path = used /. float_of_int n in

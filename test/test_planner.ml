@@ -1,8 +1,9 @@
 (* Cost-based plan compiler (lib/planner): planned results equal the
    reference evaluator's (test/reference.ml) on all three backends
    (QCheck), golden EXPLAIN output for the Table-1 families, plan-cache
-   hit/miss/version behaviour, and product-automaton pruning (language
-   preservation + memoized masks). *)
+   hit/miss/version behaviour, the chosen plan against every forced
+   alternative in allocated words, and product-automaton pruning
+   (language preservation + memoized masks). *)
 
 module Nepal = Core.Nepal
 module Virt = Nepal.Virt_service
@@ -216,6 +217,83 @@ let test_cache_versioned_by_schema () =
   check_int "other schema instance is a miss" (m0 + 1) m1;
   check_int "other schema instance is not a hit" h0 h1
 
+(* ---------------- chosen plan vs forced alternatives ---------------- *)
+
+(* On the golden topology (test_golden's), the planner's plan for the
+   Table-1 pair queries must allocate no more than any forced
+   alternative — every anchor candidate plus the bidirectional plan, all
+   with the same pruner — and the worst alternative at least five times
+   as much. One domain and one warm-up run make the word counts exact.
+   Top-down and bottom-up are not covered: on this small topology the
+   planner picks the bidirectional plan for them although anchoring at
+   the literal allocates several times fewer words (it anchors them on
+   the full-size topology). *)
+let test_chosen_plan_allocates_least () =
+  let vs =
+    Virt.generate ~seed:5 ~vnf_count:6 ~server_count:12 ~virtual_networks:8 ()
+  in
+  Virt.simulate_history ~seed:6 ~days:10 ~events_per_day:8 vs;
+  let db = Nepal.of_store vs.Virt.store in
+  let conn = Nepal.conn db and schema = Nepal.schema db in
+  let config = { Nepal.Eval_rpe.domains = 1; par_threshold = 4 } in
+  let cost strategy prune (vp : Nepal.Engine.var_plan) =
+    let run () =
+      ok
+        (Nepal.Eval_rpe.find conn ~tc:vp.vp_tc ~strategy ?prune ~config
+           vp.vp_rpe)
+    in
+    ignore (run ());
+    let w, paths = Words.during run in
+    (w, List.length paths)
+  in
+  List.iter
+    (fun (name, q) ->
+      let plan = ok (Nepal.Engine.plan ~conn (ok (Nepal.Query_parser.parse q))) in
+      let vp =
+        match plan.Nepal.Engine.p_order with
+        | [ vp ] -> vp
+        | _ -> Alcotest.failf "%s: expected one pathway variable" name
+      in
+      let chosen, n = cost vp.vp_opt.vd_strategy vp.vp_opt.vd_prune vp in
+      let prune = Some (Nepal.Planner.pruner_of schema) in
+      let anchored =
+        Nepal.Anchor.enumerate ~cost:(Nepal.Backend.estimate_atom conn)
+          vp.vp_rpe
+        |> List.map (fun s -> Nepal.Eval_rpe.Forced s)
+      in
+      let bidi =
+        match Nepal.Planner.bidi_of schema ~tc:vp.vp_tc vp.vp_rpe with
+        | Some bp -> [ Nepal.Eval_rpe.Bidi bp ]
+        | None -> []
+      in
+      let alternatives =
+        List.map
+          (fun strategy ->
+            let w, n' = cost strategy prune vp in
+            check_int (name ^ ": same pathways") n n';
+            w)
+          (anchored @ bidi)
+      in
+      check_bool (name ^ ": has alternatives") true (List.length alternatives >= 2);
+      let best = List.fold_left Float.min infinity alternatives in
+      let worst = List.fold_left Float.max 0. alternatives in
+      if chosen <> best then
+        Alcotest.failf "%s: chosen plan allocates %.0f words, best alternative %.0f"
+          name chosen best;
+      if worst < 5. *. chosen then
+        Alcotest.failf "%s: worst alternative allocates %.0f words, under 5x %.0f"
+          name worst chosen)
+    [
+      ( "VM-VM(4)",
+        Virt.q_vm_vm ~a:vs.Virt.container_ids.(0) ~b:vs.Virt.container_ids.(1) );
+      ( "Host-Host(4)",
+        Virt.q_host_host ~hops:4 ~a:vs.Virt.server_ids.(0)
+          ~b:vs.Virt.server_ids.(1) );
+      ( "Host-Host(6)",
+        Virt.q_host_host ~hops:6 ~a:vs.Virt.server_ids.(0)
+          ~b:vs.Virt.server_ids.(1) );
+    ]
+
 (* ---------------- product-automaton pruning ---------------- *)
 
 let kind_of sch a =
@@ -298,6 +376,11 @@ let () =
             test_cache_hit_across_literals;
           Alcotest.test_case "versioned by schema" `Quick
             test_cache_versioned_by_schema;
+        ] );
+      ( "chosen plan",
+        [
+          Alcotest.test_case "allocates least" `Quick
+            test_chosen_plan_allocates_least;
         ] );
       ( "pruning",
         [

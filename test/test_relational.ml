@@ -289,17 +289,6 @@ let test_iset_union_aggregate () =
 
 (* -- allocation ---------------------------------------------------- *)
 
-(* Words allocated while [f] runs, minor and direct-to-major alike
-   (Gc.quick_stat is only refreshed by collections). *)
-let words_during f =
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let w0 = words () in
-  let r = f () in
-  (words () -. w0, r)
-
 (* Mirror backends read every joined cell by name, several times per
    row; the lookup scans the column names in place. Over [n] calls,
    fewer than [n] words in all means none per call. *)
@@ -315,7 +304,7 @@ let test_column_value_allocation_free () =
   check_bool "absent is NULL" true (Plan.column_value rs row "dc" = Value.Null);
   let n = 1_000 in
   let used, () =
-    words_during (fun () ->
+    Words.during (fun () ->
         for _ = 1 to n do
           ignore (Sys.opaque_identity (Plan.column_value rs row "status"));
           ignore (Sys.opaque_identity (Plan.column_value rs row "dc"))

@@ -1,11 +1,9 @@
 (* Retained telemetry: ring wraparound, the downsample oracle,
-   dump/load persistence, the health engine's debounce hysteresis, the
-   bench regression gate, and the history wire frames validated through
-   the strict JSON parser. *)
+   dump/load persistence, the health engine's debounce hysteresis, and
+   the history wire frames validated through the strict JSON parser. *)
 
 module Ts = Nepal_util.Timeseries
 module Metrics = Nepal_util.Metrics
-module Bench_gate = Nepal_util.Bench_gate
 module Health = Nepal_server.Health
 module Wire = Nepal_server.Wire
 module Json = Nepal_util.Jsonp
@@ -259,107 +257,6 @@ let test_health_no_data_holds_state () =
     (List.length (Health.evaluate ~now:100. h));
   check_int "still degraded" 1 (Health.active_count h)
 
-(* ---- the bench regression gate --------------------------------------- *)
-
-let test_bench_median () =
-  check_bool "odd median" true (Bench_gate.median [ 3.; 1.; 2. ] = 2.);
-  check_bool "even median" true (Bench_gate.median [ 4.; 1.; 2.; 3. ] = 2.5);
-  check_bool "empty median is nan" true (Float.is_nan (Bench_gate.median []))
-
-let reps_base =
-  [
-    [ ("throughput_qps", 100.); ("client_p99_ms", 5.0) ];
-    [ ("throughput_qps", 110.); ("client_p99_ms", 4.0) ];
-    [ ("throughput_qps", 105.); ("client_p99_ms", 4.5) ];
-  ]
-
-let config_base = [ ("clients", "2"); ("seconds", "1") ]
-
-let test_bench_gate_roundtrip () =
-  let base =
-    Bench_gate.of_repeats ~section:"wire" ~config:config_base ~noise:0.1
-      reps_base
-  in
-  (match base.Bench_gate.bt_stats with
-  | [ p99; qps ] ->
-      check_bool "latency is lower-better" true
-        (p99.Bench_gate.st_dir = Bench_gate.Lower_better);
-      check_bool "qps is higher-better" true
-        (qps.Bench_gate.st_dir = Bench_gate.Higher_better);
-      near "qps median" 105. qps.Bench_gate.st_median;
-      near "p99 median" 4.5 p99.Bench_gate.st_median;
-      (* band = observed spread widened by noise * |median| *)
-      near "qps lo" 89.5 qps.Bench_gate.st_lo;
-      near "qps hi" 120.5 qps.Bench_gate.st_hi
-  | stats -> Alcotest.failf "expected 2 stats, got %d" (List.length stats));
-  check_bool "self-comparison is clean" false
-    (Bench_gate.any_regression (ok (Bench_gate.compare_traj ~baseline:base base)));
-  let path = Filename.temp_file "nepal_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      ok (Bench_gate.write_file path base);
-      let back = ok (Bench_gate.read_file path) in
-      check_bool "section survives" true (back.Bench_gate.bt_section = "wire");
-      check_bool "config survives sorted" true
-        (back.Bench_gate.bt_config = config_base);
-      check_bool "file round-trip compares clean" false
-        (Bench_gate.any_regression
-           (ok (Bench_gate.compare_traj ~baseline:back base))))
-
-let test_bench_gate_regression () =
-  let base =
-    Bench_gate.of_repeats ~section:"wire" ~config:config_base ~noise:0.1
-      reps_base
-  in
-  let worse =
-    Bench_gate.of_repeats ~section:"wire" ~config:config_base ~noise:0.1
-      [
-        [ ("throughput_qps", 50.); ("client_p99_ms", 20.) ];
-        [ ("throughput_qps", 52.); ("client_p99_ms", 19.) ];
-        [ ("throughput_qps", 51.); ("client_p99_ms", 21.) ];
-      ]
-  in
-  let verdicts = ok (Bench_gate.compare_traj ~baseline:base worse) in
-  check_bool "regression detected" true (Bench_gate.any_regression verdicts);
-  check_bool "both directions flagged" true
-    (List.for_all (fun v -> v.Bench_gate.v_regressed) verdicts);
-  check_bool "report names the offender" true
-    (let report = Bench_gate.render_report verdicts in
-     let rec contains i =
-       i + 9 <= String.length report
-       && (String.sub report i 9 = "REGRESSED" || contains (i + 1))
-     in
-     contains 0)
-
-let test_bench_gate_mismatches () =
-  let base =
-    Bench_gate.of_repeats ~section:"wire" ~config:config_base ~noise:0.1
-      reps_base
-  in
-  let other_config =
-    Bench_gate.of_repeats ~section:"wire"
-      ~config:[ ("clients", "8"); ("seconds", "1") ]
-      ~noise:0.1 reps_base
-  in
-  (match Bench_gate.compare_traj ~baseline:base other_config with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "config mismatch must be an error");
-  let other_metrics =
-    Bench_gate.of_repeats ~section:"wire" ~config:config_base ~noise:0.1
-      [ [ ("throughput_qps", 100.) ] ]
-  in
-  (match Bench_gate.compare_traj ~baseline:base other_metrics with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "metric-set mismatch must be an error");
-  let other_section =
-    Bench_gate.of_repeats ~section:"local" ~config:config_base ~noise:0.1
-      reps_base
-  in
-  match Bench_gate.compare_traj ~baseline:base other_section with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "section mismatch must be an error"
-
 (* ---- history over the wire ------------------------------------------- *)
 
 let test_history_request_parse () =
@@ -448,16 +345,6 @@ let () =
           Alcotest.test_case "rate rule" `Quick test_health_rate_rule;
           Alcotest.test_case "no data holds state" `Quick
             test_health_no_data_holds_state;
-        ] );
-      ( "bench gate",
-        [
-          Alcotest.test_case "median" `Quick test_bench_median;
-          Alcotest.test_case "trajectory round-trip" `Quick
-            test_bench_gate_roundtrip;
-          Alcotest.test_case "injected regression" `Quick
-            test_bench_gate_regression;
-          Alcotest.test_case "mismatched runs rejected" `Quick
-            test_bench_gate_mismatches;
         ] );
       ( "wire",
         [
