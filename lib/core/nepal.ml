@@ -122,7 +122,7 @@ let shortest_paths t ?(tc = Time_constraint.Snapshot) ?(via = "Edge")
     ?(max_hops = 8) ~src ~dst () =
   match Backend.element_by_uid t.conn_ ~tc src with
   | None -> Ok []
-  | Some src_elem ->
+  | Some (src_elem, versions) ->
       let rec deepen hops =
         if hops > max_hops then Ok []
         else
@@ -130,7 +130,9 @@ let shortest_paths t ?(tc = Time_constraint.Snapshot) ?(via = "Edge")
             Rpe.normalize (Rpe.Rep (Rpe.Atom (Rpe.atom via), 1, hops))
           in
           let* paths =
-            Eval_rpe.find t.conn_ ~tc ~seed:(Eval_rpe.From_nodes [ src_elem ]) rpe
+            Eval_rpe.find t.conn_ ~tc
+              ~seed:(Eval_rpe.From_nodes ([ src_elem ], versions))
+              rpe
           in
           let hits =
             List.filter (fun p -> (Path.target p).Path.uid = dst) paths

@@ -5,24 +5,35 @@
     engine, the property-graph engine) supplies the bulk operations and
     may log the query text it would ship to a real server.
 
-    Connections wrap a backend value together with a presence cache:
-    under a [Range] constraint the evaluator consults [presence] for
-    every (element, atom) pair on every frontier round, and the interval
-    sets it returns depend only on the store contents — so they are
-    memoized per connection, keyed by (uid, predicate identity, window),
-    and invalidated wholesale whenever the backend's mutation counter
-    moves. *)
+    Under a [Range] constraint every read that hands out elements also
+    hands out, beside its rows, each element's versions that overlap the
+    window: the rows the paper's [sys_period && window] Select and
+    Extend return anyway. The evaluator computes time-range validity
+    from those versions, so a range query costs one round-trip per
+    Select and per Extend round, as in the paper. *)
 
 module Value = Nepal_schema.Value
 module Metrics = Nepal_util.Metrics
 module Strmap = Nepal_util.Strmap
 module Time_constraint = Nepal_temporal.Time_constraint
 module Time_point = Nepal_temporal.Time_point
-module Interval_set = Nepal_temporal.Interval_set
+module Interval = Nepal_temporal.Interval
 module Rpe = Nepal_rpe.Rpe
-module Predicate = Nepal_rpe.Predicate
 
 type direction = Fwd | Bwd
+
+(** One version of an element: its transaction-time period and the
+    fields it had then. *)
+type version = { period : Interval.t; fields : Value.t Strmap.t }
+
+(** The versions a read saw, per element uid: under [Range], for every
+    element the read returns, its versions that overlap the window, in
+    no particular order. Every entry for a uid lists all of them, so a
+    uid may repeat, and a version may repeat within an entry. Outside
+    [Range] a read returns {!no_versions}. *)
+type versions = (int * version list) list
+
+let no_versions : versions = []
 
 type extend_item = {
   item_id : int;      (** caller's identifier for the partial pathway *)
@@ -46,19 +57,21 @@ module type S = sig
   val schema : t -> Nepal_schema.Schema.t
 
   val version : t -> int
-  (** Monotone mutation counter; any successful mutation moves it.
-      Drives presence-cache invalidation. *)
+  (** Monotone mutation counter; any successful mutation moves it. The
+      planner's plan cache keys its entries to it. *)
 
   val parallel_safe : bool
   (** Whether the read operations below ([select_atom], [bulk_extend],
-      [presence], [element_by_uid]) may be called concurrently from
-      multiple domains. True only when no read path mutates backend
-      state (no lazy caches, no logging, no temp tables). *)
+      [element_by_uid]) may be called concurrently from multiple
+      domains. True only when no read path mutates backend state (no
+      lazy caches, no logging, no temp tables). *)
 
   val select_atom :
-    t -> tc:Time_constraint.t -> Rpe.atom -> Path.element list
+    t -> tc:Time_constraint.t -> Rpe.atom -> Path.element list * versions
   (** All elements satisfying the atom under the constraint (Select
-      operator / anchor evaluation). *)
+      operator / anchor evaluation). Under [Range] an element qualifies
+      when one of its versions overlapping the window satisfies the
+      atom, and its versions are those that do. *)
 
   val estimate_atom : t -> Rpe.atom -> float
   (** Anchor cost: estimated matching-record count, from statistics when
@@ -70,25 +83,20 @@ module type S = sig
     dir:direction ->
     spec:extend_spec ->
     extend_item list ->
-    (int * Path.element) list
+    (int * Path.element) list * versions
   (** One-element extension of every item (Extend operator). [Fwd] from
       a node follows outgoing edges; from an edge reaches its target
       node. [Bwd] mirrors. Candidates that would revisit a uid in
       [prefix] are pruned; candidates that match no atom are pruned
       unless [with_skip]. The exact per-atom match is re-checked by the
       evaluator; the backend may over-approximate (e.g. class-only
-      filtering). *)
+      filtering). Under [Range] the versions are all of each
+      candidate's versions that overlap the window. *)
 
-  val presence :
-    t ->
-    uid:int ->
-    window:Time_point.t * Time_point.t ->
-    pred:(Value.t Strmap.t -> bool) option ->
-    Interval_set.t
-  (** When (within the window) did the element exist and satisfy the
-      predicate? Drives time-range pathway validity. *)
-
-  val element_by_uid : t -> tc:Time_constraint.t -> int -> Path.element option
+  val element_by_uid :
+    t -> tc:Time_constraint.t -> int -> (Path.element * versions) option
+  (** The element under the constraint, with (under [Range]) all its
+      versions that overlap the window. *)
 
   val version_boundaries :
     t -> uid:int -> window:Time_point.t * Time_point.t -> Time_point.t list
@@ -111,29 +119,10 @@ type 'a backend = (module S with type t = 'a)
 (** A backend packaged with its value. *)
 type handle = Handle : 'a backend * 'a -> handle
 
-(** Predicate identity for presence memoization. The evaluator only ever
-    asks for plain existence or for an atom's predicate, and atoms are
-    plain data (class name + literal comparisons), so the atom itself is
-    the cache key — structurally hashable and comparable. *)
-type presence_pred = P_exists | P_atom of Rpe.atom
-
-type cache_counters = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
-}
-
 (** A backend packaged with its connection state, so heterogeneous
-    backends can be mixed in one query (the data-integration story).
-    Carries the presence memo table; the lock makes the cache safe to
-    share between the domains of a parallel walk. *)
+    backends can be mixed in one query (the data-integration story). *)
 type conn = {
   handle : handle;
-  pcache :
-    (int * presence_pred * Time_point.t * Time_point.t, Interval_set.t) Hashtbl.t;
-  mutable pcache_version : int;
-  pcache_lock : Mutex.t;
-  counters : cache_counters;
   roundtrips : int Atomic.t;
       (** backend reads issued through this connection; atomic because
           parallel walk domains tick it concurrently. Trace spans read
@@ -145,10 +134,6 @@ let make (type a) (backend : a backend) (t : a) : conn =
   let (module B) = backend in
   {
     handle = Handle (backend, t);
-    pcache = Hashtbl.create 1024;
-    pcache_version = B.version t;
-    pcache_lock = Mutex.create ();
-    counters = { hits = 0; misses = 0; invalidations = 0 };
     roundtrips = Atomic.make 0;
     m_roundtrips = Metrics.counter (Printf.sprintf "backend.%s.roundtrips" B.name);
   }
@@ -176,11 +161,6 @@ let bulk_extend ({ handle = Handle ((module B), t); _ } as conn) ~tc ~dir ~spec
   tick conn;
   B.bulk_extend t ~tc ~dir ~spec items
 
-let presence ({ handle = Handle ((module B), t); _ } as conn) ~uid ~window ~pred
-    =
-  tick conn;
-  B.presence t ~uid ~window ~pred
-
 let element_by_uid ({ handle = Handle ((module B), t); _ } as conn) ~tc uid =
   tick conn;
   B.element_by_uid t ~tc uid
@@ -195,50 +175,3 @@ let describe_select { handle = Handle ((module B), t); _ } ~tc atom =
 
 let describe_extend { handle = Handle ((module B), t); _ } ~tc ~dir ~spec =
   B.describe_extend t ~tc ~dir ~spec
-
-(* -- the presence cache --------------------------------------------- *)
-
-let pred_of_presence_pred = function
-  | P_exists -> None
-  | P_atom a -> Some (fun fields -> Predicate.eval a.Rpe.pred fields)
-
-let cache_counters conn = conn.counters
-
-(* Per-connection counters feed [Eval_rpe.stats]; the global registry
-   mirrors them so one [Metrics.snapshot] covers every connection. *)
-let m_pcache_hits = Metrics.counter "backend.pcache.hits"
-let m_pcache_misses = Metrics.counter "backend.pcache.misses"
-let m_pcache_invalidations = Metrics.counter "backend.pcache.invalidations"
-
-(* Memoized presence. On a miss the backend read runs outside the lock
-   (it can be expensive); two domains may then compute the same entry,
-   which is harmless — last write wins with an identical value. *)
-let presence_cached conn ~uid ~window:(w0, w1) ~ppred =
-  let (Handle ((module B), t)) = conn.handle in
-  let v = B.version t in
-  let key = (uid, ppred, w0, w1) in
-  Mutex.lock conn.pcache_lock;
-  if v <> conn.pcache_version then begin
-    Hashtbl.reset conn.pcache;
-    conn.pcache_version <- v;
-    conn.counters.invalidations <- conn.counters.invalidations + 1;
-    Metrics.incr m_pcache_invalidations
-  end;
-  let cached = Hashtbl.find_opt conn.pcache key in
-  (match cached with
-  | Some _ ->
-      conn.counters.hits <- conn.counters.hits + 1;
-      Metrics.incr m_pcache_hits
-  | None ->
-      conn.counters.misses <- conn.counters.misses + 1;
-      Metrics.incr m_pcache_misses);
-  Mutex.unlock conn.pcache_lock;
-  match cached with
-  | Some s -> s
-  | None ->
-      tick conn;
-      let s = B.presence t ~uid ~window:(w0, w1) ~pred:(pred_of_presence_pred ppred) in
-      Mutex.lock conn.pcache_lock;
-      Hashtbl.replace conn.pcache key s;
-      Mutex.unlock conn.pcache_lock;
-      s

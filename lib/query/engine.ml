@@ -430,10 +430,12 @@ let rec run ~conn ?(binds = []) ?max_length ?stats ?trace q =
          d.vd_desc d.vd_variant)
       (fun vspan ->
         let rt0 = Backend_intf.conn_roundtrips c in
-        let from f elems =
+        let from f reads =
+          let elems, versions = List.split reads in
+          let versions = List.concat versions in
           match f with
-          | Source -> Some (Eval_rpe.From_nodes elems)
-          | Target -> Some (Eval_rpe.To_nodes elems)
+          | Source -> Some (Eval_rpe.From_nodes (elems, versions))
+          | Target -> Some (Eval_rpe.To_nodes (elems, versions))
         in
         let seed =
           match vp.vp_seed with
@@ -1028,7 +1030,6 @@ let run_instrumented ~conn ?(binds = []) ?max_length ?stats ?trace
     | None, None -> (None, false)
   in
   let rt0 = Backend_intf.conn_roundtrips conn in
-  let ph0 = (Backend_intf.cache_counters conn).Backend_intf.hits in
   let t0 = Unix.gettimeofday () in
   let res = run ~conn ~binds ?max_length ?stats ?trace:root q in
   let wall = Unix.gettimeofday () -. t0 in
@@ -1041,12 +1042,10 @@ let run_instrumented ~conn ?(binds = []) ?max_length ?stats ?trace
          r.Trace.rows_out <- rows
      | None -> ());
   let roundtrips = Backend_intf.conn_roundtrips conn - rt0 in
-  let pcache_hits = (Backend_intf.cache_counters conn).Backend_intf.hits - ph0 in
   let backend = Backend_intf.conn_name conn in
   let query_text = match text with Some t -> t | None -> Query_ast.to_string q in
   let fp = Stat_statements.fingerprint query_text in
   Stat_statements.record ~backend ~fingerprint:fp ~rows ~roundtrips
-    ~pcache_hits
     ~error:(Result.is_error res)
     ~wall_s:wall ();
   (match res with
@@ -1091,24 +1090,18 @@ let run_instrumented ~conn ?(binds = []) ?max_length ?stats ?trace
 let run ~conn ?binds ?max_length ?stats ?trace ?analyze q =
   run_instrumented ~conn ?binds ?max_length ?stats ?trace ?analyze ~text:None q
 
-let run_traced_aux ~conn ?binds ?max_length ?stats ?analyze ~text q =
-  let root = Trace.make "Query" in
-  let* r =
-    run_instrumented ~conn ?binds ?max_length ?stats ?analyze ~trace:root
-      ~own_trace:true ~text q
-  in
-  Ok (r, root)
-
-let run_traced ~conn ?binds ?max_length ?stats ?analyze q =
-  run_traced_aux ~conn ?binds ?max_length ?stats ?analyze ~text:None q
-
 let run_string ~conn ?binds ?max_length ?stats ?analyze text =
   let* q = Query_parser.parse text in
   run_instrumented ~conn ?binds ?max_length ?stats ?analyze ~text:(Some text) q
 
 let run_string_traced ~conn ?binds ?max_length ?stats ?analyze text =
   let* q = Query_parser.parse text in
-  run_traced_aux ~conn ?binds ?max_length ?stats ?analyze ~text:(Some text) q
+  let root = Trace.make "Query" in
+  let* r =
+    run_instrumented ~conn ?binds ?max_length ?stats ?analyze ~trace:root
+      ~own_trace:true ~text:(Some text) q
+  in
+  Ok (r, root)
 
 (* The one result renderer: the wire, the CLI and [Nepal.query_on]
    callers all print these bytes. Every line is appended straight into

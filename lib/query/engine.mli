@@ -136,17 +136,6 @@ val run :
     attaches per-operator child spans (Var/Select/Extend/Union, then
     Join/Coexist/Filter/Result) to the given parent span. *)
 
-val run_traced :
-  conn:Backend_intf.conn ->
-  ?binds:(string * Backend_intf.conn) list ->
-  ?max_length:int ->
-  ?stats:Eval_rpe.stats ->
-  ?analyze:analyze_mode ->
-  Query_ast.query ->
-  (result * Trace.span, string) Stdlib.result
-(** Like {!run}, but returns the measured operator span tree alongside
-    the result — the substance of [EXPLAIN ANALYZE]. *)
-
 val run_string :
   conn:Backend_intf.conn ->
   ?binds:(string * Backend_intf.conn) list ->
@@ -165,7 +154,8 @@ val run_string_traced :
   ?analyze:analyze_mode ->
   string ->
   (result * Trace.span, string) Stdlib.result
-(** Parse and {!run_traced}. *)
+(** Parse and {!run}, returning the measured operator span tree
+    alongside the result — the substance of [EXPLAIN ANALYZE]. *)
 
 val run_instrumented :
   conn:Backend_intf.conn ->

@@ -11,8 +11,8 @@ open Backend_intf
 
 type seed =
   | Anywhere
-  | From_nodes of Path.element list
-  | To_nodes of Path.element list
+  | From_nodes of Path.element list * versions
+  | To_nodes of Path.element list * versions
 
 (* A bidirectional (meet-in-the-middle) plan for a
    node · edge-rep{m,n} · node RPE: expand forward from the left
@@ -48,8 +48,6 @@ type stats = {
   mutable selects : int;
   mutable extends : int;
   mutable frontier_peak : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   mutable merged_partials : int;
   mutable saved_fetches : int;
   mutable walk_tasks : int;
@@ -61,8 +59,6 @@ let new_stats () =
     selects = 0;
     extends = 0;
     frontier_peak = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     merged_partials = 0;
     saved_fetches = 0;
     walk_tasks = 0;
@@ -70,8 +66,7 @@ let new_stats () =
   }
 
 (* Fold a per-task stats record (from one domain's walk) into the
-   caller's. Cache hits/misses are accounted at the connection, not
-   here. *)
+   caller's. *)
 let merge_stats dst src =
   dst.selects <- dst.selects + src.selects;
   dst.extends <- dst.extends + src.extends;
@@ -115,10 +110,35 @@ let mix u =
 let frontier_elem p =
   match p.rev_elements with e :: _ -> e | [] -> assert false
 
+(* The way a run consumed an element: by an atom, or unmatched (a
+   junction skip). *)
+type consumed = By_atom of Rpe.atom | Unmatched
+
+let holds consumed (v : version) =
+  match consumed with
+  | Unmatched -> true
+  | By_atom a -> Predicate.eval a.Rpe.pred v.fields
+
+(* Under Range, the instants at which an element held in the way
+   [consumed]: the periods of its versions (those overlapping the
+   window) that satisfy it, unclipped. *)
+let presence consumed (versions : version list) =
+  match versions with
+  | [ v ] -> if holds consumed v then Interval_set.singleton v.period else Interval_set.empty
+  | _ ->
+      Interval_set.of_list
+        (List.filter_map
+           (fun (v : version) -> if holds consumed v then Some v.period else None)
+           versions)
+
+let rec any_satisfies (a : Rpe.atom) = function
+  | [] -> false
+  | (v : version) :: rest -> Predicate.eval a.Rpe.pred v.fields || any_satisfies a rest
+
 (* Does the element satisfy the atom under the constraint? Under Range
-   the predicate may have held in a non-latest version, so presence is
-   consulted. *)
-let element_matches conn ~tc sch (elem : Path.element) (a : Rpe.atom) =
+   the predicate may have held in a non-latest version, so the
+   element's versions decide. *)
+let element_matches ~tc sch ~versions_of (elem : Path.element) (a : Rpe.atom) =
   let kind_ok =
     match Rpe.atom_kind sch a with
     | Some Schema.Node_kind -> elem.Path.is_node
@@ -130,12 +150,9 @@ let element_matches conn ~tc sch (elem : Path.element) (a : Rpe.atom) =
   match tc with
   | Time_constraint.Snapshot | Time_constraint.At _ ->
       Rpe.atom_matches sch a ~cls:elem.Path.cls ~fields:elem.Path.fields
-  | Time_constraint.Range (w0, w1) ->
+  | Time_constraint.Range _ ->
       Schema.is_subclass sch ~sub:elem.Path.cls ~sup:a.Rpe.cls
-      && not
-           (Interval_set.is_empty
-              (presence_cached conn ~uid:elem.Path.uid ~window:(w0, w1)
-                 ~ppred:(P_atom a)))
+      && any_satisfies a (versions_of elem)
 
 let combine_validity a b =
   match (a, b) with
@@ -144,39 +161,45 @@ let combine_validity a b =
 
 (* Under Range, a pathway qualifies when its (maximal) validity set
    overlaps the query window. *)
+let rec any_admitted tc = function
+  | [] -> false
+  | iv :: rest -> Time_constraint.admits tc iv || any_admitted tc rest
+
 let validity_ok ~tc v =
-  match tc with
-  | Time_constraint.Range (w0, w1) -> (
-      match v with
-      | Some s ->
-          Interval_set.overlaps s
-            (Interval_set.singleton (Nepal_temporal.Interval.between w0 w1))
-      | None -> false)
-  | _ -> true
+  match (tc, v) with
+  | Time_constraint.Range _, Some s -> any_admitted tc (Interval_set.to_list s)
+  | Time_constraint.Range _, None -> false
+  | (Time_constraint.Snapshot | Time_constraint.At _), _ -> true
 
 (* Memoized outcome of one NFA step from an interned state set over an
    element with a given atom-match profile. [e_classes] lists the ways
    the step consumed the element — each distinct atom matched by a Match
-   transition, then Skip when a skip could take it — with the presence
-   predicate each stands for. It is a property of the profile, not of
+   transition, then Skip when a skip could take it — with the way each
+   consumes it. It is a property of the profile, not of
    the particular element. [e_from] is the state set before the step.
    [e_plain] is the step's one outcome when validity is not tracked.
    [e_id] keys the per-walk outcome cache. *)
 type step_entry = {
   e_states : Nfa.states;
   e_sid : int;
-  e_classes : (presence_pred * Nfa.transition) list;
+  e_classes : (consumed * Nfa.transition) list;
   e_from : Nfa.states;
   e_plain : (Nfa.states * int * Interval_set.t option) list;
   e_id : int;
 }
 
-(* One directional walk from a set of start elements. Returns, for each
-   start, the accepted element sequences (in walk order, starting with
-   the start element) paired with their validity sets.
+(* One directional walk from a set of start elements, with the versions
+   the start elements' read returned. Returns, for each start, the
+   accepted element sequences (in walk order, starting with the start
+   element) paired with their validity sets.
+
+   Under Range the walk keeps every element's versions as the reads
+   return them, by uid; each Extend's versions replace what a Select
+   returned (only the versions that satisfy its atom, which is all a
+   start element is asked about). Validity is computed from them.
 
    The hot loop is dominated by per-candidate NFA simulation and
-   presence/validity set construction, so the walk keeps four local
+   validity set construction, so the walk keeps four local
    (single-domain, unsynchronized) memo tables:
 
    - [match_cache]: (element uid, atom) |-> does it match. Within one
@@ -196,7 +219,7 @@ type step_entry = {
 
    - [vcache]: (element uid, step-entry id) |-> the element's outcomes
      (successor state sets with their validity contributions), saving
-     the presence lookups on repeats.
+     the validity computation on repeats.
 
    - [outcome_cache]: (element uid, state-set id) |-> the same outcomes,
      so the innermost loop costs one probe; the finer caches back its
@@ -207,11 +230,30 @@ type step_entry = {
    it. When all the consumption classes at an element hold at the same
    instants, the runs through them can share one partial. When they do
    not, the partial splits: each class continues with its own successor
-   states and its own presence, and [merge] and the final [dedup_paths]
+   states and its own validity, and [merge] and the final [dedup_paths]
    union what the runs have in common. *)
-let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
+let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) ~versions nfa
     (starts : Path.element list) =
   let sch = conn_schema conn in
+  let vtbl : (int, version list) Hashtbl.t option =
+    match tc with
+    | Time_constraint.Range _ -> Some (Hashtbl.create 16)
+    | Time_constraint.Snapshot | Time_constraint.At _ -> None
+  in
+  let learn versions =
+    match vtbl with
+    | None -> ()
+    | Some tbl -> List.iter (fun (u, vs) -> Hashtbl.replace tbl u vs) versions
+  in
+  learn versions;
+  let versions_of (elem : Path.element) =
+    match Hashtbl.find (Option.get vtbl) elem.Path.uid with
+    | vs -> vs
+    | exception Not_found ->
+        invalid_arg
+          (Printf.sprintf "Eval_rpe: %s returned #%d without its versions"
+             (conn_name conn) elem.Path.uid)
+  in
   let memo = Nfa.Memo.create nfa in
   stats.walk_tasks <- stats.walk_tasks + 1;
   let atom_ids : (Rpe.atom, int) Hashtbl.t = Hashtbl.create 16 in
@@ -228,13 +270,13 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
   let match_cache : (int, bool) Hashtbl.t = Hashtbl.create 64 in
   let elem_match (elem : Path.element) a =
     let i = atom_id a in
-    if i >= 64 then element_matches conn ~tc sch elem a
+    if i >= 64 then element_matches ~tc sch ~versions_of elem a
     else
       let key = (elem.Path.uid lsl 6) lor i in
       match Hashtbl.find_opt match_cache key with
       | Some b -> b
       | None ->
-          let b = element_matches conn ~tc sch elem a in
+          let b = element_matches ~tc sch ~versions_of elem a in
           Hashtbl.replace match_cache key b;
           b
   in
@@ -277,7 +319,7 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
       else
         let skip =
           if Nfa.Memo.can_skip memo ~sid ~is_node:elem.Path.is_node states
-          then [ (P_exists, Nfa.Skip) ]
+          then [ (Unmatched, Nfa.Skip) ]
           else []
         in
         let id = !next_entry in
@@ -288,7 +330,7 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
             e_states = states';
             e_sid = sid';
             e_classes =
-              List.rev_map (fun a -> (P_atom a, Nfa.Match a)) !matched @ skip;
+              List.rev_map (fun a -> (By_atom a, Nfa.Match a)) !matched @ skip;
             e_from = states;
             e_plain = [ (states', sid', None) ];
             e_id = id;
@@ -313,20 +355,12 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
           r
     end
   in
-  let window =
-    match tc with
-    | Time_constraint.Range (w0, w1) -> Some (w0, w1)
-    | Time_constraint.Snapshot | Time_constraint.At _ -> None
-  in
   (* Under Range, the successor state sets of one step with their
      validity contributions: one outcome, or one per consumption class
      when the classes hold at different instants. *)
-  let range_outcomes window (elem : Path.element) (e : step_entry) =
-    let sets =
-      List.map
-        (fun (ppred, _) -> presence_cached conn ~uid:elem.Path.uid ~window ~ppred)
-        e.e_classes
-    in
+  let range_outcomes (elem : Path.element) (e : step_entry) =
+    let versions = versions_of elem in
+    let sets = List.map (fun (c, _) -> presence c versions) e.e_classes in
     match sets with
     | s :: rest when List.for_all (Interval_set.equal s) rest ->
         [ (e.e_states, e.e_sid, Some s) ]
@@ -344,15 +378,15 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
     Hashtbl.create 64
   in
   let contribution (elem : Path.element) (e : step_entry) =
-    match window with
+    match vtbl with
     | None -> e.e_plain
-    | Some window when e.e_id >= 4096 -> range_outcomes window elem e
-    | Some window -> (
+    | Some _ when e.e_id >= 4096 -> range_outcomes elem e
+    | Some _ -> (
         let key = (elem.Path.uid lsl 12) lor e.e_id in
         match Hashtbl.find_opt vcache key with
         | Some v -> v
         | None ->
-            let v = range_outcomes window elem e in
+            let v = range_outcomes elem e in
             Hashtbl.replace vcache key v;
             v)
   in
@@ -376,25 +410,12 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
           Hashtbl.replace outcome_cache key r;
           r
   in
-  (* The query window as an interval set, built once. *)
-  let window_set =
-    Option.map
-      (fun (w0, w1) ->
-        Interval_set.singleton (Nepal_temporal.Interval.between w0 w1))
-      window
-  in
-  let valid_ok v =
-    match window_set with
-    | None -> true
-    | Some w -> (
-        match v with Some s -> Interval_set.overlaps s w | None -> false)
-  in
   let start_states = Nfa.start nfa in
   let start_sid = Nfa.Memo.id memo start_states in
   let init (elem : Path.element) =
     List.filter_map
       (fun (states, sid, valid) ->
-        if not (valid_ok valid) then None
+        if not (validity_ok ~tc valid) then None
         else
           Some
             {
@@ -412,7 +433,7 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
     | [] -> ()
     | (states, sid, contrib) :: rest ->
         let valid = combine_validity partial.valid contrib in
-        if valid_ok valid then begin
+        if validity_ok ~tc valid then begin
           next :=
             {
               rev_elements = elem :: partial.rev_elements;
@@ -546,8 +567,7 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
       (* Deduplicate: thousands of partials share the same few state
          sets, and backends check candidates against every listed
          atom. *)
-      let seen_sid = Hashtbl.create 8 in
-      let seen_atom = Hashtbl.create 8 in
+      let seen_sids = ref [] in
       let atoms = ref [] in
       let with_skip = ref false in
       List.iter
@@ -557,20 +577,17 @@ let walk conn ~tc ~dir ~max_length ~stats ?(emit_edges = false) nfa
             (not !with_skip)
             && Nfa.Memo.can_skip memo ~sid:p.sid ~is_node:next_is_node p.states
           then with_skip := true;
-          if not (Hashtbl.mem seen_sid p.sid) then begin
-            Hashtbl.replace seen_sid p.sid ();
+          if not (List.mem p.sid !seen_sids) then begin
+            seen_sids := p.sid :: !seen_sids;
             List.iter
-              (fun a ->
-                if not (Hashtbl.mem seen_atom a) then begin
-                  Hashtbl.replace seen_atom a ();
-                  atoms := a :: !atoms
-                end)
+              (fun a -> if not (List.mem a !atoms) then atoms := a :: !atoms)
               (Nfa.Memo.outgoing_atoms memo ~sid:p.sid p.states)
           end)
         parts;
       { atoms = !atoms; with_skip = !with_skip }
     in
-    let extensions = bulk_extend conn ~tc ~dir ~spec items in
+    let extensions, versions = bulk_extend conn ~tc ~dir ~spec items in
+    learn versions;
     next := [];
     n_next := 0;
     List.iter
@@ -607,14 +624,14 @@ let chunk k xs =
    domain pool when the backend's reads are parallel-safe. Results are
    concatenated in chunk order, so the outcome is independent of the
    domain count. *)
-let seeded_walk conn ~cfg ~tc ~dir ~max_length ~stats nfa seeds =
+let seeded_walk conn ~cfg ~tc ~dir ~max_length ~stats ~versions nfa seeds =
   let par =
     parallel_safe conn && cfg.domains > 1
     && List.length seeds >= max 2 cfg.par_threshold
   in
   if not par then begin
     if seeds <> [] then stats.domains_used <- max stats.domains_used 1;
-    walk conn ~tc ~dir ~max_length ~stats nfa seeds
+    walk conn ~tc ~dir ~max_length ~stats ~versions nfa seeds
   end
   else begin
     let chunks = chunk cfg.domains seeds in
@@ -623,7 +640,7 @@ let seeded_walk conn ~cfg ~tc ~dir ~max_length ~stats nfa seeds =
       List.map
         (fun c () ->
           let s = new_stats () in
-          (walk conn ~tc ~dir ~max_length ~stats:s nfa c, s))
+          (walk conn ~tc ~dir ~max_length ~stats:s ~versions nfa c, s))
         chunks
     in
     let out = Domain_pool.run ~domains:cfg.domains thunks in
@@ -665,6 +682,7 @@ let dedup_paths paths =
    directional NFAs are compiled, and the walks remain to be run. *)
 type prepared_split = {
   anchors : Path.element list;
+  anchor_versions : versions;
   fwd_nfa : Nfa.t;
   bwd_nfa : Nfa.t;
 }
@@ -672,7 +690,7 @@ type prepared_split = {
 let prepare_split conn ~tc ~stats ?prune (split : Anchor.split) =
   let anchor_atom = split.Anchor.anchor in
   stats.selects <- stats.selects + 1;
-  let anchors = select_atom conn ~tc anchor_atom in
+  let anchors, anchor_versions = select_atom conn ~tc anchor_atom in
   if anchors = [] then None
   else begin
     let fwd_rpe =
@@ -693,6 +711,7 @@ let prepare_split conn ~tc ~stats ?prune (split : Anchor.split) =
     Some
       {
         anchors;
+        anchor_versions;
         fwd_nfa =
           apply_prune prune ~dir:Fwd
             (Nfa.compile ~lead_skip:false ~trail_skip:true ~kind_of fwd_rpe);
@@ -786,7 +805,9 @@ let eval_anywhere conn ~cfg ~tc ~max_length ~stats ?trace ?prune splits =
   in
   let tasks =
     List.concat_map
-      (fun p -> [ (Fwd, p.fwd_nfa, p.anchors); (Bwd, p.bwd_nfa, p.anchors) ])
+      (fun p ->
+        [ (Fwd, p.fwd_nfa, p.anchors, p.anchor_versions);
+          (Bwd, p.bwd_nfa, p.anchors, p.anchor_versions) ])
       prepared
   in
   let par =
@@ -806,9 +827,9 @@ let eval_anywhere conn ~cfg ~tc ~max_length ~stats ?trace ?prune splits =
               max stats.domains_used (min cfg.domains (List.length tasks));
             let thunks =
               List.map
-                (fun (dir, nfa, anchors) () ->
+                (fun (dir, nfa, anchors, versions) () ->
                   let st = new_stats () in
-                  (walk conn ~tc ~dir ~max_length ~stats:st nfa anchors, st))
+                  (walk conn ~tc ~dir ~max_length ~stats:st ~versions nfa anchors, st))
                 tasks
             in
             let out = Domain_pool.run ~domains:cfg.domains thunks in
@@ -818,8 +839,8 @@ let eval_anywhere conn ~cfg ~tc ~max_length ~stats ?trace ?prune splits =
           else begin
             if tasks <> [] then stats.domains_used <- max stats.domains_used 1;
             List.map
-              (fun (dir, nfa, anchors) ->
-                walk conn ~tc ~dir ~max_length ~stats nfa anchors)
+              (fun (dir, nfa, anchors, versions) ->
+                walk conn ~tc ~dir ~max_length ~stats ~versions nfa anchors)
               tasks
           end
         in
@@ -880,18 +901,21 @@ let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
          (Predicate.to_string a.Rpe.pred))
       (fun s ->
         stats.selects <- stats.selects + 1;
-        let r = select_atom conn ~tc a in
+        let ((r, _) as read) = select_atom conn ~tc a in
         (match s with Some s -> s.Trace.rows_out <- List.length r | None -> ());
-        r)
+        read)
   in
-  let left = select "left" bp.bd_left in
-  let right = if left = [] then [] else select "right" bp.bd_right in
+  let left, left_versions = select "left" bp.bd_left in
+  let right, right_versions =
+    if left = [] then ([], no_versions) else select "right" bp.bd_right
+  in
   if left = [] || right = [] then []
   else begin
     let fwd_cap = min max_length (Rpe.max_length bp.bd_fwd) in
     let bwd_cap = min max_length (Rpe.max_length bp.bd_bwd) in
     let tasks =
-      [ (Fwd, fwd_nfa, left, fwd_cap); (Bwd, bwd_nfa, right, bwd_cap) ]
+      [ (Fwd, fwd_nfa, (left, left_versions), fwd_cap);
+        (Bwd, bwd_nfa, (right, right_versions), bwd_cap) ]
     in
     let par = parallel_safe conn && cfg.domains > 1 in
     let extends0 = stats.extends in
@@ -906,10 +930,10 @@ let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
               stats.domains_used <- max stats.domains_used 2;
               let thunks =
                 List.map
-                  (fun (dir, nfa, seeds, cap) () ->
+                  (fun (dir, nfa, (seeds, versions), cap) () ->
                     let st = new_stats () in
                     ( walk conn ~tc ~dir ~max_length:cap ~stats:st
-                        ~emit_edges:true nfa seeds,
+                        ~emit_edges:true ~versions nfa seeds,
                       st ))
                   tasks
               in
@@ -920,9 +944,9 @@ let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
             else begin
               stats.domains_used <- max stats.domains_used 1;
               List.map
-                (fun (dir, nfa, seeds, cap) ->
+                (fun (dir, nfa, (seeds, versions), cap) ->
                   walk conn ~tc ~dir ~max_length:cap ~stats
-                    ~emit_edges:true nfa seeds)
+                    ~emit_edges:true ~versions nfa seeds)
                 tasks
             end
           in
@@ -982,9 +1006,8 @@ let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
         !out)
   end
 
-(* Evaluator-level registry instruments (PR 1's per-connection cache
-   counters surface globally through Backend_intf; these cover the
-   operator counts and whole-evaluation latency). *)
+(* Evaluator-level registry instruments: operator counts and
+   whole-evaluation latency. *)
 let m_selects = Metrics.counter "eval.selects"
 let m_extends = Metrics.counter "eval.extends"
 let m_walk_tasks = Metrics.counter "eval.walk_tasks"
@@ -996,8 +1019,6 @@ let find conn ~tc ?max_length ?(seed = Anywhere) ?stats ?(anchor = `Cheapest)
     ?(strategy = Auto) ?prune ?config ?trace norm =
   let cfg = match config with Some c -> c | None -> default_config () in
   let stats = match stats with Some s -> s | None -> new_stats () in
-  let counters = cache_counters conn in
-  let hits0 = counters.hits and misses0 = counters.misses in
   let selects0 = stats.selects
   and extends0 = stats.extends
   and walk_tasks0 = stats.walk_tasks
@@ -1039,7 +1060,7 @@ let find conn ~tc ?max_length ?(seed = Anywhere) ?stats ?(anchor = `Cheapest)
             selection.Anchor.splits
         in
         Ok (dedup_paths paths)
-    | From_nodes seeds ->
+    | From_nodes (seeds, versions) ->
         let kind_of = kind_of_for (conn_schema conn) in
         let nfa =
           apply_prune prune ~dir:Fwd
@@ -1051,7 +1072,8 @@ let find conn ~tc ?max_length ?(seed = Anywhere) ?stats ?(anchor = `Cheapest)
             (Printf.sprintf "seeded fwd seeds=%d" (List.length seeds))
             (fun s ->
               let r =
-                seeded_walk conn ~cfg ~tc ~dir:Fwd ~max_length ~stats nfa seeds
+                seeded_walk conn ~cfg ~tc ~dir:Fwd ~max_length ~stats ~versions nfa
+                  seeds
               in
               (match s with
               | Some s ->
@@ -1073,7 +1095,7 @@ let find conn ~tc ?max_length ?(seed = Anywhere) ?stats ?(anchor = `Cheapest)
           | _ -> List.map (fun p -> { p with Path.valid = None }) paths
         in
         Ok (dedup_paths paths)
-    | To_nodes seeds ->
+    | To_nodes (seeds, versions) ->
         let kind_of = kind_of_for (conn_schema conn) in
         let nfa =
           apply_prune prune ~dir:Bwd
@@ -1086,7 +1108,8 @@ let find conn ~tc ?max_length ?(seed = Anywhere) ?stats ?(anchor = `Cheapest)
             (Printf.sprintf "seeded bwd seeds=%d" (List.length seeds))
             (fun s ->
               let r =
-                seeded_walk conn ~cfg ~tc ~dir:Bwd ~max_length ~stats nfa seeds
+                seeded_walk conn ~cfg ~tc ~dir:Bwd ~max_length ~stats ~versions nfa
+                  seeds
               in
               (match s with
               | Some s ->
@@ -1109,8 +1132,6 @@ let find conn ~tc ?max_length ?(seed = Anywhere) ?stats ?(anchor = `Cheapest)
         in
         Ok (dedup_paths paths)
   in
-  stats.cache_hits <- stats.cache_hits + (counters.hits - hits0);
-  stats.cache_misses <- stats.cache_misses + (counters.misses - misses0);
   Metrics.add m_selects (stats.selects - selects0);
   Metrics.add m_extends (stats.extends - extends0);
   Metrics.add m_walk_tasks (stats.walk_tasks - walk_tasks0);

@@ -7,9 +7,8 @@
     (alternations). Pathways are cycle-free, as in the paper's generated
     SQL.
 
-    Three accelerations layer over that core, none of which changes the
-    result set: presence memoization (per-connection,
-    version-invalidated), frontier deduplication (one backend fetch per
+    Two accelerations layer over that core, neither of which changes
+    the result set: frontier deduplication (one backend fetch per
     distinct frontier element, and merging of partials that denote the
     same element sequence), and Domain-parallel walks (the
     forward/backward walks of every anchor split, or chunks of a seeded
@@ -18,7 +17,11 @@
 
     Under a [Range] constraint a pathway's validity is the union, over
     the runs that match it, of the instants at which each run matches:
-    every element holds, at once, for the way that run consumed it. *)
+    every element holds, at once, for the way that run consumed it. An
+    element holds when one of its versions does; the versions come back
+    with the Select and Extend rows that hand the element out, so a
+    range evaluation issues one backend read per Select and per Extend
+    round, and none per element. *)
 
 module Time_constraint = Nepal_temporal.Time_constraint
 module Rpe = Nepal_rpe.Rpe
@@ -26,10 +29,11 @@ module Rpe = Nepal_rpe.Rpe
 type seed =
   | Anywhere
       (** anchored evaluation — the RPE must contain an anchor *)
-  | From_nodes of Path.element list
+  | From_nodes of Path.element list * Backend_intf.versions
       (** the pathway's source node is one of these (an anchor imported
-          from a join, e.g. [source(Phys) = target(D1)]) *)
-  | To_nodes of Path.element list
+          from a join, e.g. [source(Phys) = target(D1)]), with the
+          versions {!Backend_intf.element_by_uid} returned for them *)
+  | To_nodes of Path.element list * Backend_intf.versions
       (** symmetric: constrains the pathway's target node *)
 
 type bidi_plan = {
@@ -76,8 +80,6 @@ type stats = {
   mutable selects : int;   (** Select operators executed *)
   mutable extends : int;   (** bulk Extend rounds executed *)
   mutable frontier_peak : int;
-  mutable cache_hits : int;    (** presence-cache hits during this call *)
-  mutable cache_misses : int;  (** presence-cache fills during this call *)
   mutable merged_partials : int;
       (** partials collapsed into an equivalent survivor *)
   mutable saved_fetches : int;

@@ -10,16 +10,13 @@ module Predicate = Nepal_rpe.Predicate
 module G = Nepal_gremlin
 open Backend_intf
 
-(* One historical version of an element's fields. *)
-type version = { period : Interval.t; vfields : Value.t Strmap.t }
-
 type t = {
   schema : Schema.t;
   graph : G.Pgraph.t;
   versions : (int, version list) Hashtbl.t; (* oldest first *)
   mutable log : string list;
   mutable log_len : int;
-  (* Mutation counter for presence-cache invalidation. *)
+  (* Mutation counter; keys the planner's plan cache. *)
   mutable gversion : int;
 }
 
@@ -80,7 +77,7 @@ let mirror_store t store =
   (* Vertices before edges so endpoints exist. *)
   let entity_versions uid =
     List.map
-      (fun (v : E.t) -> { period = v.period; vfields = v.fields })
+      (fun (v : E.t) -> { period = v.period; fields = v.fields })
       (GS.versions store uid)
   in
   let latest uid = List.rev (GS.versions store uid) |> function
@@ -135,18 +132,37 @@ let fields_under t tc uid (latest_props : Value.t Strmap.t) =
   let from_versions pick =
     match Hashtbl.find_opt t.versions uid with
     | None | Some [] -> Some (Strmap.remove "sys_period" latest_props)
-    | Some versions -> Option.map (fun v -> v.vfields) (pick versions)
+    | Some versions -> Option.map (fun v -> v.fields) (pick versions)
   in
   match tc with
   | Time_constraint.Snapshot -> Some (Strmap.remove "sys_period" latest_props)
   | Time_constraint.At p ->
       from_versions (fun versions ->
           List.find_opt (fun v -> Interval.contains v.period p) versions)
-  | Time_constraint.Range (a, b) ->
+  | Time_constraint.Range _ ->
+      (* The last admitted version: the list is oldest first. *)
       from_versions (fun versions ->
-          List.rev versions
-          |> List.find_opt (fun v ->
-                 Interval.overlaps v.period (Interval.between a b)))
+          List.fold_left
+            (fun latest v ->
+              if Time_constraint.admits tc v.period then Some v else latest)
+            None versions)
+
+(* Under Range, the stored versions of every element [uid_of] names in
+   [xs] that overlap the window and satisfy [keep] (the stored list
+   itself when all do); otherwise none. *)
+let versions_of ?(keep = fun _ -> true) t tc uid_of xs =
+  match tc with
+  | Time_constraint.Range _ ->
+      List.map
+        (fun x ->
+          let uid = uid_of x in
+          let versions = Option.value ~default:[] (Hashtbl.find_opt t.versions uid) in
+          let ok v = Time_constraint.admits tc v.period && keep v.fields in
+          (uid, if List.for_all ok versions then versions else List.filter ok versions))
+        xs
+  | Time_constraint.Snapshot | Time_constraint.At _ -> no_versions
+
+let uid_of (e : Path.element) = e.Path.uid
 
 let element_of t tc (e : G.Pgraph.element) =
   match fields_under t tc e.G.Pgraph.id e.G.Pgraph.props with
@@ -193,17 +209,17 @@ let version_aware_pred t tc uid (a : Rpe.atom) =
   match tc with
   | Time_constraint.Snapshot -> (
       match List.find_opt (fun v -> Interval.is_current v.period) versions with
-      | Some v -> Predicate.eval a.Rpe.pred v.vfields
+      | Some v -> Predicate.eval a.Rpe.pred v.fields
       | None -> false)
   | Time_constraint.At p -> (
       match List.find_opt (fun v -> Interval.contains v.period p) versions with
-      | Some v -> Predicate.eval a.Rpe.pred v.vfields
+      | Some v -> Predicate.eval a.Rpe.pred v.fields
       | None -> false)
   | Time_constraint.Range (w0, w1) ->
       List.exists
         (fun v ->
           Interval.overlaps v.period (Interval.between w0 w1)
-          && Predicate.eval a.Rpe.pred v.vfields)
+          && Predicate.eval a.Rpe.pred v.fields)
         versions
 
 (* The Select operator's traversal — shared by execution and EXPLAIN so
@@ -229,9 +245,12 @@ let select_atom t ~tc (a : Rpe.atom) =
   let steps = select_steps t ~tc a in
   log_traversal t steps;
   let traversers = G.Traversal.run t.graph steps in
-  G.Traversal.results t.graph traversers
-  |> List.filter (fun (e : G.Pgraph.element) -> version_aware_pred t tc e.id a)
-  |> List.filter_map (element_of t tc)
+  let elems =
+    G.Traversal.results t.graph traversers
+    |> List.filter (fun (e : G.Pgraph.element) -> version_aware_pred t tc e.id a)
+    |> List.filter_map (element_of t tc)
+  in
+  (elems, versions_of ~keep:(Predicate.eval a.Rpe.pred) t tc uid_of elems)
 
 let estimate_atom t (a : Rpe.atom) =
   let prefix = Schema.inheritance_label t.schema a.Rpe.cls in
@@ -259,6 +278,9 @@ let estimate_atom t (a : Rpe.atom) =
   | _ :: _ -> Float.max 1. (count /. 10.)
   | [] -> count
 
+let with_versions t tc e =
+  Option.map (fun el -> (el, versions_of t tc uid_of [ el ])) (element_of t tc e)
+
 let element_by_uid t ~tc uid =
   match G.Pgraph.element t.graph uid with
   | None -> None
@@ -267,9 +289,9 @@ let element_by_uid t ~tc uid =
       match Strmap.find_opt "sys_period" e.G.Pgraph.props with
       | Some pv -> (
           match Nepal_relational.Ivalue.to_interval pv with
-          | Some iv when Time_constraint.admits tc iv -> element_of t tc e
+          | Some iv when Time_constraint.admits tc iv -> with_versions t tc e
           | _ -> None)
-      | None -> element_of t tc e)
+      | None -> with_versions t tc e)
 
 (* One traversal per Extend round, fed with the whole frontier — the
    paper's channel batching ("keeping the data in the Gremlin database
@@ -358,7 +380,8 @@ let bulk_extend t ~tc ~dir ~spec items =
       distribute by_uid (G.Traversal.run t.graph steps)
     end
   in
-  from_nodes @ from_edges
+  let extensions = from_nodes @ from_edges in
+  (extensions, versions_of t tc (fun (_, e) -> uid_of e) extensions)
 
 let describe_select t ~tc (a : Rpe.atom) =
   G.Traversal.to_gremlin (select_steps t ~tc a)
@@ -384,19 +407,6 @@ let describe_extend t ~tc ~dir ~spec =
       (* Substitute the frontier placeholder into the V() source step. *)
       let text = G.Traversal.to_gremlin steps in
       "g.V(<frontier>)" ^ String.sub text 5 (String.length text - 5)
-
-let presence t ~uid ~window:(w0, w1) ~pred =
-  let versions =
-    match Hashtbl.find_opt t.versions uid with Some v -> v | None -> []
-  in
-  List.fold_left
-    (fun acc v ->
-      let ok = match pred with None -> true | Some p -> p v.vfields in
-      if not ok then acc
-      else if Interval.overlaps v.period (Interval.between w0 w1) then
-        Interval_set.add v.period acc
-      else acc)
-    Interval_set.empty versions
 
 let version_boundaries t ~uid ~window:(w0, w1) =
   let versions =

@@ -32,16 +32,22 @@ let element_of_entity (e : Entity.t) =
     is_node = Entity.is_node e;
   }
 
-let presence t ~uid ~window:(a, b) ~pred =
-  let tc = Time_constraint.range a b in
-  let entity_pred =
-    match pred with
-    | None -> fun _ -> true
-    | Some p -> fun (e : Entity.t) -> p e.fields
-  in
-  Store.presence t ~tc ~pred:entity_pred uid
-
 let atom_pred (a : Rpe.atom) fields = Predicate.eval a.Rpe.pred fields
+
+(* The entity's versions the constraint admits that satisfy [keep]. *)
+let versions_where ?(keep = fun _ -> true) t ~tc uid =
+  Store.fold_versions_under t ~tc uid
+    (fun acc (e : Entity.t) ->
+      if keep e.fields then { period = e.period; fields = e.fields } :: acc else acc)
+    []
+
+(* Under Range, the versions of every element [uid_of] names in [xs];
+   otherwise none. *)
+let versions_of t ~tc uid_of xs =
+  match tc with
+  | Time_constraint.Range _ ->
+      List.map (fun x -> (uid_of x, versions_where t ~tc (uid_of x))) xs
+  | Time_constraint.Snapshot | Time_constraint.At _ -> no_versions
 
 let select_atom t ~tc (a : Rpe.atom) =
   let candidates =
@@ -51,19 +57,20 @@ let select_atom t ~tc (a : Rpe.atom) =
     | _ -> Store.scan_class t ~tc a.Rpe.cls
   in
   match tc with
-  | Time_constraint.Range (w0, w1) ->
+  | Time_constraint.Range _ ->
       (* Predicates may have held in versions other than the one
-         returned by the scan; qualify by presence. *)
-      List.filter
-        (fun (e : Entity.t) ->
-          not
-            (Nepal_temporal.Interval_set.is_empty
-               (presence t ~uid:e.uid ~window:(w0, w1) ~pred:(Some (atom_pred a)))))
-        candidates
-      |> List.map element_of_entity
+         returned by the scan: an element qualifies by the versions
+         that satisfy the atom, and those are its versions. *)
+      List.fold_right
+        (fun (e : Entity.t) ((elems, versions) as acc) ->
+          match versions_where ~keep:(atom_pred a) t ~tc e.uid with
+          | [] -> acc
+          | vs -> (element_of_entity e :: elems, (e.uid, vs) :: versions))
+        candidates ([], no_versions)
   | Time_constraint.Snapshot | Time_constraint.At _ ->
-      List.filter (fun (e : Entity.t) -> atom_pred a e.fields) candidates
-      |> List.map element_of_entity
+      ( List.filter (fun (e : Entity.t) -> atom_pred a e.fields) candidates
+        |> List.map element_of_entity,
+        no_versions )
 
 let estimate_atom t (a : Rpe.atom) =
   let class_count = Store.count_current t ~cls:a.Rpe.cls in
@@ -124,7 +131,8 @@ let bulk_extend t ~tc ~dir ~spec items =
           acc candidates)
       [] items
   in
-  List.rev rev_out
+  let out = List.rev rev_out in
+  (out, versions_of t ~tc (fun (_, (e : Path.element)) -> e.Path.uid) out)
 
 let describe_select t ~tc (a : Rpe.atom) =
   let access =
@@ -151,7 +159,10 @@ let describe_extend _t ~tc:_ ~dir ~spec =
   Printf.sprintf "%s(frontier) |> prune_visited |> class_admissible(%s)" adj
     classes
 
-let element_by_uid t ~tc uid = Option.map element_of_entity (Store.get t ~tc uid)
+let element_by_uid t ~tc uid =
+  Option.map
+    (fun e -> (element_of_entity e, versions_of t ~tc Fun.id [ uid ]))
+    (Store.get t ~tc uid)
 
 let version_boundaries t ~uid ~window:(a, b) =
   let in_window p = Time_point.compare a p <= 0 && Time_point.compare p b < 0 in

@@ -23,7 +23,7 @@ type t = {
   stats : (string * string, int * int) Hashtbl.t;
   mutable log : string list;
   mutable log_len : int;
-  (* Mutation counter for presence-cache invalidation. *)
+  (* Mutation counter; keys the planner's plan cache. *)
   mutable rversion : int;
 }
 
@@ -394,41 +394,74 @@ let run_logged t plan =
   if t.log_len < max_log then log_sql t (R.Plan.to_sql plan);
   R.Plan.run t.db plan
 
-let element_of_row sch cls rs row =
-  let is_node = Schema.kind_of sch cls = Some Schema.Node_kind in
+let row_fields sch cls ~is_node rs row =
   let fields =
     List.fold_left
       (fun acc (f, _) ->
         Strmap.add f (R.Plan.column_value rs row f) acc)
       Strmap.empty (Schema.fields_of sch cls)
   in
-  let fields =
-    if is_node then fields
-    else
-      fields
-      |> Strmap.add "source_id_" (R.Plan.column_value rs row "source_id_")
-      |> Strmap.add "target_id_" (R.Plan.column_value rs row "target_id_")
-  in
+  if is_node then fields
+  else
+    fields
+    |> Strmap.add "source_id_" (R.Plan.column_value rs row "source_id_")
+    |> Strmap.add "target_id_" (R.Plan.column_value rs row "target_id_")
+
+let element_of_row sch cls rs row =
+  let is_node = Schema.kind_of sch cls = Some Schema.Node_kind in
   match R.Plan.column_value rs row "id_" with
-  | Value.Int uid -> Some { Path.uid; cls; fields; is_node }
+  | Value.Int uid ->
+      Some { Path.uid; cls; fields = row_fields sch cls ~is_node rs row; is_node }
   | _ -> None
 
-(* Latest qualifying row per uid from a (possibly multi-version) scan. *)
-let dedup_latest rs =
-  let best = Hashtbl.create 64 in
+let row_period rs row = R.Ivalue.to_interval (R.Plan.column_value rs row "sys_period")
+
+(* The rows of a (possibly multi-version) scan by uid, in descending uid
+   order: the latest qualifying row, then the others. *)
+let latest_first_by_uid rs =
+  let best = Hashtbl.create 16 in
   List.iter
     (fun row ->
       match R.Plan.column_value rs row "id_" with
       | Value.Int uid -> (
           let period = R.Plan.column_value rs row "sys_period" in
           match Hashtbl.find_opt best uid with
-          | Some (p0, _) when Value.compare p0 period >= 0 -> ()
-          | _ -> Hashtbl.replace best uid (period, row))
+          | Some (p0, latest, older) when Value.compare p0 period >= 0 ->
+              Hashtbl.replace best uid (p0, latest, row :: older)
+          | Some (_, latest, older) ->
+              Hashtbl.replace best uid (period, row, latest :: older)
+          | None -> Hashtbl.replace best uid (period, row, []))
       | _ -> ())
     rs.R.Plan.rows;
-  Hashtbl.fold (fun uid (_, row) acc -> (uid, row) :: acc) best []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+  Hashtbl.fold (fun uid (_, latest, older) acc -> (uid, latest, older) :: acc) best []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a)
+
+(* A read's elements in uid order, one per uid from its latest row.
+   Under Range every row is also a version of its uid (the rows the
+   window-overlap filter returned); the latest shares the element's
+   field map. *)
+let read_rows sch ~tc cls rs =
+  let range = match tc with Time_constraint.Range _ -> true | _ -> false in
+  let elems = ref [] and versions = ref no_versions in
+  List.iter
+    (fun (uid, latest, older) ->
+      match element_of_row sch cls rs latest with
+      | None -> ()
+      | Some e ->
+          elems := e :: !elems;
+          if range then
+            let version fields row =
+              Option.map (fun period -> { period; fields }) (row_period rs row)
+            in
+            let others =
+              List.filter_map
+                (fun row -> version (row_fields sch cls ~is_node:e.Path.is_node rs row) row)
+                older
+            in
+            versions :=
+              (uid, Option.to_list (version e.Path.fields latest) @ others) :: !versions)
+    (latest_first_by_uid rs);
+  (!elems, !versions)
 
 let temporal_filter_expr tc =
   match tc with
@@ -471,14 +504,15 @@ let select_plan ~tc (a : Rpe.atom) cls =
 let select_atom t ~tc (a : Rpe.atom) =
   let sch = t.schema in
   let concrete = Schema.concrete_subclasses sch a.Rpe.cls in
-  List.concat_map
-    (fun cls ->
-      match run_logged t (select_plan ~tc a cls) with
-      | Error _ -> []
-      | Ok rs ->
-          dedup_latest rs
-          |> List.filter_map (fun row -> element_of_row sch cls rs row))
-    concrete
+  let per_class =
+    List.map
+      (fun cls ->
+        match run_logged t (select_plan ~tc a cls) with
+        | Error _ -> ([], no_versions)
+        | Ok rs -> read_rows sch ~tc cls rs)
+      concrete
+  in
+  (List.concat_map fst per_class, List.concat_map snd per_class)
 
 (* Distinct-value statistics per (class, field), recomputed lazily when
    the extent has grown substantially — the planner statistics the
@@ -564,27 +598,28 @@ let rows_by_uid t cls uids =
   match R.Plan.run t.db plan with Ok rs -> Some rs | Error _ -> None
 
 (* Elements for [uids] of one class: the latest row admitted by the
-   constraint per uid, in uid order. *)
+   constraint per uid, in uid order, with their versions under Range. *)
 let elements_by_uids t ~tc cls uids =
   match rows_by_uid t cls uids with
-  | None -> []
+  | None -> ([], no_versions)
   | Some rs ->
       let qualifying =
         List.filter
           (fun row ->
-            match R.Ivalue.to_interval (R.Plan.column_value rs row "sys_period") with
+            match row_period rs row with
             | Some iv -> Time_constraint.admits tc iv
             | None -> false)
           rs.R.Plan.rows
       in
-      dedup_latest { rs with R.Plan.rows = qualifying }
-      |> List.filter_map (element_of_row t.schema cls rs)
+      read_rows t.schema ~tc cls { rs with R.Plan.rows = qualifying }
 
 let element_by_uid t ~tc uid =
   match current_class_of t uid with
   | None -> None
   | Some cls -> (
-      match elements_by_uids t ~tc cls [ uid ] with e :: _ -> Some e | [] -> None)
+      match elements_by_uids t ~tc cls [ uid ] with
+      | e :: _, versions -> Some (e, versions)
+      | [], _ -> None)
 
 (* Candidate edge classes to join against when extending from nodes. *)
 let extend_edge_classes sch (spec : extend_spec) =
@@ -661,6 +696,8 @@ let bulk_extend t ~tc ~dir ~spec items =
     | Error _ -> None
   in
   let edge_classes = extend_edge_classes sch spec in
+  let range = match tc with Time_constraint.Range _ -> true | _ -> false in
+  let versions = ref no_versions in
   let from_nodes =
     if node_items = [] || edge_classes = [] then []
     else
@@ -673,29 +710,56 @@ let bulk_extend t ~tc ~dir ~spec items =
           match run_logged t join with
           | Error _ -> []
           | Ok rs ->
-              (* One extension per (item, edge uid): dedup versions. *)
-              let seen = Hashtbl.create 64 in
-              List.filter_map
-                (fun row ->
-                  match
-                    ( R.Plan.column_value rs row "item_id",
-                      R.Plan.column_value rs row "id_" )
-                  with
-                  | Value.Int item_id, Value.Int _ ->
-                      let uid =
-                        match R.Plan.column_value rs row "id_" with
-                        | Value.Int u -> u
-                        | _ -> -1
-                      in
-                      if Hashtbl.mem seen (item_id, uid) then None
-                      else begin
-                        Hashtbl.replace seen (item_id, uid) ();
-                        match element_of_row sch cls rs row with
-                        | Some e -> Some (item_id, e)
-                        | None -> None
-                      end
-                  | _ -> None)
-                rs.R.Plan.rows)
+              (* One extension per (item, edge uid): dedup versions. Under
+                 Range every row of an edge is one of its versions: an
+                 (item, edge) pair's first row is the element's own, and
+                 its later rows, which few edges have, go to [more] and
+                 then into every entry for that edge. *)
+              let seen = Hashtbl.create 64 and more = ref [] in
+              let extensions =
+                List.filter_map
+                  (fun row ->
+                    match
+                      ( R.Plan.column_value rs row "item_id",
+                        R.Plan.column_value rs row "id_" )
+                    with
+                    | Value.Int item_id, Value.Int uid ->
+                        if Hashtbl.mem seen (item_id, uid) then begin
+                          (if range then
+                             Option.iter
+                               (fun period ->
+                                 let fields = row_fields sch cls ~is_node:false rs row in
+                                 more := (uid, { period; fields }) :: !more)
+                               (row_period rs row));
+                          None
+                        end
+                        else begin
+                          Hashtbl.replace seen (item_id, uid) ();
+                          match element_of_row sch cls rs row with
+                          | Some e ->
+                              (if range then
+                                 match row_period rs row with
+                                 | Some period ->
+                                     let v = { period; fields = e.Path.fields } in
+                                     versions := (uid, [ v ]) :: !versions
+                                 | None -> ());
+                              Some (item_id, e)
+                          | None -> None
+                        end
+                    | _ -> None)
+                  rs.R.Plan.rows
+              in
+              if !more <> [] then
+                versions :=
+                  List.map
+                    (fun (uid, vs) ->
+                      ( uid,
+                        vs
+                        @ List.filter_map
+                            (fun (u, v) -> if u = uid then Some v else None)
+                            !more ))
+                    !versions;
+              extensions)
         edge_classes
       in
       ignore (R.Database.drop_table t.db temp);
@@ -726,45 +790,16 @@ let bulk_extend t ~tc ~dir ~spec items =
     let found = Hashtbl.create 64 in
     Hashtbl.iter
       (fun cls uids ->
-        List.iter
-          (fun (e : Path.element) -> Hashtbl.replace found e.Path.uid e)
-          (elements_by_uids t ~tc cls (List.sort_uniq Int.compare uids)))
+        let elems, vs = elements_by_uids t ~tc cls (List.sort_uniq Int.compare uids) in
+        List.iter (fun (e : Path.element) -> Hashtbl.replace found e.Path.uid e) elems;
+        versions := List.rev_append vs !versions)
       by_class;
     List.filter_map
       (fun (item_id, uid) ->
         Option.map (fun e -> (item_id, e)) (Hashtbl.find_opt found uid))
       wanted
   in
-  from_nodes @ from_edges
-
-let presence t ~uid ~window:(w0, w1) ~pred =
-  match current_class_of t uid with
-  | None -> Interval_set.empty
-  | Some cls -> (
-      match rows_by_uid t cls [ uid ] with
-      | None -> Interval_set.empty
-      | Some rs ->
-          List.fold_left
-            (fun acc row ->
-              let fields_ok =
-                match pred with
-                | None -> true
-                | Some p ->
-                    let fields =
-                      List.fold_left
-                        (fun m (f, _) -> Strmap.add f (R.Plan.column_value rs row f) m)
-                        Strmap.empty
-                        (Schema.fields_of t.schema cls)
-                    in
-                    p fields
-              in
-              if not fields_ok then acc
-              else
-                match R.Ivalue.to_interval (R.Plan.column_value rs row "sys_period") with
-                | Some iv when Interval.overlaps iv (Interval.between w0 w1) ->
-                    Interval_set.add iv acc
-                | _ -> acc)
-            Interval_set.empty rs.R.Plan.rows)
+  (from_nodes @ from_edges, !versions)
 
 let more_classes = function
   | [] -> ""

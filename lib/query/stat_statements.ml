@@ -9,8 +9,8 @@
    the shape (and cost class) of the query, and the Table-1 families
    Host-Host(4) and Host-Host(6) must not collapse.
 
-   Entries accumulate calls, rows, wall seconds, backend round-trips
-   and presence-cache hits, plus a log-linear latency histogram (the
+   Entries accumulate calls, rows, wall seconds and backend
+   round-trips, plus a log-linear latency histogram (the
    Metrics bucket layout) for p50/p95/p99. The table is a bounded LRU:
    when full, recording a new fingerprint evicts the least-recently
    used entry (an O(capacity) scan, which at the default capacity of
@@ -67,7 +67,6 @@ type entry = {
   mutable e_calls : int;
   mutable e_rows : int;
   mutable e_roundtrips : int;
-  mutable e_pcache_hits : int;
   mutable e_errors : int;
   mutable e_analysis_rejected : int;
   mutable e_total_s : float;
@@ -125,7 +124,6 @@ let find_or_create_locked ~backend ~fp =
           e_calls = 0;
           e_rows = 0;
           e_roundtrips = 0;
-          e_pcache_hits = 0;
           e_errors = 0;
           e_analysis_rejected = 0;
           e_total_s = 0.;
@@ -137,7 +135,7 @@ let find_or_create_locked ~backend ~fp =
       e
 
 let record ~backend ~fingerprint:fp ?(rows = 0) ?(roundtrips = 0)
-    ?(pcache_hits = 0) ?(error = false) ?(analysis_rejected = false) ~wall_s ()
+    ?(error = false) ?(analysis_rejected = false) ~wall_s ()
     =
   with_lock (fun () ->
       incr clock;
@@ -145,7 +143,6 @@ let record ~backend ~fingerprint:fp ?(rows = 0) ?(roundtrips = 0)
       e.e_calls <- e.e_calls + 1;
       e.e_rows <- e.e_rows + rows;
       e.e_roundtrips <- e.e_roundtrips + roundtrips;
-      e.e_pcache_hits <- e.e_pcache_hits + pcache_hits;
       if error then e.e_errors <- e.e_errors + 1;
       if analysis_rejected then
         e.e_analysis_rejected <- e.e_analysis_rejected + 1;
@@ -167,7 +164,6 @@ type stat = {
   st_calls : int;
   st_rows : int;
   st_roundtrips : int;
-  st_pcache_hits : int;
   st_errors : int;
   st_analysis_rejected : int;
       (** statements rejected by the [`Strict] static-analysis gate —
@@ -188,7 +184,6 @@ let stat_of_entry e =
     st_calls = e.e_calls;
     st_rows = e.e_rows;
     st_roundtrips = e.e_roundtrips;
-    st_pcache_hits = e.e_pcache_hits;
     st_errors = e.e_errors;
     st_analysis_rejected = e.e_analysis_rejected;
     st_total_s = e.e_total_s;
@@ -249,12 +244,12 @@ let json_escape s =
 let stat_to_json st =
   Printf.sprintf
     "{\"backend\": \"%s\", \"fingerprint\": \"%s\", \"calls\": %d, \"rows\": %d, \
-     \"roundtrips\": %d, \"pcache_hits\": %d, \"errors\": %d, \
+     \"roundtrips\": %d, \"errors\": %d, \
      \"analysis_rejected\": %d, \"total_s\": %.6f, \"mean_s\": %.6f, \
      \"p50_s\": %.6f, \"p95_s\": %.6f, \"p99_s\": %.6f, \"max_s\": %.6f}"
     (json_escape st.st_backend)
     (json_escape st.st_fingerprint)
-    st.st_calls st.st_rows st.st_roundtrips st.st_pcache_hits st.st_errors
+    st.st_calls st.st_rows st.st_roundtrips st.st_errors
     st.st_analysis_rejected st.st_total_s st.st_mean_s st.st_p50_s st.st_p95_s
     st.st_p99_s st.st_max_s
 
@@ -262,13 +257,11 @@ let render_stats_json ?top:(n = max_int) sts =
   let sts = List.filteri (fun i _ -> i < n) sts in
   "[\n  " ^ String.concat ",\n  " (List.map stat_to_json sts) ^ "\n]\n"
 
-let render_json ?top () = render_stats_json ?top (stats ())
-
 (* -- persistence (NEPAL_STATS_DUMP / `nepal stats`) ----------------- *)
 
 (* Tab-separated, fingerprint last: fingerprints are space-joined token
    strings, so they never contain tabs or newlines. *)
-let dump_header = "#nepal-stat-statements-v2"
+let dump_header = "#nepal-stat-statements-v3"
 
 let save path =
   let sts = stats () in
@@ -278,9 +271,8 @@ let save path =
     List.iter
       (fun st ->
         Printf.fprintf oc
-          "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%.9f\t%.9f\t%.9f\t%.9f\t%.9f\t%s\n"
-          st.st_backend st.st_calls st.st_rows st.st_roundtrips
-          st.st_pcache_hits st.st_errors st.st_analysis_rejected st.st_total_s
+          "%s\t%d\t%d\t%d\t%d\t%d\t%.9f\t%.9f\t%.9f\t%.9f\t%.9f\t%s\n"
+          st.st_backend st.st_calls st.st_rows st.st_roundtrips st.st_errors st.st_analysis_rejected st.st_total_s
           st.st_p50_s st.st_p95_s st.st_p99_s st.st_max_s st.st_fingerprint)
       sts;
     close_out oc;
@@ -302,13 +294,12 @@ let load path =
            let line = input_line ic in
            if line <> "" then
              match String.split_on_char '\t' line with
-             | [ backend; calls; rows_; rts; ph; errs; rej; total; p50; p95;
-                 p99; mx; fp ] -> (
+             | [ backend; calls; rows_; rts; errs; rej; total; p50; p95; p99;
+                 mx; fp ] -> (
                  match
                    ( int_of_string_opt calls,
                      int_of_string_opt rows_,
                      int_of_string_opt rts,
-                     int_of_string_opt ph,
                      ( int_of_string_opt errs,
                        int_of_string_opt rej ),
                      float_of_string_opt total,
@@ -320,7 +311,6 @@ let load path =
                  | ( Some calls,
                      Some rows_,
                      Some rts,
-                     Some ph,
                      (Some errs, Some rej),
                      Some total,
                      Some p50,
@@ -334,7 +324,6 @@ let load path =
                          st_calls = calls;
                          st_rows = rows_;
                          st_roundtrips = rts;
-                         st_pcache_hits = ph;
                          st_errors = errs;
                          st_analysis_rejected = rej;
                          st_total_s = total;

@@ -26,7 +26,6 @@ val record :
   fingerprint:string ->
   ?rows:int ->
   ?roundtrips:int ->
-  ?pcache_hits:int ->
   ?error:bool ->
   ?analysis_rejected:bool ->
   wall_s:float ->
@@ -45,7 +44,6 @@ type stat = {
   st_calls : int;
   st_rows : int;          (** result rows/paths returned, summed *)
   st_roundtrips : int;    (** backend round-trips, summed *)
-  st_pcache_hits : int;   (** presence-cache hits, summed *)
   st_errors : int;        (** calls that returned [Error] *)
   st_analysis_rejected : int;
       (** calls rejected by [`Strict] static analysis (never executed) *)
@@ -72,13 +70,11 @@ val evictions : unit -> int
 val render : ?top:int -> unit -> string
 (** Human-readable table sorted by total time. *)
 
-val render_json : ?top:int -> unit -> string
-(** JSON array of entries (same order). *)
-
 val render_stats : ?top:int -> stat list -> string
 (** {!render}, but over an explicit list (e.g. a {!load}ed dump). *)
 
 val render_stats_json : ?top:int -> stat list -> string
+(** JSON array of the entries, in the given order. *)
 
 val save : string -> (unit, string) result
 (** Write the table as a tab-separated dump (fingerprint last;

@@ -17,9 +17,10 @@
    is the synchronization point: query evaluation and monitor work run
    under Rwlock.read (many concurrent readers), and in-process mutation
    goes through [with_write] under Rwlock.write. Each session evaluates
-   through its own backend connection (fresh presence caches with the
-   usual version-invalidation discipline); the shared Monitor is
-   single-threaded by contract and serialized behind its own mutex.
+   through its own backend connection, which holds no query state a
+   write could make stale (its round-trip counter only); the shared
+   Monitor is single-threaded by contract and serialized behind its own
+   mutex.
 
    Backpressure. Responses are must-deliver; alerts are droppable at
    the session's Outbox capacity, counted, and the count rides every
@@ -135,7 +136,7 @@ let watch_count t = with_lock t.lock (fun () -> Hashtbl.length t.watch_routes)
 let with_write t f = Rwlock.write t.rw (fun () -> f t.store)
 
 (* The default per-session runner: a fresh native connection (own
-   presence caches) evaluating through the same instrumented entry the
+   round-trip counter) evaluating through the same instrumented entry the
    in-process API uses, rendered with the same pretty-printer — which
    is what makes wire results byte-identical to [Nepal.query_on]. *)
 let default_make_runner store () =

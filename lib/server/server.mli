@@ -74,7 +74,7 @@ val start :
 (** Bind and serve on background threads. [make_runner] is invoked once
     per session to build its query runner (the CLI injects the
     [Nepal.query_on] path; the default evaluates through a fresh native
-    connection per session — own presence caches — with the shared
+    connection per session — own round-trip counter — with the shared
     instrumented engine entry). [Error] on bind failure. *)
 
 val stop : t -> unit

@@ -5,7 +5,6 @@ module Strmap = Nepal_util.Strmap
 module Time_point = Nepal_temporal.Time_point
 module Interval = Nepal_temporal.Interval
 module Time_constraint = Nepal_temporal.Time_constraint
-module Interval_set = Nepal_temporal.Interval_set
 
 type uid = Entity.uid
 
@@ -424,29 +423,32 @@ let versions t uid =
   | Some e -> closed @ [ e ]
   | None -> closed
 
-let versions_under t ~tc uid =
-  List.filter
-    (fun (e : Entity.t) -> Time_constraint.admits tc e.period)
-    (versions t uid)
-
-let get t ~tc uid =
-  match tc with
-  | Time_constraint.Snapshot -> Hashtbl.find_opt t.current uid
-  | _ -> (
-      match List.rev (versions_under t ~tc uid) with
-      | latest :: _ -> Some latest
-      | [] -> None)
-
-let presence t ~tc ~pred uid =
-  let qualifying =
-    List.filter_map
-      (fun (e : Entity.t) ->
-        if pred e then
-          Option.map Interval_set.singleton (Time_constraint.restrict tc e.period)
-        else None)
-      (versions t uid)
+(* The versions the constraint admits, newest first: the current one,
+   then the closed ones in stored order. No intermediate list. *)
+let fold_versions_under t ~tc uid f acc =
+  let acc =
+    match Hashtbl.find t.current uid with
+    | e when Time_constraint.admits tc e.Entity.period -> f acc e
+    | _ -> acc
+    | exception Not_found -> acc
   in
-  List.fold_left Interval_set.union Interval_set.empty qualifying
+  match Hashtbl.find t.history uid with
+  | closed ->
+      List.fold_left
+        (fun acc (e : Entity.t) ->
+          if Time_constraint.admits tc e.period then f acc e else acc)
+        acc closed
+  | exception Not_found -> acc
+
+(* The newest admitted version: the current one when admitted, else the
+   first admitted closed version. *)
+let get t ~tc uid =
+  match Hashtbl.find_opt t.current uid with
+  | Some e as current when Time_constraint.admits tc e.Entity.period -> current
+  | _ when tc = Time_constraint.Snapshot -> None
+  | _ ->
+      Option.bind (Hashtbl.find_opt t.history uid)
+        (List.find_opt (fun (e : Entity.t) -> Time_constraint.admits tc e.period))
 
 let scan_class t ~tc cls =
   let concrete = Schema.subclasses t.schema cls in
@@ -462,12 +464,7 @@ let scan_class t ~tc cls =
   | _ ->
       List.concat_map
         (fun c ->
-          List.filter_map
-            (fun uid ->
-              match List.rev (versions_under t ~tc uid) with
-              | latest :: _ -> Some latest
-              | [] -> None)
-            (set_members t.extent_all c))
+          List.filter_map (fun uid -> get t ~tc uid) (set_members t.extent_all c))
         concrete
       |> List.sort (fun (a : Entity.t) b -> Int.compare a.uid b.uid)
 

@@ -14,7 +14,6 @@ module Strmap = Nepal_util.Strmap
 module Time_point = Nepal_temporal.Time_point
 module Interval = Nepal_temporal.Interval
 module Time_constraint = Nepal_temporal.Time_constraint
-module Interval_set = Nepal_temporal.Interval_set
 
 type t
 
@@ -124,23 +123,18 @@ val delete : t -> at:Time_point.t -> ?cascade:bool -> uid -> (unit, string) resu
 
 val get : t -> tc:Time_constraint.t -> uid -> Entity.t option
 (** The version visible under the constraint (for [Range], the latest
-    overlapping version; use {!versions_under} for all). *)
+    overlapping version; {!fold_versions_under} visits all). *)
 
 val versions : t -> uid -> Entity.t list
 (** All versions, oldest first; empty for unknown uids. *)
 
-val versions_under : t -> tc:Time_constraint.t -> uid -> Entity.t list
-
-val presence :
-  t ->
-  tc:Time_constraint.t ->
-  pred:(Entity.t -> bool) ->
-  uid ->
-  Interval_set.t
-(** The (window-restricted) time during which the entity existed and
-    satisfied [pred] — the building block of time-range pathway
-    evaluation. Under [Snapshot]/[At], the result is either empty or the
-    single qualifying version interval. *)
+val fold_versions_under :
+  t -> tc:Time_constraint.t -> uid -> ('a -> Entity.t -> 'a) -> 'a -> 'a
+(** Folds over the versions the constraint admits, newest first, without
+    building a list. Under [Range] these are the versions that overlap
+    the window: the periods of those that satisfy a predicate are when,
+    around the window, the entity existed and satisfied it — the
+    building block of time-range pathway validity. *)
 
 val scan_class : t -> tc:Time_constraint.t -> string -> Entity.t list
 (** All entities whose concrete class is the given class {e or any

@@ -33,11 +33,31 @@ let normalize intervals =
   loop [] sorted
 
 let of_list = normalize
-let add i t = normalize (i :: t)
+
+(* Does every interval of [a] lie within [b]? Intervals of a set are
+   disjoint and non-adjacent, so each must lie within one interval of
+   [b]. Linear and allocation-free. *)
+let rec subset (a : t) (b : t) =
+  match (a, b) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | (ia : Interval.t) :: ta, (ib : Interval.t) :: tb ->
+      let ends_within =
+        match (ia.stop, ib.stop) with
+        | _, None -> true
+        | None, Some _ -> false
+        | Some ea, Some eb -> Time_point.compare ea eb <= 0
+      in
+      if Time_point.compare ib.start ia.start <= 0 && ends_within then subset ta b
+      else
+        (match ib.stop with Some eb -> Time_point.compare eb ia.start <= 0 | None -> false)
+        && subset a tb
 
 (* Both operands already satisfy the invariant, so union and
-   intersection are linear two-pointer merges — no re-sort. *)
-let union a b =
+   intersection are linear two-pointer merges — no re-sort. When one
+   operand contains the other the result is that operand itself, with
+   nothing allocated. *)
+let merge_union a b =
   let push acc i =
     match acc with
     | prev :: acc' when mergeable prev i -> merge prev i :: acc'
@@ -53,7 +73,10 @@ let union a b =
   in
   go [] a b
 
-let inter a b =
+let union a b =
+  if subset a b then b else if subset b a then a else merge_union a b
+
+let merge_inter a b =
   let rec go acc (a : t) (b : t) =
     match (a, b) with
     | [], _ | _, [] -> List.rev acc
@@ -70,6 +93,9 @@ let inter a b =
             if Time_point.compare ea eb <= 0 then go acc ta b else go acc a tb)
   in
   go [] a b
+
+let inter a b =
+  if subset a b then a else if subset b a then b else merge_inter a b
 
 let overlaps a b =
   let rec go (a : t) (b : t) =
@@ -95,9 +121,6 @@ let last_moment t =
   | [] -> `Never
   | (last : Interval.t) :: _ -> (
       match last.stop with None -> `Still_exists | Some e -> `Ended e)
-
-let total_seconds ~now t =
-  List.fold_left (fun acc i -> acc +. Interval.duration_seconds ~now i) 0. t
 
 let equal a b = List.length a = List.length b && List.for_all2 Interval.equal a b
 

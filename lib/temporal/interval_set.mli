@@ -15,9 +15,10 @@ val of_list : Interval.t list -> t
 val to_list : t -> Interval.t list
 (** Disjoint, in increasing order. *)
 
-val add : Interval.t -> t -> t
 val union : t -> t -> t
 val inter : t -> t -> t
+(** When one operand contains the other, [union] and [inter] return an
+    operand itself and allocate nothing. *)
 
 val overlaps : t -> t -> bool
 (** [overlaps a b] iff [inter a b] is non-empty, without building it. *)
@@ -31,7 +32,6 @@ val last_moment : t -> [ `Never | `Still_exists | `Ended of Time_point.t ]
 (** Latest coverage ([Last Time When Exists]): either the set is empty,
     extends to the open present, or ended at the returned instant. *)
 
-val total_seconds : now:Time_point.t -> t -> float
 val cardinality : t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

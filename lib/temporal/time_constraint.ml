@@ -10,13 +10,15 @@ let range a b =
   if Time_point.compare b a <= 0 then invalid_arg "Time_constraint.range: empty"
   else Range (a, b)
 
-let needs_history = function Snapshot -> false | At _ | Range _ -> true
 
 let admits t (iv : Interval.t) =
   match t with
   | Snapshot -> Interval.is_current iv
   | At p -> Interval.contains iv p
-  | Range (a, b) -> Interval.overlaps iv (Interval.between a b)
+  | Range (a, b) ->
+      (* [Interval.overlaps iv [a, b)], without building the window. *)
+      Time_point.compare iv.start b < 0
+      && (match iv.stop with None -> true | Some e -> Time_point.compare a e < 0)
 
 let restrict t (iv : Interval.t) =
   match t with

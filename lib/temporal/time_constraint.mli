@@ -18,10 +18,6 @@ val at : Time_point.t -> t
 val range : Time_point.t -> Time_point.t -> t
 (** @raise Invalid_argument when the range is empty. *)
 
-val needs_history : t -> bool
-(** Whether evaluation must consult historical versions (true for [At]
-    and [Range]). *)
-
 val admits : t -> Interval.t -> bool
 (** Does a record version with the given validity interval qualify
     under this constraint? *)

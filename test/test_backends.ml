@@ -314,7 +314,7 @@ let element_key (e : Nepal.Path.element) =
    endpoint already on the pathway (the cycle exclusion). *)
 let edge_items rb =
   let all_time = Nepal.Time_constraint.range (tp "2000-01-01 00:00") (tp "2100-01-01 00:00") in
-  let edges =
+  let edges, _ =
     Nepal.Relational_backend.select_atom rb ~tc:all_time (Nepal.Rpe.atom "Edge")
   in
   let endpoint key (e : Nepal.Path.element) =
@@ -329,8 +329,24 @@ let edge_items rb =
   |> List.mapi (fun item_id prefix ->
          { Nepal.Backend.item_id; frontier = List.hd prefix; prefix })
 
+(* An element's versions as comparable data: uid, then each version's
+   period and fields, in period order. *)
+let versions_key (versions : Nepal.Backend.versions) =
+  List.map
+    (fun (uid, vs) ->
+      ( uid,
+        List.map
+          (fun (v : Nepal.Backend.version) ->
+            ( Nepal.Interval.to_string v.Nepal.Backend.period,
+              Nepal.Strmap.bindings v.Nepal.Backend.fields ))
+          vs
+        |> List.sort compare ))
+    versions
+  |> List.sort_uniq compare
+
 (* The edge -> endpoint hop, batched per class, must equal a per-uid
-   element_by_uid for every item, constraint and direction. *)
+   element_by_uid for every item, constraint and direction, versions
+   included. *)
 let test_endpoint_batch_matches_single () =
   let check_on rb tcs =
     let items = edge_items rb in
@@ -339,7 +355,7 @@ let test_endpoint_batch_matches_single () =
       (fun tc ->
         List.iter
           (fun (dir, key) ->
-            let batched =
+            let batched, batched_versions =
               Nepal.Relational_backend.bulk_extend rb ~tc ~dir
                 ~spec:{ Nepal.Backend.atoms = []; with_skip = false } items
             in
@@ -348,16 +364,20 @@ let test_endpoint_batch_matches_single () =
                 (fun (i : Nepal.Backend.extend_item) ->
                   match Nepal.Strmap.find_opt key i.frontier.Nepal.Path.fields with
                   | Some (Nepal.Value.Int u) when not (Nepal.Path.mem_uid u i.prefix) ->
-                      Option.map (fun e -> (i.item_id, e))
+                      Option.map (fun (e, vs) -> ((i.item_id, e), vs))
                         (Nepal.Relational_backend.element_by_uid rb ~tc u)
                   | _ -> None)
                 items
             in
+            let single, single_versions = List.split single in
             let keys = List.map (fun (id, e) -> (id, element_key e)) in
             check_bool "some endpoints found" true (single <> []);
             if keys batched <> keys single then
               Alcotest.failf "batched endpoints differ: %d vs %d results"
-                (List.length batched) (List.length single))
+                (List.length batched) (List.length single);
+            check_bool "batched versions = element_by_uid's" true
+              (versions_key batched_versions
+              = versions_key (List.concat single_versions)))
           [ (Nepal.Backend.Fwd, "target_id_"); (Nepal.Backend.Bwd, "source_id_") ])
       tcs
   in
@@ -382,8 +402,10 @@ let test_endpoint_batch_words () =
       (edge_items rb)
   in
   let run () =
-    Nepal.Relational_backend.bulk_extend rb ~tc:Nepal.Time_constraint.Snapshot
-      ~dir:Nepal.Backend.Fwd ~spec:{ Nepal.Backend.atoms = []; with_skip = false } items
+    fst
+      (Nepal.Relational_backend.bulk_extend rb ~tc:Nepal.Time_constraint.Snapshot
+         ~dir:Nepal.Backend.Fwd ~spec:{ Nepal.Backend.atoms = []; with_skip = false }
+         items)
   in
   ignore (run ());
   let words, results = Words.during run in

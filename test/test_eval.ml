@@ -146,11 +146,12 @@ let test_unanchored_rejected () =
 
 let test_seeded_from () =
   let st, _, _, _, host1, _ = build () in
-  let host1_elem =
+  let host1_elem, versions =
     Option.get (Q.Backend_intf.element_by_uid (conn st) ~tc:Time_constraint.snapshot host1)
   in
   let paths =
-    eval st "[Connects()]{1,4}" ~seed:(Q.Eval_rpe.From_nodes [ host1_elem ])
+    eval st "[Connects()]{1,4}"
+      ~seed:(Q.Eval_rpe.From_nodes ([ host1_elem ], versions))
   in
   check_bool "some physical paths from host1" true (List.length paths > 0);
   List.iter
@@ -160,11 +161,12 @@ let test_seeded_from () =
 
 let test_seeded_to () =
   let st, _, _, _, _, host2 = build () in
-  let host2_elem =
+  let host2_elem, versions =
     Option.get (Q.Backend_intf.element_by_uid (conn st) ~tc:Time_constraint.snapshot host2)
   in
   let paths =
-    eval st "VNF()->[Vertical()]{1,6}" ~seed:(Q.Eval_rpe.To_nodes [ host2_elem ])
+    eval st "VNF()->[Vertical()]{1,6}"
+      ~seed:(Q.Eval_rpe.To_nodes ([ host2_elem ], versions))
   in
   (* vm_idle is on host2 but hosts no VFC/VNF; no path ends there. *)
   check_int "nothing ends at host2 from a VNF" 0 (List.length paths)

@@ -97,7 +97,7 @@ let test_accumulation () =
   Stats.reset ();
   let fp = "shape-a" in
   Stats.record ~backend:"native" ~fingerprint:fp ~rows:2 ~roundtrips:3
-    ~pcache_hits:1 ~wall_s:0.5 ();
+    ~wall_s:0.5 ();
   Stats.record ~backend:"native" ~fingerprint:fp ~rows:4 ~error:true
     ~wall_s:0.25 ();
   (* Same fingerprint on another backend is a separate entry. *)
@@ -109,7 +109,6 @@ let test_accumulation () =
       check_int "calls" 2 a.Stats.st_calls;
       check_int "rows summed" 6 a.Stats.st_rows;
       check_int "roundtrips summed" 3 a.Stats.st_roundtrips;
-      check_int "pcache hits summed" 1 a.Stats.st_pcache_hits;
       check_int "errors counted" 1 a.Stats.st_errors;
       check_bool "total time summed" true
         (Float.abs (a.Stats.st_total_s -. 0.75) < 1e-9);
@@ -138,7 +137,7 @@ let test_lru_eviction () =
 let test_save_load_roundtrip () =
   Stats.reset ();
   Stats.record ~backend:"native" ~fingerprint:"roundtrip-a" ~rows:3
-    ~roundtrips:7 ~pcache_hits:2 ~wall_s:0.125 ();
+    ~roundtrips:7 ~wall_s:0.125 ();
   Stats.record ~backend:"gremlin" ~fingerprint:"roundtrip-b" ~error:true
     ~wall_s:0.5 ();
   let path = Filename.temp_file "nepal_stats" ".tsv" in

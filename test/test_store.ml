@@ -151,16 +151,20 @@ let test_presence () =
   let st, vm, _, _ = mk_store () in
   ok (Store.update st ~at:t1 vm ~fields:(fields [ ("status", Value.Str "Red") ]));
   ok (Store.update st ~at:t2 vm ~fields:(fields [ ("status", Value.Str "Green") ]));
-  let green e = Value.equal (Entity.field e "status") (Value.Str "Green") in
-  let ps =
-    Store.presence st ~tc:(Time_constraint.range t0 t3) ~pred:green vm
+  let presence pred =
+    Store.fold_versions_under st ~tc:(Time_constraint.range t0 t3) vm
+      (fun acc (e : Entity.t) -> if pred e then e.period :: acc else acc)
+      []
+    |> Interval_set.of_list
   in
+  let green e = Value.equal (Entity.field e "status") (Value.Str "Green") in
+  let ps = presence green in
   (* Green during [t0,t1) and [t2,t3) — two fragments. *)
   check_int "two green periods" 2 (Interval_set.cardinality ps);
   check_bool "green at t0" true (Interval_set.contains ps t0);
   check_bool "red in the middle" false (Interval_set.contains ps t1);
   let always e = ignore e; true in
-  let all = Store.presence st ~tc:(Time_constraint.range t0 t3) ~pred:always vm in
+  let all = presence always in
   check_int "continuous existence merges" 1 (Interval_set.cardinality all)
 
 (* ---------------- scans, generalization, adjacency ---------------- *)
