@@ -579,64 +579,6 @@ let stats_cmd =
          ])
     Term.(ret (const run $ top_arg $ json_arg $ file_arg $ watch_arg))
 
-let serve_metrics_cmd =
-  let port_arg =
-    Arg.(value & opt int 9464
-         & info [ "p"; "port" ] ~docv:"PORT" ~doc:"TCP port to listen on.")
-  in
-  let once_arg =
-    Arg.(value & flag
-         & info [ "once" ] ~doc:"Serve a single request, then exit (for smoke tests).")
-  in
-  let warm_arg =
-    Arg.(value & flag
-         & info [ "warm" ]
-             ~doc:"Generate the virt topology and run a few queries first, so \
-                   the registry has data to export.")
-  in
-  (* The exporter loop lives in Nepal.Http_metrics now, where accepted
-     sockets carry a receive timeout — an idle peer can no longer park
-     the exporter (the historic serve-metrics wedge). *)
-  let serve port once =
-    match
-      Nepal.Http_metrics.start ~port ~once
-        ~render:Nepal.Metrics.render_openmetrics ()
-    with
-    | Error e -> Error e
-    | Ok exporter ->
-        Format.printf "serving OpenMetrics on http://localhost:%d/metrics%s@."
-          (Nepal.Http_metrics.port exporter)
-          (if once then " (one request)" else "");
-        Format.print_flush ();
-        Nepal.Http_metrics.wait exporter;
-        Nepal.Http_metrics.stop exporter;
-        Ok ()
-  in
-  let run port once warm =
-    if warm then begin
-      let store = build_store Virt 42 8000 false in
-      let conn = Nepal.native_conn store in
-      List.iter
-        (fun q ->
-          match Nepal.query_on conn q with
-          | Ok _ -> ()
-          | Error e -> Format.eprintf "warm query failed: %s@." e)
-        [
-          "Retrieve P From PATHS P Where P MATCHES VNF()->VFC()";
-          "Retrieve P From PATHS P Where P MATCHES \
-           VNF()->[Vertical()]{1,4}->Server()";
-        ]
-    end;
-    match serve port once with
-    | Ok () -> `Ok ()
-    | Error e -> `Error (false, e)
-  in
-  Cmd.v
-    (Cmd.info "serve-metrics"
-       ~doc:"Expose the in-process metrics registry as an OpenMetrics \
-             endpoint (GET /metrics) over a minimal HTTP/1.0 listener.")
-    Term.(ret (const run $ port_arg $ once_arg $ warm_arg))
-
 (* ---- JSONL server / client ------------------------------------------- *)
 
 (* Per-session runner on the Nepal.query_on path, so wire answers carry
@@ -669,6 +611,47 @@ let wire_port_arg =
        & info [ "p"; "port" ] ~docv:"PORT"
            ~doc:"TCP port of the JSONL endpoint.")
 
+(* One HTTP/1.0 GET against a local exporter: the whole response. *)
+let http_get ~addr ~port path =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      try
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        Unix.connect fd (Unix.ADDR_INET (addr, port));
+        let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
+        ignore (Unix.write_substring fd req 0 (String.length req) : int);
+        let buf = Buffer.create 8192 and chunk = Bytes.create 4096 in
+        let rec go () =
+          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+          if n > 0 then begin
+            Buffer.add_subbytes buf chunk 0 n;
+            go ()
+          end
+        in
+        go ();
+        Ok (Buffer.contents buf)
+      with Unix.Unix_error (e, fn, _) ->
+        Error (Printf.sprintf "GET %s: %s: %s" path fn (Unix.error_message e)))
+
+(* The smoke's exposition check: the scrape must carry the live
+   server's request counter, already bumped by the smoke's own
+   round-trips. *)
+let check_scrape response =
+  let prefix = "nepal_server_requests_total " in
+  let value line =
+    if String.starts_with ~prefix line then
+      float_of_string_opt
+        (String.sub line (String.length prefix)
+           (String.length line - String.length prefix))
+    else None
+  in
+  match List.find_map value (String.split_on_char '\n' response) with
+  | Some v when v >= 2. -> Ok ()
+  | Some v -> Error (Printf.sprintf "/metrics reports %g server requests" v)
+  | None -> Error "/metrics has no server.requests family"
+
 let serve_cmd =
   let max_sessions_arg =
     Arg.(value & opt int 64
@@ -686,13 +669,22 @@ let serve_cmd =
          & info [ "debounce" ] ~docv:"MS"
              ~doc:"Watch debounce window in milliseconds.")
   in
+  let metrics_port_arg =
+    Arg.(value & opt (some int) None
+         & info [ "metrics-port" ] ~docv:"PORT"
+             ~doc:"Also export the server's metrics registry as OpenMetrics \
+                   (GET /metrics) on PORT, bound to the server's address. \
+                   Off when not given.")
+  in
   let smoke_arg =
     Arg.(value & flag
          & info [ "smoke" ]
              ~doc:"Start on a free port, run one loopback round-trip, verify \
-                   it against in-process evaluation, shut down cleanly, exit.")
+                   it against in-process evaluation, scrape /metrics from an \
+                   exporter on another free port, shut down cleanly, exit.")
   in
-  let run topology seed nodes history port max_sessions workers debounce smoke =
+  let run topology seed nodes history port max_sessions workers debounce
+      metrics_port smoke =
     let store = build_store topology seed nodes history in
     let config =
       {
@@ -703,11 +695,33 @@ let serve_cmd =
         debounce_ms = debounce;
       }
     in
-    match
-      Nepal.Server.start ~config ~make_runner:(session_runner store) store
-    with
+    let start_exporter () =
+      match if smoke then Some 0 else metrics_port with
+      | None -> Ok None
+      | Some port ->
+          Result.map Option.some
+            (Nepal.Http_metrics.start ~addr:config.addr ~port
+               ~render:Nepal.Metrics.render_openmetrics ())
+    in
+    let started =
+      match
+        Nepal.Server.start ~config ~make_runner:(session_runner store) store
+      with
+      | Error e -> Error e
+      | Ok server -> (
+          match start_exporter () with
+          | Ok exporter -> Ok (server, exporter)
+          | Error e ->
+              Nepal.Server.stop server;
+              Error ("metrics exporter: " ^ e))
+    in
+    match started with
     | Error e -> `Error (false, e)
-    | Ok server ->
+    | Ok (server, exporter) ->
+        let shutdown () =
+          Option.iter Nepal.Http_metrics.stop exporter;
+          Nepal.Server.stop server
+        in
         if smoke then begin
           let q = "Retrieve P From PATHS P Where P MATCHES VNF()->VFC()" in
           let outcome =
@@ -754,15 +768,28 @@ let serve_cmd =
                     | Some (Nepal.Event_log.List (_ :: _)), Some _ -> Ok ()
                     | _ -> Error "introspect frame missing sessions/executor"
                   in
+                  (* the same process's registry over OpenMetrics *)
+                  let* () =
+                    match exporter with
+                    | None -> Error "no metrics exporter"
+                    | Some ex ->
+                        let* response =
+                          http_get ~addr:config.addr
+                            ~port:(Nepal.Http_metrics.port ex) "/metrics"
+                        in
+                        check_scrape response
+                  in
                   Ok count
                 in
                 Nepal.Server_client.close client;
                 r
           in
-          Nepal.Server.stop server;
+          shutdown ();
           match outcome with
           | Ok count ->
-              Format.printf "smoke ok: %d result(s), clean shutdown@." count;
+              Format.printf
+                "smoke ok: %d result(s), /metrics scraped, clean shutdown@."
+                count;
               `Ok ()
           | Error e -> `Error (false, "smoke failed: " ^ e)
         end
@@ -770,27 +797,36 @@ let serve_cmd =
           Format.printf
             "serving nepal JSONL on port %d (max %d sessions; ctrl-c to stop)@."
             (Nepal.Server.port server) max_sessions;
+          Option.iter
+            (fun ex ->
+              Format.printf "serving OpenMetrics on http://%s:%d/metrics@."
+                (Unix.string_of_inet_addr config.addr)
+                (Nepal.Http_metrics.port ex))
+            exporter;
           Format.print_flush ();
           Nepal.Server.wait server;
+          shutdown ();
           `Ok ()
         end
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve the generated topology over the line-oriented JSONL wire \
-             protocol: query/watch/unwatch/stats/ping verbs, concurrent \
-             sessions, streamed path alerts."
+             protocol: query/watch/unwatch/stats/ping/introspect verbs, \
+             concurrent sessions, streamed path alerts; with \
+             --metrics-port, the live registry over OpenMetrics too."
        ~man:
          [
            `S Manpage.s_examples;
            `P "nepal serve --history -p 9642";
+           `P "nepal serve --metrics-port 9464   # curl localhost:9464/metrics";
            `P "nepal serve --smoke";
            `P "echo '{\"op\":\"query\",\"id\":1,\"q\":\"Retrieve P From PATHS \
                P Where P MATCHES VNF()->VFC()\"}' | nc localhost 9642";
          ])
     Term.(ret (const run $ topology_arg $ seed_arg $ scale_arg $ history_arg
                $ wire_port_arg $ max_sessions_arg $ workers_arg $ debounce_arg
-               $ smoke_arg))
+               $ metrics_port_arg $ smoke_arg))
 
 let client_cmd =
   let host_arg =
@@ -1213,186 +1249,6 @@ let watch_cmd =
 
 (* ---- top: live dashboard over the introspect verb -------------------- *)
 
-(* ---- telemetry history --------------------------------------------- *)
-
-(* Eight block glyphs (U+2581..U+2588 as escaped UTF-8 bytes) scaled
-   over the series' own min..max — a shape, not a calibrated axis. *)
-let spark_blocks =
-  [|
-    "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
-    "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88";
-  |]
-
-let sparkline values =
-  match values with
-  | [] -> ""
-  | _ ->
-      let mn = List.fold_left Float.min infinity values in
-      let mx = List.fold_left Float.max neg_infinity values in
-      let b = Buffer.create (List.length values * 3) in
-      List.iter
-        (fun v ->
-          let idx =
-            if mx -. mn <= 1e-12 then 0
-            else
-              int_of_float
-                (Float.min 7. (Float.max 0. ((v -. mn) /. (mx -. mn) *. 7.99)))
-          in
-          Buffer.add_string b spark_blocks.(idx))
-        values;
-      Buffer.contents b
-
-(* Per-second rates from a cumulative counter's retained points. *)
-let rate_series pts =
-  let module Ts = Nepal.Timeseries in
-  let rec go acc = function
-    | a :: (b :: _ as rest) ->
-        let dt = b.Ts.ts -. a.Ts.ts in
-        let r = if dt > 0. then (b.Ts.v_last -. a.Ts.v_last) /. dt else 0. in
-        go (r :: acc) rest
-    | _ -> List.rev acc
-  in
-  go [] pts
-
-let telemetry_cmd =
-  let module Ts = Nepal.Timeseries in
-  let module WJ = Nepal_util.Jsonp in
-  let module E = Nepal.Event_log in
-  let host_arg =
-    Arg.(value & opt string "127.0.0.1"
-         & info [ "host" ] ~docv:"ADDR" ~doc:"IPv4 address of the server.")
-  in
-  let series_arg =
-    Arg.(value & opt_all string []
-         & info [ "series" ] ~docv:"NAME"
-             ~doc:"Series to print (repeatable); with none, lists the \
-                   retained series names.")
-  in
-  let window_arg =
-    Arg.(value & opt (some float) None
-         & info [ "window" ] ~docv:"SECS"
-             ~doc:"Only points newer than SECS ago (default: all retained).")
-  in
-  let res_arg =
-    let res_conv =
-      Arg.enum [ ("raw", Ts.Raw); ("mid", Ts.Mid); ("coarse", Ts.Coarse) ]
-    in
-    Arg.(value & opt res_conv Ts.Raw
-         & info [ "res" ] ~docv:"RES"
-             ~doc:"Ring resolution: $(b,raw), $(b,mid) (15-tick) or \
-                   $(b,coarse) (60-tick).")
-  in
-  let json_flag =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Print one JSON object per point (the snapshot-dump line \
-                   shape) instead of the human table.")
-  in
-  let file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "file" ] ~docv:"PATH"
-             ~doc:"Read a NEPAL_TELEM_DUMP snapshot file instead of \
-                   querying a live server.")
-  in
-  let print_points ~json name res (points : Ts.point list) =
-    if json then
-      List.iter
-        (fun (p : Ts.point) ->
-          print_endline
-            (WJ.to_string
-               (E.Obj
-                  [
-                    ("series", E.Str name);
-                    ("res", E.Str (Ts.resolution_to_string res));
-                    ("t", E.Float p.Ts.ts);
-                    ("min", E.Float p.Ts.v_min);
-                    ("max", E.Float p.Ts.v_max);
-                    ("mean", E.Float p.Ts.v_mean);
-                    ("last", E.Float p.Ts.v_last);
-                    ("n", E.Int p.Ts.v_n);
-                  ])))
-        points
-    else begin
-      let lasts = List.map (fun (p : Ts.point) -> p.Ts.v_last) points in
-      let mn = List.fold_left Float.min infinity lasts in
-      let mx = List.fold_left Float.max neg_infinity lasts in
-      (match List.rev lasts with
-      | [] -> Printf.printf "%-36s (no points)\n" name
-      | last :: _ ->
-          Printf.printf "%-36s %4d pts  last %10.4g  min %10.4g  max %10.4g  %s\n"
-            name (List.length points) last mn mx (sparkline lasts))
-    end
-  in
-  let run host port series window res json file =
-    match file with
-    | Some path -> (
-        (* offline: load the dump into this process's (empty) store *)
-        match Ts.load path with
-        | Error e -> `Error (false, path ^ ": " ^ e)
-        | Ok () ->
-            let names =
-              match series with [] -> Ts.series_names () | l -> l
-            in
-            if series = [] && not json then
-              List.iter print_endline names
-            else
-              List.iter
-                (fun name ->
-                  print_points ~json name res
-                    (Ts.query ?window_s:window ~resolution:res name))
-                names;
-            `Ok ())
-    | None -> (
-        match Unix.inet_addr_of_string host with
-        | exception Failure _ ->
-            `Error (false, "not an IPv4 address: " ^ host)
-        | addr -> (
-            match Nepal.Server_client.connect ~addr ~port () with
-            | Error e -> `Error (false, "connect: " ^ e)
-            | Ok client ->
-                let finish r =
-                  Nepal.Server_client.close client;
-                  r
-                in
-                if series = [] then
-                  match Nepal.Server_client.series client with
-                  | Error e -> finish (`Error (false, "history: " ^ e))
-                  | Ok names ->
-                      List.iter print_endline names;
-                      finish (`Ok ())
-                else
-                  let rec go = function
-                    | [] -> finish (`Ok ())
-                    | name :: rest -> (
-                        match
-                          Nepal.Server_client.history ?window_s:window ~res
-                            client name
-                        with
-                        | Error e -> finish (`Error (false, "history: " ^ e))
-                        | Ok reply ->
-                            print_points ~json name res
-                              (Nepal.Server_client.history_points reply);
-                            go rest)
-                  in
-                  go series))
-  in
-  Cmd.v
-    (Cmd.info "telemetry"
-       ~doc:"Retained telemetry history: list series names, print windowed \
-             ring points (sparkline or JSON) from a live server's history \
-             verb, or inspect a NEPAL_TELEM_DUMP snapshot offline."
-       ~man:
-         [
-           `S Manpage.s_examples;
-           `P "nepal telemetry                      # list series";
-           `P "nepal telemetry --series server.requests --window 120";
-           `P "nepal telemetry --series server.query_seconds.p99 --res mid \
-               --json";
-           `P "nepal telemetry --file /tmp/telem.jsonl --series gc.heap_words";
-         ])
-    Term.(ret (const run $ host_arg $ wire_port_arg $ series_arg $ window_arg
-               $ res_arg $ json_flag $ file_arg))
-
 let top_cmd =
   let module E = Nepal.Event_log in
   let module WJ = Nepal_util.Jsonp in
@@ -1424,47 +1280,26 @@ let top_cmd =
     Printf.sprintf "p50 %6.2fms  p95 %6.2fms  p99 %6.2fms  (n=%d)"
       (num0 "p50_ms" j) (num0 "p95_ms" j) (num0 "p99_ms" j) (int0 "count" j)
   in
-  let render ~host ~port ~prev ~req_pts ~p99_pts snapshot =
-    (* prev = (wall clock, total requests) of the previous refresh —
-       the q/s fallback when the server retains no history *)
+  let render ~host ~port ~prev snapshot =
+    (* prev = (wall clock, total requests) of the previous refresh; the
+       first frame has none and shows the mean rate since start *)
     let now = Unix.gettimeofday () in
     let requests = int0 "requests" snapshot in
-    let rates = rate_series req_pts in
+    let uptime = num0 "uptime_s" snapshot in
     let qps =
-      match List.rev rates with
-      | r :: _ -> r
-      | [] -> (
-          match prev with
-          | Some (t0, r0) when now > t0 ->
-              float_of_int (requests - r0) /. (now -. t0)
-          | _ -> 0.)
+      match prev with
+      | Some (t0, r0) when now > t0 ->
+          float_of_int (requests - r0) /. (now -. t0)
+      | _ when uptime > 0. -> float_of_int requests /. uptime
+      | _ -> 0.
     in
     let b = Buffer.create 1024 in
     let addf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    addf "nepal top — %s:%d   uptime %.1fs   proto %d\n" host port
-      (num0 "uptime_s" snapshot) (int0 "proto" snapshot);
-    addf "requests  %d  (%.1f q/s)   errors %d   watches %d   %s\n" requests
-      qps
-      (int0 "errors" snapshot) (int0 "watches" snapshot) (sparkline rates);
+    addf "nepal top — %s:%d   uptime %.1fs   proto %d\n" host port uptime
+      (int0 "proto" snapshot);
+    addf "requests  %d  (%.1f q/s)   errors %d   watches %d\n" requests qps
+      (int0 "errors" snapshot) (int0 "watches" snapshot);
     addf "query     %s\n" (hist_line (obj "query_seconds" snapshot));
-    (let module Ts = Nepal.Timeseries in
-     let p99s = List.map (fun (p : Ts.point) -> p.Ts.v_last *. 1e3) p99_pts in
-     match List.rev p99s with
-     | last :: _ ->
-         addf "          p99 trend %6.2fms  %s\n" last (sparkline p99s)
-     | [] -> ());
-    (match WJ.member "alerts" snapshot with
-    | Some (E.List []) -> addf "health    ok (no active alerts)\n"
-    | Some (E.List alerts) ->
-        List.iter
-          (fun a ->
-            addf "health    DEGRADED %s  %s %s=%.4g (threshold %.4g)\n"
-              (match WJ.member "rule" a with Some (E.Str s) -> s | _ -> "?")
-              (match WJ.member "series" a with Some (E.Str s) -> s | _ -> "?")
-              (match WJ.member "agg" a with Some (E.Str s) -> s | _ -> "?")
-              (num0 "value" a) (num0 "threshold" a))
-          alerts
-    | _ -> ());
     let e2e = obj "alert_e2e" snapshot in
     addf "alerts    sent %d  dropped %d   e2e %s\n"
       (int0 "alerts_sent" snapshot)
@@ -1519,26 +1354,13 @@ let top_cmd =
         | Error e -> `Error (false, "connect: " ^ e)
         | Ok client ->
             let interval = Float.max 0.1 interval in
-            (* ring history behind the sparklines; errors (an older
-               server without the verb) degrade to the prev-delta q/s *)
-            let fetch_history name =
-              match
-                Nepal.Server_client.history ~window_s:120. client name
-              with
-              | Ok reply -> Nepal.Server_client.history_points reply
-              | Error _ -> []
-            in
             let rec loop prev =
               match Nepal.Server_client.introspect client with
               | Error e ->
                   Nepal.Server_client.close client;
                   `Error (false, "introspect: " ^ e)
               | Ok snapshot ->
-                  let req_pts = fetch_history "server.requests" in
-                  let p99_pts = fetch_history "server.query_seconds.p99" in
-                  let prev', body =
-                    render ~host ~port ~prev ~req_pts ~p99_pts snapshot
-                  in
+                  let prev', body = render ~host ~port ~prev snapshot in
                   if once then begin
                     print_string body;
                     flush stdout;
@@ -1560,10 +1382,11 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:"Self-refreshing terminal dashboard for a running nepal server: \
-             q/s and p99 sparklines from retained telemetry, query latency \
-             quantiles, active health alerts, alert end-to-end lag, \
-             executor and lock occupancy, and a per-session table, over the \
-             introspect and history wire verbs."
+             request count and q/s (mean since start on the first frame, \
+             then between refreshes), query latency quantiles, alert \
+             end-to-end lag, executor and lock occupancy, and a per-session \
+             table, over the introspect wire verb. History is left to \
+             whatever scrapes the server's OpenMetrics endpoint."
        ~man:
          [
            `S Manpage.s_examples;
@@ -1579,6 +1402,6 @@ let main =
        ~doc:"Nepal — a graph database for a virtualized network infrastructure.")
     [ schema_cmd; generate_cmd; query_cmd; explain_cmd; check_cmd; repl_cmd;
       paths_cmd; when_exists_cmd; watch_cmd; stats_cmd; serve_cmd; client_cmd;
-      serve_metrics_cmd; events_cmd; top_cmd; telemetry_cmd ]
+      events_cmd; top_cmd ]
 
 let () = exit (Cmd.eval main)

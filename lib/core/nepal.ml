@@ -44,8 +44,6 @@ module Server_client = Nepal_server.Client
 module Wire = Nepal_server.Wire
 module Http_metrics = Nepal_server.Http_metrics
 module Env = Nepal_util.Env
-module Timeseries = Nepal_util.Timeseries
-module Health = Nepal_server.Health
 
 (* A module alias alone does not force the planner to link (and its
    [Engine.planner_hook] registration to run); referencing a value

@@ -71,8 +71,6 @@ module Server_client = Nepal_server.Client
 module Wire = Nepal_server.Wire
 module Http_metrics = Nepal_server.Http_metrics
 module Env = Nepal_util.Env
-module Timeseries = Nepal_util.Timeseries
-module Health = Nepal_server.Health
 
 (** {1 Databases} *)
 

@@ -153,60 +153,6 @@ let introspect t =
   let* reply = request t [ ("op", J.Str "introspect") ] in
   expect_ok reply
 
-let history ?window_s ?res t name =
-  let fields =
-    [ ("op", J.Str "history"); ("series", J.Str name) ]
-    @ (match window_s with Some w -> [ ("window_s", J.Float w) ] | None -> [])
-    @
-    match res with
-    | Some r ->
-        [ ("res", J.Str (Nepal_util.Timeseries.resolution_to_string r)) ]
-    | None -> []
-  in
-  let* reply = request t fields in
-  expect_ok reply
-
-let series t =
-  let* reply = request t [ ("op", J.Str "history") ] in
-  let* reply = expect_ok reply in
-  match Jsonp.list_field "series" reply with
-  | Some l ->
-      Ok (List.filter_map (function J.Str s -> Some s | _ -> None) l)
-  | None -> Error "malformed series frame"
-
-(* Decode a history reply's points; skips malformed entries rather
-   than failing the whole frame (a newer server may add fields). *)
-let history_points reply =
-  let num j name =
-    match Jsonp.member name j with
-    | Some (J.Float f) -> Some f
-    | Some (J.Int i) -> Some (float_of_int i)
-    | Some J.Null -> Some nan
-    | _ -> None
-  in
-  match Jsonp.list_field "points" reply with
-  | None -> []
-  | Some pts ->
-      List.filter_map
-        (fun p ->
-          match
-            ( num p "t", num p "min", num p "max", num p "mean", num p "last",
-              Jsonp.int_field "n" p )
-          with
-          | Some ts, Some v_min, Some v_max, Some v_mean, Some v_last, Some v_n
-            ->
-              Some
-                {
-                  Nepal_util.Timeseries.ts;
-                  v_min;
-                  v_max;
-                  v_mean;
-                  v_last;
-                  v_n;
-                }
-          | _ -> None)
-        pts
-
 let next_event ?(timeout_s = 1.0) t =
   Mutex.lock t.lock;
   Fun.protect

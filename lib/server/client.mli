@@ -51,22 +51,6 @@ val introspect : t -> (Jsonp.t, string) result
 (** The live server-state dump backing [nepal top]: totals, latency
     quantiles, executor/rwlock occupancy, per-session table. *)
 
-val history :
-  ?window_s:float ->
-  ?res:Nepal_util.Timeseries.resolution ->
-  t ->
-  string ->
-  (Jsonp.t, string) result
-(** Retained telemetry points for one series (the raw [history] reply
-    frame; decode with {!history_points}). *)
-
-val series : t -> (string list, string) result
-(** The server's retained series names ([history] with no series). *)
-
-val history_points : Jsonp.t -> Nepal_util.Timeseries.point list
-(** Decode a {!history} reply's ["points"] member (malformed entries
-    are skipped). *)
-
 val next_event : ?timeout_s:float -> t -> Jsonp.t option
 (** Next unsolicited frame: stashed ones first, then whatever arrives
     on the socket within [timeout_s] (default 1s). *)

@@ -118,18 +118,15 @@ let handle ~render ~timeout client =
   Net.shutdown_noerr client;
   Net.close_noerr client
 
-let serve_loop t ~render ~timeout ~once =
-  let served = ref 0 in
-  while Atomic.get t.running && not (once && !served > 0) do
+let serve_loop t ~render ~timeout =
+  while Atomic.get t.running do
     match Net.accept_tick t.sock ~tick_s:0.2 with
     | None -> ()
-    | Some (client, _peer) ->
-        handle ~render ~timeout client;
-        incr served
+    | Some (client, _peer) -> handle ~render ~timeout client
   done
 
-let start ?(addr = Unix.inet_addr_any) ?(port = 9464) ?(once = false)
-    ?(request_timeout_s = default_request_timeout_s) ~render () =
+let start ~addr ~port ?(request_timeout_s = default_request_timeout_s) ~render
+    () =
   let render = with_scrape_hygiene render in
   match Net.listen_tcp ~addr ~port () with
   | Error e -> Error e
@@ -137,22 +134,16 @@ let start ?(addr = Unix.inet_addr_any) ?(port = 9464) ?(once = false)
       let t =
         { sock; bound_port; running = Atomic.make true; thread = None }
       in
-      let th =
-        Thread.create
-          (fun () ->
-            serve_loop t ~render ~timeout:request_timeout_s ~once;
-            Atomic.set t.running false)
-          ()
-      in
-      t.thread <- Some th;
+      t.thread <-
+        Some
+          (Thread.create
+             (fun () -> serve_loop t ~render ~timeout:request_timeout_s)
+             ());
       Ok t
 
 let port t = t.bound_port
 
-let wait t =
-  match t.thread with Some th -> Thread.join th | None -> ()
-
 let stop t =
   Atomic.set t.running false;
-  wait t;
+  (match t.thread with Some th -> Thread.join th | None -> ());
   Net.close_noerr t.sock

@@ -16,25 +16,22 @@ val with_scrape_hygiene : (unit -> string) -> unit -> string
     OpenMetrics. {!start} applies this automatically. *)
 
 val start :
-  ?addr:Unix.inet_addr ->
-  ?port:int ->
-  ?once:bool ->
+  addr:Unix.inet_addr ->
+  port:int ->
   ?request_timeout_s:float ->
   render:(unit -> string) ->
   unit ->
   (t, string) result
-(** Bind (default [0.0.0.0:9464]; port [0] picks a free port — see
-    {!port}) and serve on a background thread. [once] exits after the
-    first request, for smoke tests. [request_timeout_s] (default 5s)
-    bounds how long an idle accepted connection is waited on before
-    being dropped. [render] produces the [/metrics] body per scrape. *)
+(** Bind [addr]:[port] ([0] picks a free port — see {!port}) and serve
+    on a background thread. There is no default address: the caller
+    binds the exporter where its server listens, so a loopback server
+    does not expose its registry on every interface.
+    [request_timeout_s] (default 5s) bounds how long an idle accepted
+    connection is waited on before being dropped. [render] produces
+    the [/metrics] body per scrape. *)
 
 val port : t -> int
 (** The actually-bound port. *)
-
-val wait : t -> unit
-(** Join the exporter thread (returns when {!stop} is called, or after
-    the single request under [once]). *)
 
 val stop : t -> unit
 (** Stop accepting, join the thread, close the listener. *)

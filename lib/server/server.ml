@@ -72,9 +72,6 @@ type config = {
   workers : int option;  (** executor domains; [None] = pool default *)
   pump_interval_s : float;  (** monitor poll cadence *)
   debounce_ms : float option;  (** watch debounce override *)
-  telemetry_interval_ms : float option;
-      (** telemetry tick; [None] = NEPAL_TELEM_INTERVAL_MS or 1000 *)
-  health_rules : Health.rule list option;  (** [None] = default watchdogs *)
 }
 
 let default_config =
@@ -88,8 +85,6 @@ let default_config =
     workers = None;
     pump_interval_s = 0.02;
     debounce_ms = None;
-    telemetry_interval_ms = None;
-    health_rules = None;
   }
 
 type session = {
@@ -120,8 +115,6 @@ type t = {
   watch_routes : (int, session) Hashtbl.t;  (* watch id -> owner *)
   mutable next_session : int [@guarded_by "lock"];
   running : bool Atomic.t;  (* flipped once by [stop]; loops poll it *)
-  health : Health.t;
-  telem_armed : bool;  (* this server started the telemetry tick *)
   mutable listener : Thread.t option [@guarded_by "start/stop caller"];
   mutable pump : Thread.t option [@guarded_by "start/stop caller"];
 }
@@ -266,14 +259,6 @@ let introspect_fields t =
             J.Int (Metrics.counter_value (Metrics.counter "monitor.cdc_dropped"))
           );
         ] );
-    ("alerts", Health.alerts_json t.health);
-    ( "telemetry",
-      J.Obj
-        [
-          ("armed", J.Bool (Nepal_util.Timeseries.armed ()));
-          ("interval_s", J.Float (Nepal_util.Timeseries.interval_s ()));
-          ("series", J.Int (List.length (Nepal_util.Timeseries.series_names ())));
-        ] );
     ("sessions", J.List (List.map session_json sessions));
   ]
 
@@ -336,20 +321,7 @@ let handle_line t s line =
           push s (Wire.introspect_frame ~id (introspect_fields t))
       | Wire.Query { q; trace } -> handle_query t s ~id ~trace q
       | Wire.Watch q -> handle_watch t s ~id q
-      | Wire.Unwatch wid -> handle_unwatch t s ~id wid
-      | Wire.History { series; window_s; res } -> (
-          match series with
-          | None ->
-              push s
-                (Wire.series_frame ~id (Nepal_util.Timeseries.series_names ()))
-          | Some name ->
-              let points =
-                Nepal_util.Timeseries.query ?window_s ~resolution:res name
-              in
-              push s
-                (Wire.history_frame ~id ~series:name ~res
-                   ~interval_s:(Nepal_util.Timeseries.interval_s ())
-                   ~points)))
+      | Wire.Unwatch wid -> handle_unwatch t s ~id wid)
 
 (* -- session threads --------------------------------------------------- *)
 
@@ -506,10 +478,7 @@ let pump_loop t =
                   note_error ~kind:"monitor.poll_error" exn;
                   []))
       in
-      List.iter (route_alert t) alerts;
-      (* the database watches itself on the same cadence it watches
-         graph paths; Health rate-limits to the telemetry tick *)
-      ignore (Health.poll t.health : Health.transition list)
+      List.iter (route_alert t) alerts
     end
   done
 
@@ -525,10 +494,6 @@ let start ?(config = default_config) ?make_runner store =
         match make_runner with
         | Some f -> f
         | None -> default_make_runner store
-      in
-      let health = Health.create ?rules:config.health_rules () in
-      let telem_armed =
-        Nepal_util.Timeseries.arm ?interval_ms:config.telemetry_interval_ms ()
       in
       let t =
         {
@@ -546,8 +511,6 @@ let start ?(config = default_config) ?make_runner store =
           watch_routes = Hashtbl.create 16;
           next_session = 1;
           running = Atomic.make true;
-          health;
-          telem_armed;
           listener = None;
           pump = None;
         }
@@ -556,7 +519,6 @@ let start ?(config = default_config) ?make_runner store =
           float_of_int (Hashtbl.length t.sessions));
       Metrics.register_gauge "executor.queue_depth" (fun () ->
           float_of_int (Executor.queue_depth t.exec));
-      Health.register_gauge t.health;
       t.listener <- Some (Thread.create (fun () -> listener_loop t make_runner) ());
       t.pump <- Some (Thread.create (fun () -> pump_loop t) ());
       Ok t
@@ -582,6 +544,5 @@ let stop t =
     List.iter (fun (_, th) -> Thread.join th) live;
     (match t.pump with Some th -> Thread.join th | None -> ());
     with_lock t.mon_lock (fun () -> Monitor.close t.mon);
-    Executor.shutdown t.exec;
-    if t.telem_armed then Nepal_util.Timeseries.disarm ()
+    Executor.shutdown t.exec
   end

@@ -1,12 +1,9 @@
 (** The Nepal server: concurrent JSONL sessions over TCP, with
-    [query] / [watch] / [unwatch] / [stats] / [ping] / [introspect] /
-    [history] verbs (see {!Wire}).
-
-    Starting a server also arms the {!Nepal_util.Timeseries} tick
-    (unless already armed, or disabled by config/environment) and a
-    {!Health} engine polled from the monitor pump; [introspect] then
-    carries [alerts] (currently-degraded health rules) and [telemetry]
-    sections, and the [history] verb serves retained ring points.
+    [query] / [watch] / [unwatch] / [stats] / [ping] / [introspect]
+    verbs (see {!Wire}). The server keeps no telemetry history of its
+    own: its registry is exported live over OpenMetrics (see
+    {!Http_metrics}, which [nepal serve --metrics-port] starts beside
+    it), and whatever scrapes that endpoint keeps the history.
 
     One listener thread accepts sessions; each session runs a reader
     and a writer systhread, with query evaluation dispatched to a
@@ -52,17 +49,11 @@ type config = {
   workers : int option;  (** executor domains; [None] = pool default *)
   pump_interval_s : float;  (** monitor poll cadence *)
   debounce_ms : float option;  (** watch debounce override *)
-  telemetry_interval_ms : float option;
-      (** telemetry tick interval; [None] defers to
-          [NEPAL_TELEM_INTERVAL_MS] (default 1000, [<= 0] disables) *)
-  health_rules : Health.rule list option;
-      (** self-monitoring rules; [None] = {!Health.default_rules} *)
 }
 
 val default_config : config
 (** Loopback:9642, 64 sessions, 250ms read tick, 1 MiB frames,
-    256-frame outboxes, default executor width, 20ms pump, telemetry
-    and health watchdogs from the environment/defaults. *)
+    256-frame outboxes, default executor width, 20ms pump. *)
 
 type t
 

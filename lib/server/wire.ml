@@ -22,20 +22,6 @@ type request =
   | Unwatch of int
   | Stats
   | Introspect
-  | History of {
-      series : string option;
-      window_s : float option;
-      res : Nepal_util.Timeseries.resolution;
-    }
-
-let verb_of_request = function
-  | Ping -> "ping"
-  | Query _ -> "query"
-  | Watch _ -> "watch"
-  | Unwatch _ -> "unwatch"
-  | Stats -> "stats"
-  | Introspect -> "introspect"
-  | History _ -> "history"
 
 (* The request id as received: echoed verbatim in the response so the
    client can correlate; [J.Null] when absent. Only scalar ids are
@@ -80,41 +66,12 @@ let parse_request line =
               | Some w -> Ok (id, Unwatch w)
               | None ->
                   Error (id, "unwatch requires an integer field \"watch\""))
-          | Some "history" -> (
-              (* all fields optional: no "series" asks for the name
-                 list, no "window_s" for all retained points *)
-              let series =
-                match Jsonp.member "series" json with
-                | Some (J.Str s) when String.trim s <> "" -> Ok (Some s)
-                | Some _ -> Error "history: \"series\" must be a string"
-                | None -> Ok None
-              in
-              let window_s =
-                match Jsonp.member "window_s" json with
-                | Some (J.Int i) when i > 0 -> Ok (Some (float_of_int i))
-                | Some (J.Float f) when f > 0. -> Ok (Some f)
-                | Some _ -> Error "history: \"window_s\" must be a positive number"
-                | None -> Ok None
-              in
-              let res =
-                match Jsonp.member "res" json with
-                | Some (J.Str s) -> (
-                    match Nepal_util.Timeseries.resolution_of_string s with
-                    | Some r -> Ok r
-                    | None -> Error "history: \"res\" must be raw|mid|coarse")
-                | Some _ -> Error "history: \"res\" must be a string"
-                | None -> Ok Nepal_util.Timeseries.Raw
-              in
-              match (series, window_s, res) with
-              | Ok series, Ok window_s, Ok res ->
-                  Ok (id, History { series; window_s; res })
-              | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error (id, e))
           | Some other ->
               Error
                 ( id,
                   Printf.sprintf
                     "unknown op %S \
-                     (ping|query|watch|unwatch|stats|introspect|history)"
+                     (ping|query|watch|unwatch|stats|introspect)"
                     other )))
 
 (* -- server → client frames ------------------------------------------- *)
@@ -181,40 +138,6 @@ let stats_frame ~id fields =
   line
     (J.Obj
        ([ ("id", id); ("ok", J.Bool true); ("type", J.Str "stats") ] @ fields))
-
-let history_frame ~id ~series ~res ~interval_s ~points =
-  let point_json (p : Nepal_util.Timeseries.point) =
-    J.Obj
-      [
-        ("t", J.Float p.Nepal_util.Timeseries.ts);
-        ("min", J.Float p.Nepal_util.Timeseries.v_min);
-        ("max", J.Float p.Nepal_util.Timeseries.v_max);
-        ("mean", J.Float p.Nepal_util.Timeseries.v_mean);
-        ("last", J.Float p.Nepal_util.Timeseries.v_last);
-        ("n", J.Int p.Nepal_util.Timeseries.v_n);
-      ]
-  in
-  line
-    (J.Obj
-       [
-         ("id", id);
-         ("ok", J.Bool true);
-         ("type", J.Str "history");
-         ("series", J.Str series);
-         ("res", J.Str (Nepal_util.Timeseries.resolution_to_string res));
-         ("interval_s", J.Float interval_s);
-         ("points", J.List (List.map point_json points));
-       ])
-
-let series_frame ~id names =
-  line
-    (J.Obj
-       [
-         ("id", id);
-         ("ok", J.Bool true);
-         ("type", J.Str "series");
-         ("series", J.List (List.map (fun s -> J.Str s) names));
-       ])
 
 let introspect_frame ~id fields =
   line

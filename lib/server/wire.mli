@@ -3,11 +3,8 @@
     Client → server: [{"op": VERB, "id": ID, ...}] with verbs [ping],
     [query] / [watch] (string field ["q"]; [query] also accepts
     [{"trace": true}] for EXPLAIN ANALYZE over the wire), [unwatch]
-    (integer field ["watch"]), [stats], [introspect], and [history]
-    (optional ["series"], ["window_s"], ["res": "raw"|"mid"|"coarse"] —
-    retained telemetry points, or the series name list when no series
-    is named). The [id] — integer, string, or absent — is echoed
-    verbatim in the response.
+    (integer field ["watch"]), [stats] and [introspect]. The [id] —
+    integer, string, or absent — is echoed verbatim in the response.
 
     Server → client: responses ([{"id", "ok", ...}], exactly one per
     request) and unsolicited events ([{"event": "hello"}] on connect,
@@ -33,13 +30,6 @@ type request =
   | Unwatch of int
   | Stats
   | Introspect
-  | History of {
-      series : string option;  (** [None] asks for the series name list *)
-      window_s : float option; (** [None] = all retained points *)
-      res : Nepal_util.Timeseries.resolution;  (** default [Raw] *)
-    }
-
-val verb_of_request : request -> string
 
 val parse_request : string -> (J.json * request, J.json * string) result
 (** Parse one frame. Both sides carry the request id (or [Null]) so an
@@ -67,20 +57,6 @@ val stats_frame : id:J.json -> (string * J.json) list -> string
 val introspect_frame : id:J.json -> (string * J.json) list -> string
 (** Live server state: uptime, executor queue, rwlock occupancy,
     per-session table — whatever fields the server gathers. *)
-
-val history_frame :
-  id:J.json ->
-  series:string ->
-  res:Nepal_util.Timeseries.resolution ->
-  interval_s:float ->
-  points:Nepal_util.Timeseries.point list ->
-  string
-(** Retained telemetry points for one series, oldest first, each as
-    [{"t","min","max","mean","last","n"}]. *)
-
-val series_frame : id:J.json -> string list -> string
-(** The retained series names — the response to a [history] request
-    with no ["series"] field. *)
 
 val alert :
   ?latency_ms:float ->

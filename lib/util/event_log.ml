@@ -402,9 +402,9 @@ let suppressed_events = Atomic.make 0
 
 let suppressed () = Atomic.get suppressed_events
 
-(* Exposed as a gauge so the telemetry ring retains its trajectory and
-   a health rule can watch its growth rate. Reads only the atomic —
-   safe under the registry lock. *)
+(* Exposed as a gauge so a scraper of the OpenMetrics endpoint can
+   watch its growth rate. Reads only the atomic — safe under the
+   registry lock. *)
 let () =
   Metrics.register_gauge "event_log.suppressed" (fun () ->
       float_of_int (Atomic.get suppressed_events))

@@ -1,12 +1,12 @@
 (* RFC 8259 JSON parsing onto {!Event_log.json} — the same value type
-   the rest of the system renders, so the wire protocol and the
-   telemetry snapshot files round-trip through one representation.
+   the rest of the system renders, so the wire protocol round-trips
+   through one representation.
    Strict enough for a network-facing surface: no trailing garbage, no
    unescaped control characters in strings, \u escapes decoded
    (surrogate pairs included), numbers kept as [Int] when they are
    integral and fit. Lives in nepal_util so that the wire protocol and
-   the offline consumer {!Timeseries.load} share one parser without the
-   latter linking the server stack. *)
+   the benchmark harness share one parser without the latter linking
+   the server stack. *)
 
 module J = Event_log
 

@@ -1,10 +1,8 @@
 (** Strict RFC 8259 JSON parsing onto {!Event_log.json}, plus the field
-    accessors the wire protocol and the offline telemetry/bench readers
-    share.
+    accessors the wire protocol and the benchmark harness share.
 
     One representation round-trips everything: the event log's renderer
-    writes frames, snapshot dumps and trajectory files; this parser
-    reads them back. Numbers without a fraction or exponent that fit in
+    writes frames and event lines; this parser reads them back. Numbers without a fraction or exponent that fit in
     an [int] parse as [Int]; trailing garbage after the document is an
     error (a JSONL line holds exactly one value). *)
 

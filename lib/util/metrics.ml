@@ -210,11 +210,10 @@ let stats_of h =
    of the same histogram. Registered histograms are cumulative forever,
    which makes their quantiles sticky — one slow burst dominates p99 for
    the rest of the process. Differencing the bucket counts recovers a
-   windowed view: the telemetry sampler calls this once per tick so the
-   ring stores per-interval quantiles that rise during an incident and
-   fall when it ends. The bounds in [stats.buckets] are exact
-   [bucket_upper] values, so the grid index is recovered by equality
-   scan (162 buckets; this runs once per histogram per tick). *)
+   windowed view: per-interval quantiles that rise during an incident
+   and fall when it ends (the benchmark harness reads per-run tails this
+   way). The bounds in [stats.buckets] are exact [bucket_upper] values,
+   so the grid index is recovered by equality scan (162 buckets). *)
 let quantiles_of_delta ?prev (cur : histogram_stats) =
   let arr = Array.make n_buckets 0 in
   let fill sign buckets =
@@ -368,8 +367,8 @@ let le_repr bound =
 (* Render the whole registry in the OpenMetrics text exposition format
    (one # TYPE block per metric family, counters with a _total sample,
    histograms with cumulative _bucket series plus _sum/_count, and the
-   mandatory # EOF terminator). This is what [nepal serve-metrics]
-   serves and what the bench --json runs write alongside their results. *)
+   mandatory # EOF terminator). This is what [nepal serve
+   --metrics-port] serves. *)
 let render_openmetrics () =
   let s = snapshot () in
   let b = Buffer.create 4096 in
@@ -410,7 +409,7 @@ let render_openmetrics () =
 (* Runtime gauges every process gets for free: OCaml heap occupancy and
    collection counts ([Gc.quick_stat] is a few loads, safe under the
    registry lock). Registered at module initialization so the
-   serve-metrics endpoint and bench sidecars always include them. *)
+   OpenMetrics endpoint always includes them. *)
 let () =
   register_gauge "gc.heap_words" (fun () ->
       float_of_int (Gc.quick_stat ()).Gc.heap_words);

@@ -76,10 +76,10 @@ val stats_of : histogram -> histogram_stats
 val quantiles_of_delta :
   ?prev:histogram_stats -> histogram_stats -> (float * float * float) option
 (** [(p50, p95, p99)] of only the observations recorded between the
-    [prev] snapshot and the current one of the same histogram — the
-    windowed view a telemetry tick needs, since cumulative quantiles are
-    sticky. [None] when nothing new was observed. A registry reset
-    between the snapshots (shrinking count) treats [prev] as empty.
+    [prev] snapshot and the current one of the same histogram — a
+    windowed view, since cumulative quantiles are sticky. [None] when
+    nothing new was observed. A registry reset between the snapshots
+    (shrinking count) treats [prev] as empty.
     Estimates clamp to the cumulative min/max envelope. *)
 
 type snapshot = {

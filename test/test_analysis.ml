@@ -265,6 +265,160 @@ let qcheck_no_false_positives =
                   (String.concat "; " (List.map Diag.to_string errors)))
         conns)
 
+(* -- NPL010 against the reference evaluator ---------------------------- *)
+
+(* NPL010 says a pattern is provably empty from the schema's edge rules
+   alone. The reference evaluator (test/reference.ml) shares no code
+   with the analyzer, so wherever NPL010 fires it must find no pathway
+   on the same store under the same time constraint. The store is a
+   small virtualized service with churn, on the golden corpus's
+   schema. *)
+let oracle_db =
+  lazy
+    (let vs =
+       Virt.generate ~seed:11 ~vnf_count:6 ~server_count:12
+         ~virtual_networks:8 ()
+     in
+     Virt.simulate_history ~seed:12 ~days:8 ~events_per_day:6 vs;
+     Nepal.of_store vs.Virt.store)
+
+let oracle_tcs =
+  let tp = Nepal.Time_point.of_string_exn in
+  Nepal.Time_constraint.
+    [
+      Snapshot;
+      At (tp "2017-02-10 00:00:00");
+      Range (tp "2017-02-01 00:00:00", tp "2017-03-01 00:00:00");
+    ]
+
+(* [Ok true]: NPL010 fired and the reference found nothing; [Ok false]:
+   NPL010 did not fire; [Error]: the two disagree. *)
+let npl010_vs_reference (tc, rpe) =
+  let db = Lazy.force oracle_db in
+  let q = Reference.query_text tc rpe in
+  if not (has "NPL010" (Nepal.check_on (Nepal.conn db) q)) then Ok false
+  else
+    match Nepal.Rpe_parser.parse rpe with
+    | Error e -> Error (Printf.sprintf "NPL010 on unparsable %s: %s" q e)
+    | Ok ast -> (
+        match Nepal.Rpe.validate (Nepal.schema db) ast with
+        | Error e -> Error (Printf.sprintf "NPL010 on invalid %s: %s" q e)
+        | Ok norm -> (
+            match Reference.find (Nepal.store db) ~tc norm with
+            | [] -> Ok true
+            | found ->
+                Error
+                  (Printf.sprintf
+                     "NPL010 on %s, but the reference finds %d pathway(s):\n%s"
+                     q (List.length found)
+                     (Reference.show (Reference.canon found)))))
+
+(* The corpus's NPL010 cases as bare RPEs, plus the strict-rejection
+   probe of the observability tests. *)
+let npl010_table =
+  let prefix = "Retrieve P From PATHS P Where P MATCHES " in
+  let n = String.length prefix in
+  List.filter_map
+    (fun (code, _, q) ->
+      if code = "NPL010" && String.starts_with ~prefix q then
+        Some (String.sub q n (String.length q - n))
+      else None)
+    corpus
+  @ [ "Container(id=987654)->VirtualLink()->Container(id=987655)" ]
+
+(* Node/edge chains over the virt schema's populated classes, with
+   edge alternations and short edge repetitions: most violate some
+   edge rule, some do not. *)
+let gen_random_rpe =
+  let open QCheck.Gen in
+  let node =
+    frequency
+      [
+        ( 1,
+          oneofl
+            [
+              "VNF()"; "VFC()"; "Container()"; "VM()"; "Docker()"; "Server()";
+              "Switch()"; "Router()"; "Rack()"; "VirtualNetwork()";
+              "VirtualRouter()"; "NetworkService()";
+            ] );
+        (1, return "Node()");
+      ]
+  in
+  let edge_atom =
+    frequency
+      [
+        ( 1,
+          oneofl
+            [
+              "ComposedOf()"; "OnVM()"; "OnServer()"; "PartOf()";
+              "Connects()"; "VirtualLink()"; "LogicalLink()"; "HostedOn()";
+            ] );
+        (1, oneofl [ "Vertical()"; "ConnectedTo()"; "Edge()" ]);
+      ]
+  in
+  let edge =
+    frequency
+      [
+        (4, edge_atom);
+        (1, map2 (fun a b -> "(" ^ a ^ "|" ^ b ^ ")") edge_atom edge_atom);
+        (1, map (fun e -> "[" ^ e ^ "]{1,2}") edge_atom);
+      ]
+  in
+  let rec chain hops =
+    if hops = 0 then node
+    else
+      map3 (fun c e b -> c ^ "->" ^ e ^ "->" ^ b) (chain (hops - 1)) edge node
+  in
+  int_range 1 3 >>= chain
+
+let gen_npl010_case =
+  QCheck.Gen.(
+    pair (oneofl oracle_tcs)
+      (frequency [ (1, oneofl npl010_table); (4, gen_random_rpe) ]))
+
+let qcheck_npl010_reference =
+  QCheck.Test.make ~name:"NPL010 only where the reference finds nothing"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (tc, rpe) -> Reference.query_text tc rpe)
+       gen_npl010_case)
+    (fun case ->
+      match npl010_vs_reference case with
+      | Ok _ -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* The property is only as strong as its NPL010 hits: every table case
+   must fire (and agree) under every constraint, and a fixed sample of
+   the random RPEs must both fire and stay silent often enough. *)
+let test_npl010_coverage () =
+  List.iter
+    (fun rpe ->
+      List.iter
+        (fun tc ->
+          match npl010_vs_reference (tc, rpe) with
+          | Ok true -> ()
+          | Ok false -> Alcotest.failf "NPL010 does not fire on %s" rpe
+          | Error msg -> Alcotest.fail msg)
+        oracle_tcs)
+    npl010_table;
+  let sample =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 2018 |]) ~n:100
+      gen_random_rpe
+  in
+  let fired =
+    List.length
+      (List.filter
+         (fun rpe ->
+           match npl010_vs_reference (Nepal.Time_constraint.Snapshot, rpe) with
+           | Ok fired -> fired
+           | Error msg -> Alcotest.fail msg)
+         sample)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "NPL010 fires on 20..80 of 100 random RPEs (got %d)" fired)
+    true
+    (fired >= 20 && fired <= 80)
+
 (* -- observability wiring --------------------------------------------- *)
 
 let test_analysis_rejected_stat_class () =
@@ -355,7 +509,12 @@ let () =
             test_strict_allows_clean_queries;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest qcheck_no_false_positives ] );
+        [
+          QCheck_alcotest.to_alcotest qcheck_no_false_positives;
+          QCheck_alcotest.to_alcotest qcheck_npl010_reference;
+          Alcotest.test_case "NPL010 oracle coverage" `Quick
+            test_npl010_coverage;
+        ] );
       ( "observability",
         [
           Alcotest.test_case "analysis.rejected stat class" `Quick

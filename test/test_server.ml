@@ -1048,126 +1048,6 @@ let test_exporter_head_request () =
       check_bool "HEAD 404 still declares a length" true
         (match content_length nf_hdr with Some n -> n > 0 | None -> false))
 
-(* ---- self-monitoring end-to-end ------------------------------------- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(* A forced latency spike under live traffic must produce the
-   degraded → recovered event pair: the telemetry tick samples the
-   windowed query p99, the health rule debounces over the ring, and the
-   pump thread emits through Event_log. *)
-let test_health_spike_events () =
-  let store = new_store () in
-  ignore (build_small store);
-  let slow = Atomic.make false in
-  let make_runner () =
-    let inner = query_on_runner store () in
-    fun ~trace text ->
-      if Atomic.get slow then Thread.delay 0.12;
-      inner ~trace text
-  in
-  let rule =
-    {
-      Nepal.Health.hr_name = "query_spike";
-      hr_series = "server.query_seconds.p99";
-      hr_window_s = 10.;
-      hr_agg = Nepal.Health.Last;
-      hr_cmp = Nepal.Health.Above;
-      hr_threshold = 0.05;
-      hr_sustain = 2;
-      hr_recover = 2;
-    }
-  in
-  let config =
-    {
-      test_config with
-      telemetry_interval_ms = Some 50.;
-      health_rules = Some [ rule ];
-    }
-  in
-  let log_path = Filename.temp_file "nepal_health" ".jsonl" in
-  J.set_path (Some log_path);
-  let log_lines () =
-    let ic = open_in log_path in
-    let acc = ref [] in
-    (try
-       while true do
-         acc := input_line ic :: !acc
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
-  in
-  let has kind =
-    List.exists (fun l -> contains l ("\"kind\":\"" ^ kind ^ "\"")) (log_lines ())
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      J.set_path None;
-      if Sys.file_exists log_path then Sys.remove log_path)
-    (fun () ->
-      let server = ok (Server.start ~config ~make_runner store) in
-      Fun.protect
-        ~finally:(fun () -> Server.stop server)
-        (fun () ->
-          with_client server (fun c ->
-              (* keep queries flowing so every tick sees fresh latency
-                 observations while we wait for the transition *)
-              let drive pred =
-                let deadline = Unix.gettimeofday () +. 20. in
-                let rec go () =
-                  if pred () then true
-                  else if Unix.gettimeofday () >= deadline then false
-                  else begin
-                    ignore (Client.query c q_app_box);
-                    Thread.delay 0.01;
-                    go ()
-                  end
-                in
-                go ()
-              in
-              Atomic.set slow true;
-              check_bool "spike degrades the health rule" true
-                (drive (fun () -> has "health.degraded"));
-              (* while degraded, introspect advertises the alert *)
-              let ins = ok (Client.introspect c) in
-              (match Json.member "alerts" ins with
-              | Some (J.List (J.Obj fields :: _)) ->
-                  check_bool "alert names the rule" true
-                    (List.assoc_opt "rule" fields = Some (J.Str "query_spike"))
-              | _ -> Alcotest.fail "introspect must list the active alert");
-              (match Json.member "telemetry" ins with
-              | Some t ->
-                  check_bool "telemetry armed" true
-                    (Json.bool_field "armed" t = Some true)
-              | None -> Alcotest.fail "introspect must report telemetry");
-              (* retained history is queryable over the wire while hot *)
-              let pts =
-                Client.history_points
-                  (ok (Client.history ~window_s:30. c "server.requests"))
-              in
-              check_bool "history verb returns retained points" true
-                (pts <> []);
-              Atomic.set slow false;
-              check_bool "fast traffic recovers the rule" true
-                (drive (fun () -> has "health.recovered"));
-              (* order: the degrade strictly precedes the recovery *)
-              let lines = log_lines () in
-              let index_of kind =
-                let rec go i = function
-                  | [] -> max_int
-                  | l :: tl ->
-                      if contains l ("\"kind\":\"" ^ kind ^ "\"") then i
-                      else go (i + 1) tl
-                in
-                go 0 lines
-              in
-              check_bool "degraded precedes recovered" true
-                (index_of "health.degraded" < index_of "health.recovered"))))
-
 (* NEPAL_LOCK_DEBUG=1 arms the store lock's re-entrancy witness: the
    deadlock the static LNT002 rule flags at compile time raises
    [Rwlock.Reentrant] at run time instead of hanging the session
@@ -1261,11 +1141,6 @@ let () =
             test_exporter_survives_idle_peer;
           Alcotest.test_case "HEAD sends headers only" `Quick
             test_exporter_head_request;
-        ] );
-      ( "health",
-        [
-          Alcotest.test_case "spike degrades then recovers" `Quick
-            test_health_spike_events;
         ] );
       ( "lock witness",
         [

@@ -87,10 +87,6 @@ let non_blocking_overrides =
     ([ "Metrics" ], "bounded critical sections, no condition waits");
     ([ "Env" ], "bounded critical sections, no condition waits");
     ([ "Event_log" ], "bounded critical sections; sink writes are local file I/O");
-    ( [ "Timeseries" ],
-      "bounded critical sections over in-memory rings; dump/load file I/O \
-       happens outside the lock" );
-    ([ "Health" ], "bounded critical sections over per-rule debounce state");
     ([ "Prng" ], "pure state update");
     ([ "Graph_store" ], "CDC ring drops at capacity instead of blocking");
     ( [ "Domain_pool"; "run" ],
@@ -133,7 +129,6 @@ let shared_state_modules =
   [
     "Server"; "Outbox"; "Client"; "Http_metrics"; "Monitor"; "Rwlock";
     "Domain_pool"; "Metrics"; "Env"; "Event_log"; "Graph_store";
-    "Timeseries"; "Health";
   ]
 
 (* Modules that implement the locking/queueing primitives: direct
@@ -142,7 +137,6 @@ let shared_state_modules =
 let lock_impl_modules =
   [
     "Rwlock"; "Outbox"; "Domain_pool"; "Metrics"; "Env"; "Event_log";
-    "Timeseries"; "Health";
   ]
 
 (* The polymorphic-comparison rules keep their original scope: the hot
