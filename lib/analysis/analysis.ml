@@ -31,7 +31,6 @@ module Interval_set = Nepal_temporal.Interval_set
 module Intset = Nepal_util.Intset
 module Strset = Nepal_util.Strset
 module Q = Nepal_query.Query_ast
-module Engine = Nepal_query.Engine
 
 (* -- tunables -------------------------------------------------------- *)
 
@@ -660,18 +659,10 @@ let check_satisfiability ~schema ~(add : ?span:Span.t -> Diagnostic.severity -> 
 
 (* -- whole-query analysis -------------------------------------------- *)
 
-let rec mentions_matches = function
-  | Q.Matches _ -> true
-  | Q.And (a, b) | Q.Or (a, b) -> mentions_matches a || mentions_matches b
-  | Q.Not c -> mentions_matches c
-  | Q.Cmp _ | Q.Exists _ | Q.Not_exists _ -> false
-
-let path_fun_name = function Q.Source -> "source" | Q.Target -> "target"
-
 let analyze ~schema ?schema_of ?cost q =
   let schema_for =
     match schema_of with
-    | Some f -> fun v -> ( try f v with _ -> schema)
+    | Some f -> f
     | None -> fun _ -> schema
   in
   let diags = ref [] in
@@ -697,7 +688,7 @@ let analyze ~schema ?schema_of ?cost q =
       (fun c ->
         match c with
         | Q.Matches _ -> ()
-        | c when mentions_matches c ->
+        | c when Q.mentions_matches c ->
             add Diagnostic.Error "NPL008"
               "MATCHES may only appear as a top-level conjunct"
         | _ -> ())
@@ -764,25 +755,10 @@ let analyze ~schema ?schema_of ?cost q =
                    (Nepal_temporal.Time_point.to_string w1)))
           q.Q.vars
     | _ -> ());
-    (* Join/anchor classification (mirrors Engine.classify). *)
-    let joins =
-      List.filter_map
-        (function
-          | Q.Cmp (Q.Node_of (f1, v1), Predicate.Eq, Q.Node_of (f2, v2))
-            when v1 <> v2 ->
-              Some (f1, v1, f2, v2)
-          | _ -> None)
-        conjs
-    in
-    let lit_anchors =
-      List.filter_map
-        (function
-          | Q.Cmp (Q.Node_of (f, v), Predicate.Eq, Q.Lit lit)
-          | Q.Cmp (Q.Lit lit, Predicate.Eq, Q.Node_of (f, v)) ->
-              Some (f, v, lit)
-          | _ -> None)
-        conjs
-    in
+    (* Join/anchor classification: the engine's own, in conjunct order. *)
+    let cls = Q.classify conjs in
+    let joins = List.rev cls.Q.joins in
+    let lit_anchors = List.rev cls.Q.anchors_from_lit in
     (* NPL018 (error form): a literal node-function pin must be an
        integer uid — the engine refuses to seed from anything else. *)
     List.iter
@@ -794,14 +770,14 @@ let analyze ~schema ?schema_of ?cost q =
               (Printf.sprintf
                  "%s(%s) = %s pins a node function to a non-integer literal; \
                   node identities are integers"
-                 (path_fun_name f) v (Value.to_string lit)))
+                 (Q.path_fun_to_string f) v (Value.to_string lit)))
       lit_anchors;
     (* NPL014: anchorability closure. A variable is evaluable when its
        RPE is anchorable, it is pinned by a literal, or it joins
        (transitively) to an evaluable variable. *)
     let cost_for v =
       match cost with
-      | Some f -> fun a -> ( try f v a with _ -> 1.0)
+      | Some f -> f v
       | None -> fun _ -> 1.0
     in
     let self_evaluable (v, shape) =
@@ -940,7 +916,7 @@ let analyze ~schema ?schema_of ?cost q =
                   (Printf.sprintf
                      "no possible %s class of %S has field %s — the value is \
                       always Null%s"
-                     (path_fun_name f) name (String.concat "." path)
+                     (Q.path_fun_to_string f) name (String.concat "." path)
                      (suggest fields head))
               end;
               Some leafs)
@@ -1340,24 +1316,3 @@ let relevance ~schema (q : Q.query) =
     | Q.Matches _ | Q.Cmp _ -> acc
   in
   { rel_classes; rel_until = query_until ~default:None q }
-
-(* -- engine hookup ---------------------------------------------------- *)
-
-let () =
-  Engine.analyzer_hook :=
-    Some
-      (fun ~schema_of ~cost_of q ->
-        let schema = schema_of "" in
-        analyze ~schema ~schema_of ~cost:cost_of q
-        |> List.map (fun (d : Diagnostic.t) ->
-               {
-                 Engine.ad_code = d.Diagnostic.code;
-                 ad_severity =
-                   (match d.Diagnostic.severity with
-                   | Diagnostic.Error -> `Error
-                   | Diagnostic.Warning -> `Warning
-                   | Diagnostic.Hint -> `Hint);
-                 ad_message = d.Diagnostic.message;
-                 ad_line = d.Diagnostic.span.Span.line;
-                 ad_col = d.Diagnostic.span.Span.col;
-               }))

@@ -3,10 +3,9 @@
     [analyze] inspects a parsed query — labels, predicates, RPE
     satisfiability (schema-graph reachability under the 4-case junction
     rule), temporal windows, anchors/joins — and returns structured
-    {!Diagnostic.t}s without contacting any backend. Loading this
-    module also registers the analyzer with
-    {!Nepal_query.Engine.analyzer_hook}, which is how
-    [Engine.run ~analyze] finds it. *)
+    {!Diagnostic.t}s without contacting any backend. [Nepal_engine.Engine]
+    calls {!analyze} before it runs a query ([~analyze]) and for
+    EXPLAIN's [diagnostics:] section. *)
 
 val analyze :
   schema:Nepal_schema.Schema.t ->
@@ -16,11 +15,12 @@ val analyze :
   Diagnostic.t list
 (** Diagnostics sorted errors-first (then source position, then code).
     [schema] resolves classes and fields. [schema_of], when given, maps
-    a range-variable name to the schema at that variable's timeslice
-    (falls back to [schema] on exceptions). [cost], when given, enables
-    the NPL019 expensive-anchor hint using per-variable atom cost
-    estimates (e.g. a backend's [estimate_atom]); without it anchor
-    *existence* is still checked with a unit cost model. *)
+    a range-variable name to the schema at that variable's timeslice.
+    [cost], when given, enables the NPL019 expensive-anchor hint using
+    per-variable atom cost estimates (e.g. a backend's
+    [estimate_atom]); without it anchor *existence* is still checked
+    with a unit cost model. An exception from [schema_of] or [cost]
+    propagates. *)
 
 val analyze_string :
   schema:Nepal_schema.Schema.t ->

@@ -17,8 +17,8 @@ module Anchor = Nepal_rpe.Anchor
 module Path = Nepal_query.Path
 module Backend = Nepal_query.Backend_intf
 module Eval_rpe = Nepal_query.Eval_rpe
-module Engine = Nepal_query.Engine
-module Explain = Nepal_query.Explain
+module Engine = Nepal_engine.Engine
+module Explain = Nepal_engine.Explain
 module Trace = Nepal_query.Trace
 module Metrics = Nepal_util.Metrics
 module Event_log = Nepal_util.Event_log
@@ -44,11 +44,6 @@ module Server_client = Nepal_server.Client
 module Wire = Nepal_server.Wire
 module Http_metrics = Nepal_server.Http_metrics
 module Env = Nepal_util.Env
-
-(* A module alias alone does not force the planner to link (and its
-   [Engine.planner_hook] registration to run); referencing a value
-   does. *)
-let _force_planner_linkage = Planner.plan_query
 
 type t = { store_ : Graph_store.t; conn_ : Backend.conn }
 

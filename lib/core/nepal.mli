@@ -44,8 +44,8 @@ module Anchor = Nepal_rpe.Anchor
 module Path = Nepal_query.Path
 module Backend = Nepal_query.Backend_intf
 module Eval_rpe = Nepal_query.Eval_rpe
-module Engine = Nepal_query.Engine
-module Explain = Nepal_query.Explain
+module Engine = Nepal_engine.Engine
+module Explain = Nepal_engine.Explain
 module Trace = Nepal_query.Trace
 module Metrics = Nepal_util.Metrics
 module Event_log = Nepal_util.Event_log

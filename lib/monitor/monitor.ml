@@ -24,7 +24,7 @@ module Time_point = Nepal_temporal.Time_point
 module Graph_store = Nepal_store.Graph_store
 module Change = Graph_store.Change
 module Q = Nepal_query.Query_ast
-module Engine = Nepal_query.Engine
+module Engine = Nepal_engine.Engine
 module Backend_intf = Nepal_query.Backend_intf
 module Path = Nepal_query.Path
 module Analysis = Nepal_analysis.Analysis

@@ -25,10 +25,35 @@ module Nfa = Nepal_rpe.Nfa
 module Anchor = Nepal_rpe.Anchor
 module Analysis = Nepal_analysis.Analysis
 module Backend_intf = Nepal_query.Backend_intf
-module Engine = Nepal_query.Engine
 module Eval_rpe = Nepal_query.Eval_rpe
 
 let ( let* ) = Result.bind
+
+type planner_input = {
+  pi_var : string;
+  pi_conn : Backend_intf.conn;
+  pi_tc : Time_constraint.t;
+  pi_norm : Rpe.norm;
+  pi_lit_seed : bool;
+  pi_join_vars : string list;
+}
+
+type var_decision = {
+  vd_var : string;
+  vd_strategy : Eval_rpe.strategy;
+  vd_prune : Eval_rpe.pruner option;
+  vd_variant : string;
+  vd_est_cost : float;
+  vd_est_rows : float;
+  vd_desc : string;
+  vd_alternatives : (string * float) list;
+}
+
+type exec_plan = {
+  xp_order : var_decision list;
+  xp_cache : [ `Hit | `Miss ];
+  xp_cost : float;
+}
 
 let m_cache_hit = Metrics.counter "planner.cache_hit"
 let m_cache_miss = Metrics.counter "planner.cache_miss"
@@ -117,8 +142,7 @@ let costs_of conn =
   | "relational" -> { bc_select = 108.; bc_extend = 300.; bc_row = 0.5 }
   | _ -> { bc_select = 14.; bc_extend = 20.; bc_row = 0.2 }
 
-let estimate conn atom =
-  try Float.max 0. (Backend_intf.estimate_atom conn atom) with _ -> 1.
+let estimate conn atom = Float.max 0. (Backend_intf.estimate_atom conn atom)
 
 (* Frontier growth per walk round ~ sqrt of the average out-degree
    (frontier dedup and cycle pruning damp the raw branching factor),
@@ -215,17 +239,17 @@ let bidi_candidate conn bc ~growth ~cap (bp : Eval_rpe.bidi_plan) =
    literal or a join), cheapest first. Deterministic: ties keep
    [Anchor.enumerate]'s order, so the legacy cheapest-anchor plan wins
    them. *)
-let candidates (input : Engine.planner_input) =
-  let conn = input.Engine.pi_conn in
+let candidates (input : planner_input) =
+  let conn = input.pi_conn in
   let schema = Backend_intf.conn_schema conn in
   let bc = costs_of conn in
   let growth, cap = growth_of conn in
   let anchored =
-    Anchor.enumerate ~cost:(estimate conn) input.Engine.pi_norm
+    Anchor.enumerate ~cost:(estimate conn) input.pi_norm
     |> List.mapi (selection_candidate conn bc ~growth ~cap)
   in
   let bidi =
-    match bidi_of schema ~tc:input.Engine.pi_tc input.Engine.pi_norm with
+    match bidi_of schema ~tc:input.pi_tc input.pi_norm with
     | Some bp -> [ bidi_candidate conn bc ~growth ~cap bp ]
     | None -> []
   in
@@ -244,14 +268,14 @@ let variant_of tc =
 (* Cost of evaluating [input] seeded with [rows] records (literal pin
    or anchors imported from a join partner): no Select, one directional
    walk across the whole RPE. *)
-let seeded_cost (input : Engine.planner_input) ~rows =
-  let bc = costs_of input.Engine.pi_conn in
-  let growth, cap = growth_of input.Engine.pi_conn in
+let seeded_cost (input : planner_input) ~rows =
+  let bc = costs_of input.pi_conn in
+  let growth, cap = growth_of input.pi_conn in
   walk_cost bc ~growth ~cap ~rows
-    ~steps:(Rpe.max_length input.Engine.pi_norm)
+    ~steps:(Rpe.max_length input.pi_norm)
 
 type slot = {
-  sl_input : Engine.planner_input;
+  sl_input : planner_input;
   sl_cands : candidate list;  (** cheapest first; [] = not anchorable *)
 }
 
@@ -259,7 +283,7 @@ type slot = {
    naming the first variable that is neither seedable by then nor
    anchorable. *)
 let cost_order slots order =
-  let slot v = List.find (fun s -> s.sl_input.Engine.pi_var = v) slots in
+  let slot v = List.find (fun s -> s.sl_input.pi_var = v) slots in
   let rec go acc_cost acc_rows decided = function
     | [] -> Ok (acc_cost, List.rev decided)
     | v :: rest ->
@@ -268,10 +292,10 @@ let cost_order slots order =
         let joined_earlier =
           List.filter
             (fun p -> List.mem_assoc p acc_rows)
-            input.Engine.pi_join_vars
+            input.pi_join_vars
         in
         let choice =
-          if input.Engine.pi_lit_seed then
+          if input.pi_lit_seed then
             Some
               ( seeded_cost input ~rows:1.,
                 1.,
@@ -332,12 +356,12 @@ let rec permutations = function
    order is feasible, its error names the first declared variable that
    no anchored or literal-seeded variable reaches through joins. *)
 let legacy_order slots =
-  let remaining = ref (List.map (fun s -> s.sl_input.Engine.pi_var) slots) in
+  let remaining = ref (List.map (fun s -> s.sl_input.pi_var) slots) in
   let done_ = ref [] in
   let order = ref [] in
   let anchor_cost v =
     match
-      (List.find (fun s -> s.sl_input.Engine.pi_var = v) slots).sl_cands
+      (List.find (fun s -> s.sl_input.pi_var = v) slots).sl_cands
     with
     | c :: _ -> c.cd_cost
     | [] -> infinity
@@ -346,11 +370,11 @@ let legacy_order slots =
     let seedable =
       List.filter
         (fun v ->
-          let s = List.find (fun s -> s.sl_input.Engine.pi_var = v) slots in
-          s.sl_input.Engine.pi_lit_seed
+          let s = List.find (fun s -> s.sl_input.pi_var = v) slots in
+          s.sl_input.pi_lit_seed
           || List.exists
                (fun p -> List.mem p !done_)
-               s.sl_input.Engine.pi_join_vars)
+               s.sl_input.pi_join_vars)
         !remaining
     in
     let pool = if seedable <> [] then seedable else !remaining in
@@ -372,7 +396,7 @@ let legacy_order slots =
   List.rev !order
 
 let best_order slots =
-  let vars = List.map (fun s -> s.sl_input.Engine.pi_var) slots in
+  let vars = List.map (fun s -> s.sl_input.pi_var) slots in
   let greedy = legacy_order slots in
   let others =
     if List.length vars <= 5 then
@@ -419,12 +443,12 @@ let schema_token s =
       schema_tokens := (s, i) :: !schema_tokens;
       i
 
-let cache_key fingerprint (inputs : Engine.planner_input list) =
+let cache_key fingerprint (inputs : planner_input list) =
   let var_part i =
-    Printf.sprintf "%s=%s/%d/%s" i.Engine.pi_var
-      (Backend_intf.conn_name i.Engine.pi_conn)
-      (schema_token (Backend_intf.conn_schema i.Engine.pi_conn))
-      (variant_of i.Engine.pi_tc)
+    Printf.sprintf "%s=%s/%d/%s" i.pi_var
+      (Backend_intf.conn_name i.pi_conn)
+      (schema_token (Backend_intf.conn_schema i.pi_conn))
+      (variant_of i.pi_tc)
   in
   String.concat "|" (fingerprint :: List.map var_part inputs)
 
@@ -501,12 +525,12 @@ let cache_find key = locked (fun () -> Hashtbl.find_opt cache key)
 (* -- plan construction ------------------------------------------------ *)
 
 let decision_of_choice input (cost, rows, strategy, desc, alts) =
-  let schema = Backend_intf.conn_schema input.Engine.pi_conn in
+  let schema = Backend_intf.conn_schema input.pi_conn in
   {
-    Engine.vd_var = input.Engine.pi_var;
+    vd_var = input.pi_var;
     vd_strategy = strategy;
     vd_prune = Some (pruner_of schema);
-    vd_variant = variant_of input.Engine.pi_tc;
+    vd_variant = variant_of input.pi_tc;
     vd_est_cost = cost;
     vd_est_rows = rows;
     vd_desc = desc;
@@ -524,20 +548,20 @@ let fresh_plan inputs =
         List.map
           (fun (v, cost, rows, strategy, desc, alts, _) ->
             let input =
-              (List.find (fun s -> s.sl_input.Engine.pi_var = v) slots)
+              (List.find (fun s -> s.sl_input.pi_var = v) slots)
                 .sl_input
             in
             decision_of_choice input (cost, rows, strategy, desc, alts))
           decided
       in
-      Ok ({ Engine.xp_order = order; xp_cache = `Miss; xp_cost = total }, decided)
+      Ok ({ xp_order = order; xp_cache = `Miss; xp_cost = total }, decided)
 
 let entry_of inputs decided =
   {
     ce_versions =
       List.map
         (fun i ->
-          (i.Engine.pi_var, Backend_intf.conn_version i.Engine.pi_conn))
+          (i.pi_var, Backend_intf.conn_version i.pi_conn))
         inputs;
     ce_order = List.map (fun (v, _, _, _, _, _, _) -> v) decided;
     ce_decisions = List.map (fun (v, _, _, _, _, _, id) -> (v, id)) decided;
@@ -548,12 +572,12 @@ let entry_of inputs decided =
    (fresh atoms, fresh estimates, fresh prune closures). [None] when
    the entry no longer applies — treat as a miss. *)
 let replay_plan inputs entry =
-  let input_of v = List.find_opt (fun i -> i.Engine.pi_var = v) inputs in
+  let input_of v = List.find_opt (fun i -> i.pi_var = v) inputs in
   let versions_ok =
     List.for_all
       (fun (v, ver) ->
         match input_of v with
-        | Some i -> Backend_intf.conn_version i.Engine.pi_conn = ver
+        | Some i -> Backend_intf.conn_version i.pi_conn = ver
         | None -> false)
       entry.ce_versions
     && List.length entry.ce_versions = List.length inputs
@@ -566,13 +590,13 @@ let replay_plan inputs entry =
           match input_of v with
           | None -> None
           | Some input ->
-              let conn = input.Engine.pi_conn in
+              let conn = input.pi_conn in
               let bc = costs_of conn in
               let growth, cap = growth_of conn in
               let joined_earlier =
                 List.filter
                   (fun p -> List.mem_assoc p acc_rows)
-                  input.Engine.pi_join_vars
+                  input.pi_join_vars
               in
               let alts =
                 match List.assoc_opt v entry.ce_alts with
@@ -580,7 +604,7 @@ let replay_plan inputs entry =
                 | None -> []
               in
               let choice =
-                if input.Engine.pi_lit_seed then
+                if input.pi_lit_seed then
                   Some
                     (seeded_cost input ~rows:1., 1., Eval_rpe.Auto,
                      "literal-seeded", [])
@@ -599,7 +623,7 @@ let replay_plan inputs entry =
                       | Some (C_anchor n) -> (
                           let sels =
                             Anchor.enumerate ~cost:(estimate conn)
-                              input.Engine.pi_norm
+                              input.pi_norm
                           in
                           let rec nth k = function
                             | [] -> None
@@ -619,7 +643,7 @@ let replay_plan inputs entry =
                           match
                             bidi_of
                               (Backend_intf.conn_schema conn)
-                              ~tc:input.Engine.pi_tc input.Engine.pi_norm
+                              ~tc:input.pi_tc input.pi_norm
                           with
                           | None -> None
                           | Some bp ->
@@ -641,9 +665,9 @@ let replay_plan inputs entry =
     match go 0. [] [] entry.ce_order with
     | None -> None
     | Some (total, order) ->
-        Some { Engine.xp_order = order; xp_cache = `Hit; xp_cost = total }
+        Some { xp_order = order; xp_cache = `Hit; xp_cost = total }
 
-(* -- the hook --------------------------------------------------------- *)
+(* -- entry point ------------------------------------------------------ *)
 
 let plan_query ~fingerprint inputs =
   let key = cache_key fingerprint inputs in
@@ -662,5 +686,3 @@ let plan_query ~fingerprint inputs =
       Metrics.incr m_plans;
       cache_store key (entry_of inputs decided);
       Ok ep
-
-let () = Engine.planner_hook := Some plan_query

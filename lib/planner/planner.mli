@@ -1,8 +1,8 @@
-(** Cost-based plan compiler (the optimizer behind {!Nepal_query.Engine}).
+(** Cost-based plan compiler (the optimizer behind [Nepal_engine.Engine]).
 
     For each query the planner compiles every pathway variable's RPE
     against the live schema and the backend's cardinality estimates
-    into a {!Nepal_query.Engine.exec_plan}:
+    into an {!exec_plan}:
 
     - {b Pruned product automata}: the frontier abstract interpretation
       of [Nepal_analysis] runs at plan time as an {!Nepal_rpe.Nfa.prune}
@@ -29,18 +29,48 @@
     exported as the [planner.cache_hit] / [planner.cache_miss]
     OpenMetrics counters.
 
-    Linking this library is enough: the module registers itself into
-    {!Nepal_query.Engine.planner_hook} at initialization time. It is
-    the only place that decides the evaluation order. *)
+    The engine calls {!plan_query} for every query it compiles; the
+    planner is the only place that decides the evaluation order. *)
+
+type planner_input = {
+  pi_var : string;
+  pi_conn : Nepal_query.Backend_intf.conn;
+  pi_tc : Nepal_temporal.Time_constraint.t;
+  pi_norm : Nepal_rpe.Rpe.norm;
+  pi_lit_seed : bool;  (** seeded from a literal-pinned node function *)
+  pi_join_vars : string list;  (** variables this one is joined with *)
+}
+(** One declared pathway variable, as the engine hands it over. *)
+
+type var_decision = {
+  vd_var : string;
+  vd_strategy : Nepal_query.Eval_rpe.strategy;
+      (** how to evaluate this variable *)
+  vd_prune : Nepal_query.Eval_rpe.pruner option;
+      (** product-automaton pruning against the live schema *)
+  vd_variant : string;
+      (** interval-aware operator variant: ["snapshot"], ["timeslice"]
+          or ["range"] *)
+  vd_est_cost : float;  (** cost-model units of the chosen alternative *)
+  vd_est_rows : float;  (** estimated result pathways *)
+  vd_desc : string;  (** one-line description of the chosen alternative *)
+  vd_alternatives : (string * float) list;
+      (** rejected alternatives, best first: (description, est cost) *)
+}
+
+type exec_plan = {
+  xp_order : var_decision list;
+      (** evaluation order; covers exactly the input variables *)
+  xp_cache : [ `Hit | `Miss ];  (** plan-cache outcome for this query *)
+  xp_cost : float;  (** total estimated cost of the chosen plan *)
+}
 
 val plan_query :
-  fingerprint:string ->
-  Nepal_query.Engine.planner_input list ->
-  (Nepal_query.Engine.exec_plan, string) result
-(** The hook implementation (exposed for direct testing). An error
-    when no evaluation order is feasible: it names the first declared
-    variable that is not anchored and cannot import an anchor from a
-    join. Never raises. *)
+  fingerprint:string -> planner_input list -> (exec_plan, string) result
+(** The plan for one query. [fingerprint] is the statement fingerprint
+    (the plan-cache key component). An error when no evaluation order
+    is feasible: it names the first declared variable that is not
+    anchored and cannot import an anchor from a join. *)
 
 val pruner_of : Nepal_schema.Schema.t -> Nepal_query.Eval_rpe.pruner
 (** Product-automaton pruning against the given schema's frontier

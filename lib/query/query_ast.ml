@@ -66,6 +66,41 @@ let rec conjuncts = function
   | And (a, b) -> conjuncts a @ conjuncts b
   | c -> [ c ]
 
+(* MATCHES anywhere below [c]; only a top-level conjunct may hold one. *)
+let rec mentions_matches = function
+  | Matches _ -> true
+  | And (a, b) | Or (a, b) -> mentions_matches a || mentions_matches b
+  | Not c -> mentions_matches c
+  | Cmp _ | Exists _ | Not_exists _ -> false
+
+(* The top-level conjuncts of a Where clause by the role they play in
+   evaluation. The engine plans and seeds from it; the analyzer checks
+   the same classification (NPL014, NPL018). Each list is in reverse
+   conjunct order. *)
+type classified = {
+  matches : (string * Rpe.t) list;
+  joins : (path_fun * string * path_fun * string) list;
+      (** source/target equality between two distinct variables *)
+  anchors_from_lit : (path_fun * string * Value.t) list;
+      (** node function pinned to a literal uid (from correlation
+          substitution) *)
+  filters : condition list;
+}
+
+let classify conds =
+  List.fold_left
+    (fun acc c ->
+      match c with
+      | Matches (v, r) -> { acc with matches = (v, r) :: acc.matches }
+      | Cmp (Node_of (f1, v1), Predicate.Eq, Node_of (f2, v2)) when v1 <> v2 ->
+          { acc with joins = (f1, v1, f2, v2) :: acc.joins }
+      | Cmp (Node_of (f, v), Predicate.Eq, Lit lit)
+      | Cmp (Lit lit, Predicate.Eq, Node_of (f, v)) ->
+          { acc with anchors_from_lit = (f, v, lit) :: acc.anchors_from_lit }
+      | c -> { acc with filters = c :: acc.filters })
+    { matches = []; joins = []; anchors_from_lit = []; filters = [] }
+    conds
+
 let path_fun_to_string = function Source -> "source" | Target -> "target"
 
 let agg_kind_to_string = function

@@ -29,7 +29,7 @@ val ping : t -> (unit, string) result
 
 val query : t -> string -> (Server.query_reply, string) result
 (** Evaluate on the server; the reply text is the exact
-    {!Nepal_query.Engine.pp_result} rendering. [qr_trace] is filled if
+    {!Nepal_engine.Engine.pp_result} rendering. [qr_trace] is filled if
     the server volunteered a trace (it won't unless asked — see
     {!query_traced}). *)
 

@@ -136,22 +136,22 @@ let default_make_runner store () =
   let conn = Nepal_query.Connect.native store in
   let reply ?trace result =
     {
-      qr_count = Nepal_query.Engine.result_count result;
-      qr_text = Nepal_query.Engine.result_to_string result;
+      qr_count = Nepal_engine.Engine.result_count result;
+      qr_text = Nepal_engine.Engine.result_to_string result;
       qr_trace = trace;
     }
   in
   fun ~trace text ->
     if trace then
-      match Nepal_query.Explain.run_string_wire_traced ~conn text with
+      match Nepal_engine.Explain.run_string_wire_traced ~conn text with
       | Ok tr ->
           Ok
             (reply
-               ~trace:(Nepal_query.Explain.traced_json tr)
-               tr.Nepal_query.Explain.tr_result)
+               ~trace:(Nepal_engine.Explain.traced_json tr)
+               tr.Nepal_engine.Explain.tr_result)
       | Error e -> Error e
     else
-      match Nepal_query.Explain.run_string ~conn text with
+      match Nepal_engine.Explain.run_string ~conn text with
       | Ok result -> Ok (reply result)
       | Error e -> Error e
 

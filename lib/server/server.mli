@@ -30,13 +30,13 @@ type query_reply = {
           ["trace"] member carries *)
 }
 (** What a query verb answers with: the result count and the exact
-    {!Nepal_query.Engine.pp_result} rendering (which is what makes wire
+    {!Nepal_engine.Engine.pp_result} rendering (which is what makes wire
     results byte-identical to the in-process API). *)
 
 type runner = trace:bool -> string -> (query_reply, string) result
 (** A session's query evaluator. [trace:true] asks for the full
     EXPLAIN ANALYZE span tree in [qr_trace] (the default runner uses
-    {!Nepal_query.Explain.run_string_wire_traced}); the result text
+    {!Nepal_engine.Explain.run_string_wire_traced}); the result text
     must be identical either way. *)
 
 type config = {

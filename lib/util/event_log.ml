@@ -439,12 +439,6 @@ let emit ?(level = Info) ~kind fields =
               write_line_locked (Buffer.contents b)
             end)
 
-let current_path () =
-  with_state (fun () ->
-      match state.sink with
-      | To_file (_, path) -> Some path
-      | To_stderr | Disabled -> None)
-
 (* Test isolation: reset sampling counters (the sink and thresholds are
    deliberate configuration, not accumulated state, so they stay). *)
 let () =

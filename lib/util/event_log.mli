@@ -63,9 +63,6 @@ val set_path : string option -> unit
     ([Some "stderr"]) or disable it ([None]); closes any previous file
     sink. Overrides [NEPAL_EVENT_LOG]. *)
 
-val current_path : unit -> string option
-(** The file currently written to, if the sink is a file. *)
-
 val set_rotation : max_bytes:int option -> ?keep:int -> unit -> unit
 (** Override the size-based rotation policy ([max_bytes = None]
     disables; [keep] rotated files retained, default 3, floored at

@@ -18,7 +18,7 @@
    practice. Nothing is ever reported unless someone calls [snapshot],
    so an unread registry costs only the bumps. *)
 
-type counter = { c_name : string; cell : int Atomic.t }
+type counter = int Atomic.t
 
 (* Bucket layout: octaves [e_min, e_max) of seconds, 4 linear
    sub-buckets per octave, plus an underflow bucket (index 0, values
@@ -87,7 +87,7 @@ let counter name =
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
-          let c = { c_name = name; cell = Atomic.make 0 } in
+          let c = Atomic.make 0 in
           Hashtbl.replace counters name c;
           c)
 
@@ -122,10 +122,9 @@ let gauge_value name =
       | Some read -> ( try Some (read ()) with _ -> None)
       | None -> None)
 
-let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c.cell n)
+let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
 let incr c = add c 1
-let counter_value c = Atomic.get c.cell
-let counter_name c = c.c_name
+let counter_value c = Atomic.get c
 
 let observe h v =
   Mutex.lock h.h_lock;
@@ -141,7 +140,6 @@ let time h f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> observe h (Unix.gettimeofday () -. t0)) f
 
-let histogram_name h = h.h_name
 let histogram_count h = h.h_count
 
 (* Estimate the [q]-quantile by linear interpolation within the bucket
@@ -275,7 +273,7 @@ let snapshot () =
   with_lock (fun () ->
       let cs =
         Hashtbl.fold
-          (fun name c acc -> (name, Atomic.get c.cell) :: acc)
+          (fun name c acc -> (name, Atomic.get c) :: acc)
           counters []
       in
       let gs =
@@ -309,7 +307,7 @@ let reset_histogram h =
    use this to scope what they measure). *)
 let reset () =
   with_lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
+      Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
       Hashtbl.iter (fun _ h -> reset_histogram h) histograms)
 
 (* Observability state outside this registry (the statement-statistics

@@ -40,7 +40,6 @@ val gauge_value : string -> float option
 val add : counter -> int -> unit
 val incr : counter -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 val observe : histogram -> float -> unit
 (** Record one value (seconds, for duration histograms). *)
@@ -54,7 +53,6 @@ val quantile : histogram -> float -> float
     interpolation within the target bucket, clamped to the exact
     recorded min/max. [nan] when empty. *)
 
-val histogram_name : histogram -> string
 val histogram_count : histogram -> int
 
 type histogram_stats = {

@@ -235,13 +235,13 @@ let query_text tc rpe =
 
 (* The pathways bound in a query result, in [canon] form. *)
 let of_result = function
-  | Nepal_query.Engine.Rows { rows; _ } ->
+  | Nepal_engine.Engine.Rows { rows; _ } ->
       of_paths
         (List.concat_map
-           (fun (r : Nepal_query.Engine.row) ->
-             List.map snd (Nepal_util.Strmap.bindings r.Nepal_query.Engine.paths))
+           (fun (r : Nepal_engine.Engine.row) ->
+             List.map snd (Nepal_util.Strmap.bindings r.Nepal_engine.Engine.paths))
            rows)
-  | Nepal_query.Engine.Table _ -> invalid_arg "Reference.of_result: a table"
+  | Nepal_engine.Engine.Table _ -> invalid_arg "Reference.of_result: a table"
 
 (* One line per pathway, for failure messages. *)
 let show l =

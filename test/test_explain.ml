@@ -155,27 +155,77 @@ let test_explain_errors_propagate () =
       "EXPLAIN AT '2017-02-30 10:00:00' Retrieve P From PATHS P Where P MATCHES VNF()";
     ]
 
-(* EXPLAIN's diagnostics go through the same analyzer call as the
-   pre-execution analysis: a raising analyzer is counted in
-   [engine.hook_errors] rather than swallowed, and the plan still
-   renders. *)
-let test_analyzer_errors_counted () =
-  let conns, families = Lazy.force setup in
+(* EXPLAIN's diagnostics are the analyzer's findings, rendered by
+   [Diagnostic.to_string] in the analyzer's order; [`Strict] rejects
+   with the error- and warning-severity subset of the same lines. The
+   queries fire codes with a source span (NPL013, NPL016) and without
+   one (NPL017, the warning form of NPL018). *)
+let test_diagnostics_are_the_analyzers () =
+  let conns, _ = Lazy.force setup in
   let conn = List.assoc "relational" conns in
-  let q = List.assoc "Top-down" families in
-  let hook_errors = Nepal.Metrics.counter "engine.hook_errors" in
-  let saved = !Nepal.Engine.analyzer_hook in
-  Nepal.Engine.analyzer_hook :=
-    Some (fun ~schema_of:_ ~cost_of:_ _ -> failwith "analyzer broke");
-  let before = Nepal.Metrics.counter_value hook_errors in
-  let lines =
-    Fun.protect
-      ~finally:(fun () -> Nepal.Engine.analyzer_hook := saved)
-      (fun () -> explain_lines conn ("EXPLAIN " ^ q))
+  let queries =
+    [
+      ( [ "NPL013" ],
+        "AT '2017-02-15 10:00:00' : '2017-02-15 11:00:00' Retrieve P From \
+         PATHS P(@'2019-01-01 00:00:00') Where P MATCHES VNF()->VFC()" );
+      ( [ "NPL016"; "NPL017" ],
+        "Retrieve P, Q From PATHS P, PATHS Q Where P MATCHES VNF()->VFC() \
+         And Q MATCHES VM()->VirtualLink()->VirtualNetwork() And \
+         target(P).nonsense = 5" );
+      ( [ "NPL018" ],
+        "Retrieve P From PATHS P Where P MATCHES VNF()->VFC() And length(P) = 'x'"
+      );
+    ]
   in
-  check_bool "EXPLAIN counts the analyzer failure" true
-    (Nepal.Metrics.counter_value hook_errors > before);
-  check_bool "the plan still renders" true (contains lines "Planner: cost-based")
+  let analyze text =
+    Nepal.Analysis.analyze
+      ~schema:(Nepal.Backend.conn_schema conn)
+      ~cost:(fun _ a -> Nepal.Backend.estimate_atom conn a)
+      (ok (Nepal.Query_parser.parse text))
+  in
+  let rendered = List.map (fun d -> "  " ^ Nepal.Diagnostic.to_string d) in
+  let spans = ref [] in
+  List.iter
+    (fun (codes, q) ->
+      (* EXPLAIN parses the text after its keyword, so its spans are
+         columns of that text. *)
+      let explain = "EXPLAIN " ^ q in
+      let findings = analyze (snd (Nepal.Explain.classify explain)) in
+      List.iter
+        (fun code ->
+          check_bool (code ^ " fires") true
+            (List.exists (fun d -> d.Nepal.Diagnostic.code = code) findings))
+        codes;
+      spans :=
+        List.map (fun d -> Nepal.Span.is_dummy d.Nepal.Diagnostic.span) findings
+        @ !spans;
+      let rec after_header = function
+        | "diagnostics:" :: rest -> rest
+        | _ :: rest -> after_header rest
+        | [] -> []
+      in
+      Alcotest.(check (list string))
+        ("EXPLAIN diagnostics of " ^ q)
+        (rendered findings)
+        (after_header (explain_lines conn explain));
+      let flagged =
+        List.filter
+          (fun d ->
+            match d.Nepal.Diagnostic.severity with
+            | Nepal.Diagnostic.Error | Nepal.Diagnostic.Warning -> true
+            | Nepal.Diagnostic.Hint -> false)
+          (analyze q)
+      in
+      match Nepal.query_on conn ~analyze:`Strict q with
+      | Ok _ -> Alcotest.failf "strict accepted %S" q
+      | Error e ->
+          Alcotest.(check (list string))
+            ("strict rejection of " ^ q)
+            ("query rejected by static analysis:" :: rendered flagged)
+            (String.split_on_char '\n' e))
+    queries;
+  check_bool "a finding with a span" true (List.mem false !spans);
+  check_bool "a finding without a span" true (List.mem true !spans)
 
 let () =
   Alcotest.run "nepal_explain"
@@ -190,7 +240,7 @@ let () =
           Alcotest.test_case "metrics registry populated" `Quick
             test_metrics_registry_populated;
           Alcotest.test_case "errors propagate" `Quick test_explain_errors_propagate;
-          Alcotest.test_case "analyzer errors counted" `Quick
-            test_analyzer_errors_counted;
+          Alcotest.test_case "diagnostics are the analyzer's" `Quick
+            test_diagnostics_are_the_analyzers;
         ] );
     ]

@@ -142,7 +142,7 @@ let lock_impl_modules =
 (* The polymorphic-comparison rules keep their original scope: the hot
    query layers, where a sneaky structural compare on paths or values
    is both a correctness and a performance bug. *)
-let poly_compare_dirs = [ "lib/query/"; "lib/rpe/" ]
+let poly_compare_dirs = [ "lib/engine/"; "lib/query/"; "lib/rpe/" ]
 
 (* -- LNT003 allowlist -------------------------------------------------- *)
 
