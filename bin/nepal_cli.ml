@@ -512,15 +512,7 @@ let stats_cmd =
                    \\$NEPAL_STATS_DUMP). Produce one by running any nepal \
                    or bench process with NEPAL_STATS_DUMP=PATH set.")
   in
-  let watch_arg =
-    Arg.(value & opt (some float) None ~vopt:(Some 2.)
-         & info [ "watch" ] ~docv:"SECS"
-             ~doc:"Re-read and re-render the dump every SECS seconds \
-                   (default 2 when the option is given bare) until \
-                   interrupted — a live view of a running process that \
-                   rewrites its dump.")
-  in
-  let run top json file watch =
+  let run top json file =
     let path =
       match file with
       | Some p -> Some p
@@ -537,34 +529,13 @@ let stats_cmd =
             (the same variable makes query-running processes write the \
             dump at exit)")
     | Some path -> (
-        let render () =
-          match Nepal.Stat_statements.load path with
-          | Error e -> Error e
-          | Ok sts ->
-              if json then
-                print_string (Nepal.Stat_statements.render_stats_json ~top sts)
-              else print_string (Nepal.Stat_statements.render_stats ~top sts);
-              Ok ()
-        in
-        match watch with
-        | None -> (
-            match render () with
-            | Error e -> `Error (false, e)
-            | Ok () -> `Ok ())
-        | Some interval ->
-            let interval = Float.max 0.1 interval in
-            let rec loop () =
-              (* \027[H\027[2J: cursor home + clear, like watch(1). *)
-              print_string "\027[H\027[2J";
-              Printf.printf "%s  (every %gs, ctrl-c to stop)\n\n" path interval;
-              (match render () with
-              | Ok () -> ()
-              | Error e -> Printf.printf "(%s — retrying)\n" e);
-              flush stdout;
-              Unix.sleepf interval;
-              loop ()
-            in
-            loop ())
+        match Nepal.Stat_statements.load path with
+        | Error e -> `Error (false, e)
+        | Ok sts ->
+            print_string
+              (if json then Nepal.Stat_statements.render_stats_json ~top sts
+               else Nepal.Stat_statements.render_stats ~top sts);
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "stats"
@@ -575,36 +546,10 @@ let stats_cmd =
            `S Manpage.s_examples;
            `P "NEPAL_STATS_DUMP=/tmp/stats.tsv dune exec bench/main.exe -- table1; \
                nepal stats --top 5 --file /tmp/stats.tsv";
-           `P "nepal stats --watch 1 --file /tmp/stats.tsv";
          ])
-    Term.(ret (const run $ top_arg $ json_arg $ file_arg $ watch_arg))
+    Term.(ret (const run $ top_arg $ json_arg $ file_arg))
 
 (* ---- JSONL server / client ------------------------------------------- *)
-
-(* Per-session runner on the Nepal.query_on path, so wire answers carry
-   exactly the text (and enriched errors) the in-process API produces. *)
-let session_runner store () =
-  let conn = Nepal.native_conn store in
-  let reply ?trace result =
-    {
-      Nepal.Server.qr_count = Nepal.Engine.result_count result;
-      qr_text = Nepal.Engine.result_to_string result;
-      qr_trace = trace;
-    }
-  in
-  fun ~trace text ->
-    if trace then
-      match Nepal.Explain.run_string_wire_traced ~conn text with
-      | Ok tr ->
-          Ok
-            (reply
-               ~trace:(Nepal.Explain.traced_json tr)
-               tr.Nepal.Explain.tr_result)
-      | Error e -> Error e
-    else
-      match Nepal.query_on conn text with
-      | Ok result -> Ok (reply result)
-      | Error e -> Error e
 
 let wire_port_arg =
   Arg.(value & opt int 9642
@@ -705,7 +650,7 @@ let serve_cmd =
     in
     let started =
       match
-        Nepal.Server.start ~config ~make_runner:(session_runner store) store
+        Nepal.Server.start ~config store
       with
       | Error e -> Error e
       | Ok server -> (
@@ -735,12 +680,12 @@ let serve_cmd =
                   let* () = Nepal.Server_client.ping client in
                   let* reply = Nepal.Server_client.query client q in
                   let* count =
-                    match (session_runner store ()) ~trace:false q with
+                    match Nepal.query_on (Nepal.native_conn store) q with
                     | Error e -> Error ("in-process check failed: " ^ e)
                     | Ok local
-                      when local.Nepal.Server.qr_text
+                      when Nepal.Engine.result_to_string local
                            = reply.Nepal.Server.qr_text
-                           && local.qr_count = reply.qr_count ->
+                           && Nepal.Engine.result_count local = reply.qr_count ->
                         Ok reply.qr_count
                     | Ok _ ->
                         Error "wire result differs from in-process evaluation"

@@ -59,7 +59,7 @@ let update t = Graph_store.update t.store_
 let delete t ~at ?cascade uid = Graph_store.delete t.store_ ~at ?cascade uid
 
 (* Static analysis of [text] against [conn]'s catalog (per-variable
-   [binds] respected); any leading EXPLAIN prefix is stripped first. *)
+   [binds] respected); any leading EXPLAIN prefix is blanked first. *)
 let check_on conn ?(binds = []) text =
   let _, rest = Explain.classify text in
   let conn_of var =
@@ -71,37 +71,9 @@ let check_on conn ?(binds = []) text =
     ~cost:(fun var a -> try Backend.estimate_atom (conn_of var) a with _ -> 1.0)
     rest
 
-(* Engine/parse errors gain the analyzer's findings — code, span, and a
-   caret snippet — so the user sees *where* and *why*, not just the
-   first message the engine happened to hit. Analysis-rejection errors
-   already carry their diagnostics; leave them alone. *)
-let enrich_error ~conn ?binds text e =
-  let already_analyzed =
-    let p = "query rejected by static analysis" in
-    String.length e >= String.length p && String.sub e 0 (String.length p) = p
-  in
-  if already_analyzed then e
-  else
-    let _, rest = Explain.classify text in
-    let errors =
-      try
-        List.filter
-          (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
-          (check_on conn ?binds text)
-      with _ -> []
-    in
-    match errors with
-    | [] -> e
-    | ds ->
-        String.concat "\n"
-          (e :: List.map (Diagnostic.render ~source:rest) ds)
+let query_on conn ?binds ?analyze text = Explain.run_string ~conn ?binds ?analyze text
 
-let query_gen ~conn ?binds ?analyze text =
-  match Explain.run_string ~conn ?binds ?analyze text with
-  | Ok _ as ok -> ok
-  | Error e -> Error (enrich_error ~conn ?binds text e)
-
-let query t ?binds ?analyze text = query_gen ~conn:t.conn_ ?binds ?analyze text
+let query t ?binds ?analyze text = query_on t.conn_ ?binds ?analyze text
 let check t ?binds text = check_on t.conn_ ?binds text
 
 let ( let* ) = Result.bind
@@ -153,4 +125,3 @@ let native_conn = Nepal_query.Connect.native
 let relational_conn = Nepal_query.Connect.relational
 let gremlin_conn = Nepal_query.Connect.gremlin
 
-let query_on conn ?binds ?analyze text = query_gen ~conn ?binds ?analyze text

@@ -237,7 +237,6 @@ let compile ~conn ~binds q =
         cls.joins
     in
     Planner.plan_query
-      ~fingerprint:(Stat_statements.fingerprint_of_query q)
       (List.map
          (fun v ->
            {

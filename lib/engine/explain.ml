@@ -9,6 +9,7 @@ module Eval_rpe = Nepal_query.Eval_rpe
 module Query_ast = Nepal_query.Query_ast
 module Query_parser = Nepal_query.Query_parser
 module Trace = Nepal_query.Trace
+module Analysis = Nepal_analysis.Analysis
 module Diagnostic = Nepal_analysis.Diagnostic
 module Planner = Nepal_planner.Planner
 
@@ -16,10 +17,11 @@ let ( let* ) = Result.bind
 
 type request = Plain | Plan | Analyze
 
-(* First keyword of [s] (letters only, case-folded) and the remainder. *)
-let split_word s =
+(* The first word of [s] at or after [pos] (letters only, case-folded)
+   and the offset just past it. *)
+let word_at s pos =
   let n = String.length s in
-  let i = ref 0 in
+  let i = ref pos in
   while !i < n && (match s.[!i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
     incr i
   done;
@@ -27,16 +29,21 @@ let split_word s =
   while !j < n && (match s.[!j] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false) do
     incr j
   done;
-  if !j > !i then
-    Some (String.uppercase_ascii (String.sub s !i (!j - !i)), String.sub s !j (n - !j))
+  if !j > !i then Some (String.uppercase_ascii (String.sub s !i (!j - !i)), !j)
   else None
 
+(* [text] with everything before [stop] blanked except newlines: the
+   query parses as if the keywords were absent, and its spans still
+   index the text the user typed. *)
+let blank_prefix text stop =
+  String.mapi (fun i c -> if i < stop && c <> '\n' then ' ' else c) text
+
 let classify text =
-  match split_word text with
-  | Some ("EXPLAIN", rest) -> (
-      match split_word rest with
-      | Some ("ANALYZE", rest') -> (Analyze, rest')
-      | _ -> (Plan, rest))
+  match word_at text 0 with
+  | Some ("EXPLAIN", stop) -> (
+      match word_at text stop with
+      | Some ("ANALYZE", stop') -> (Analyze, blank_prefix text stop')
+      | _ -> (Plan, blank_prefix text stop))
   | _ -> (Plain, text)
 
 let table_of_lines lines =
@@ -164,9 +171,7 @@ let render_plan ~conn ?(binds = []) (p : Engine.plan) =
   in
   let planner =
     let ep = p.Engine.p_opt in
-    Printf.sprintf "  Planner: cost-based, total est cost ~%.0f, plan cache %s"
-      ep.Planner.xp_cost
-      (match ep.Planner.xp_cache with `Hit -> "hit" | `Miss -> "miss")
+    Printf.sprintf "  Planner: cost-based, total est cost ~%.0f" ep.Planner.xp_cost
   in
   let vars =
     List.concat_map
@@ -219,25 +224,49 @@ let diagnostic_lines ~conn ?binds q =
   | [] -> []
   | items -> "" :: "diagnostics:" :: List.map (fun d -> "  " ^ d) items
 
+(* Engine and parse errors gain the analyzer's error-severity findings
+   (code, span and a caret snippet into the typed [text]), so the user
+   sees where and why, not only the first message the engine hit.
+   Analysis rejections already carry their findings. *)
+let enrich_error ~conn ?(binds = []) ~query text e =
+  if String.starts_with ~prefix:"query rejected by static analysis" e then e
+  else
+    let conn_of var =
+      match List.assoc_opt var binds with Some c -> c | None -> conn
+    in
+    let errors =
+      List.filter
+        (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
+        (Analysis.analyze_string
+           ~schema:(Backend_intf.conn_schema conn)
+           ~schema_of:(fun var -> Backend_intf.conn_schema (conn_of var))
+           ~cost:(fun var a -> Backend_intf.estimate_atom (conn_of var) a)
+           query)
+    in
+    String.concat "\n" (e :: List.map (Diagnostic.render ~source:text) errors)
+
 (* Drop-in replacement for {!Engine.run_string} that intercepts
    [EXPLAIN] / [EXPLAIN ANALYZE] prefixes; plain queries fall through
    unchanged. *)
 let run_string ~conn ?binds ?max_length ?stats ?analyze text =
-  match classify text with
-  | Plain, _ ->
-      Engine.run_string ~conn ?binds ?max_length ?stats ?analyze text
-  | Plan, rest ->
-      let* q = Query_parser.parse rest in
-      let* p = Engine.plan ~conn ?binds q in
-      Ok
-        (table_of_lines
-           (render_plan ~conn ?binds p @ diagnostic_lines ~conn ?binds q))
-  | Analyze, rest ->
-      let* _r, root =
-        Engine.run_string_traced ~conn ?binds ?max_length ?stats ?analyze
-          rest
-      in
-      Ok (table_of_lines (Trace.render root @ per_operator_lines root))
+  let request, query = classify text in
+  let result =
+    match request with
+    | Plain -> Engine.run_string ~conn ?binds ?max_length ?stats ?analyze query
+    | Plan ->
+        let* q = Query_parser.parse query in
+        let* p = Engine.plan ~conn ?binds q in
+        Ok
+          (table_of_lines
+             (render_plan ~conn ?binds p @ diagnostic_lines ~conn ?binds q))
+    | Analyze ->
+        let* _r, root =
+          Engine.run_string_traced ~conn ?binds ?max_length ?stats ?analyze
+            query
+        in
+        Ok (table_of_lines (Trace.render root @ per_operator_lines root))
+  in
+  Result.map_error (enrich_error ~conn ?binds ~query text) result
 
 (* -- wire tracing ---------------------------------------------------- *)
 

@@ -21,9 +21,11 @@ type request =
   | Analyze  (** [EXPLAIN ANALYZE] *)
 
 val classify : string -> request * string
-(** The request kind of a query text and the text after its [EXPLAIN]
-    / [EXPLAIN ANALYZE] prefix (keywords are case-insensitive; a plain
-    query comes back whole). *)
+(** The request kind of a query text and the query to run: the typed
+    text with its [EXPLAIN] / [EXPLAIN ANALYZE] prefix blanked to spaces
+    (newlines kept), so source spans computed on it index the typed
+    text. Keywords are case-insensitive; a plain query comes back
+    whole. *)
 
 val run_string :
   conn:Nepal_query.Backend_intf.conn ->
@@ -35,7 +37,10 @@ val run_string :
   (Engine.result, string) result
 (** Drop-in replacement for {!Engine.run_string} that intercepts the
     [EXPLAIN] / [EXPLAIN ANALYZE] prefixes; plain queries fall through
-    unchanged. *)
+    unchanged. An error (other than a static-analysis rejection, which
+    already lists its findings) is followed by the analyzer's
+    error-severity findings for the text, each with a caret snippet
+    into the typed text. *)
 
 type traced = {
   tr_result : Engine.result;  (** the ordinary query result *)

@@ -8,8 +8,8 @@
    them with a per-backend model calibrated against the E9
    per-operator wall times, prunes every compiled automaton against
    the schema's frontier tables, and picks the cross-variable
-   evaluation order by enumerating join orders. Decisions are memoized
-   in a bounded fingerprint-keyed cache.
+   evaluation order by enumerating join orders. Every query is planned
+   from scratch, so the plan is a function of the query and the store.
 
    Everything here is estimation-only: the single source of truth for
    result sets stays in [Eval_rpe], and every plan is a choice among
@@ -51,13 +51,8 @@ type var_decision = {
 
 type exec_plan = {
   xp_order : var_decision list;
-  xp_cache : [ `Hit | `Miss ];
   xp_cost : float;
 }
-
-let m_cache_hit = Metrics.counter "planner.cache_hit"
-let m_cache_miss = Metrics.counter "planner.cache_miss"
-let m_plans = Metrics.counter "planner.plans"
 
 (* -- product-automaton pruning -------------------------------------- *)
 
@@ -142,15 +137,32 @@ let costs_of conn =
   | "relational" -> { bc_select = 108.; bc_extend = 300.; bc_row = 0.5 }
   | _ -> { bc_select = 14.; bc_extend = 20.; bc_row = 0.2 }
 
-let estimate conn atom = Float.max 0. (Backend_intf.estimate_atom conn atom)
+let root_node = Rpe.atom "Node"
+let root_edge = Rpe.atom "Edge"
+
+(* One plan's cardinality estimates: each (connection, atom) is asked of
+   the backend once per [plan_query]. The anchor enumeration, the
+   candidates' costs and the bidirectional shape ask about the same
+   atoms again, and a Gremlin estimate counts the label's extent.
+   Atoms compare physically: each is an atom of the query's own RPE or
+   one of the two roots above. Nothing is kept across plans. *)
+let memo_estimate () =
+  let known = ref [] in
+  fun conn atom ->
+    match List.find_opt (fun (c, a, _) -> c == conn && a == atom) !known with
+    | Some (_, _, e) -> e
+    | None ->
+        let e = Float.max 0. (Backend_intf.estimate_atom conn atom) in
+        known := (conn, atom, e) :: !known;
+        e
 
 (* Frontier growth per walk round ~ sqrt of the average out-degree
    (frontier dedup and cycle pruning damp the raw branching factor),
    clamped to keep long walks from overflowing; the frontier itself is
    capped by the store's element count. *)
-let growth_of conn =
-  let nodes = Float.max 1. (estimate conn (Rpe.atom "Node")) in
-  let edges = Float.max 1. (estimate conn (Rpe.atom "Edge")) in
+let growth_of estimate conn =
+  let nodes = Float.max 1. (estimate conn root_node) in
+  let edges = Float.max 1. (estimate conn root_edge) in
   let deg = Float.min 64. (Float.max 1. (edges /. nodes)) in
   (Float.sqrt deg, nodes +. edges)
 
@@ -168,19 +180,11 @@ let norm_steps = function None -> 0 | Some n -> Rpe.max_length n
 
 (* -- per-variable candidates ----------------------------------------- *)
 
-(* The structural identity of a choice, as stored in the plan cache:
-   which [Anchor.enumerate] index won (the enumeration is deterministic
-   for a given norm structure), the bidirectional shape, or the
-   engine's own seeded evaluation. Atoms and predicates are never
-   cached — same-fingerprint queries can differ in literals. *)
-type cache_decision = C_anchor of int | C_bidi | C_auto
-
 type candidate = {
   cd_strategy : Eval_rpe.strategy;
   cd_cost : float;
   cd_rows : float;  (** estimated result pathways (anchor records) *)
   cd_desc : string;
-  cd_id : cache_decision;
 }
 
 let selection_desc (sel : Anchor.selection) =
@@ -192,7 +196,7 @@ let selection_desc (sel : Anchor.selection) =
     (String.concat " | " anchors)
     (List.length sel.Anchor.splits)
 
-let selection_candidate conn bc ~growth ~cap idx (sel : Anchor.selection) =
+let selection_candidate estimate conn bc ~growth ~cap (sel : Anchor.selection) =
   let cost, rows =
     List.fold_left
       (fun (c, r) (sp : Anchor.split) ->
@@ -210,10 +214,9 @@ let selection_candidate conn bc ~growth ~cap idx (sel : Anchor.selection) =
     cd_cost = cost;
     cd_rows = rows;
     cd_desc = selection_desc sel;
-    cd_id = C_anchor idx;
   }
 
-let bidi_candidate conn bc ~growth ~cap (bp : Eval_rpe.bidi_plan) =
+let bidi_candidate estimate conn bc ~growth ~cap (bp : Eval_rpe.bidi_plan) =
   let lrows = estimate conn bp.Eval_rpe.bd_left in
   let rrows = estimate conn bp.Eval_rpe.bd_right in
   let walk rows n = walk_cost bc ~growth ~cap ~rows ~steps:(Rpe.max_length n) in
@@ -232,25 +235,23 @@ let bidi_candidate conn bc ~growth ~cap (bp : Eval_rpe.bidi_plan) =
         bp.Eval_rpe.bd_left.Rpe.cls bp.Eval_rpe.bd_right.Rpe.cls
         (Rpe.max_length bp.Eval_rpe.bd_fwd)
         (Rpe.max_length bp.Eval_rpe.bd_bwd);
-    cd_id = C_bidi;
   }
 
 (* All ways to evaluate one variable standalone (not seeded from a
    literal or a join), cheapest first. Deterministic: ties keep
    [Anchor.enumerate]'s order, so the legacy cheapest-anchor plan wins
    them. *)
-let candidates (input : planner_input) =
+let candidates estimate (growth, cap) (input : planner_input) =
   let conn = input.pi_conn in
   let schema = Backend_intf.conn_schema conn in
   let bc = costs_of conn in
-  let growth, cap = growth_of conn in
   let anchored =
     Anchor.enumerate ~cost:(estimate conn) input.pi_norm
-    |> List.mapi (selection_candidate conn bc ~growth ~cap)
+    |> List.map (selection_candidate estimate conn bc ~growth ~cap)
   in
   let bidi =
     match bidi_of schema ~tc:input.pi_tc input.pi_norm with
-    | Some bp -> [ bidi_candidate conn bc ~growth ~cap bp ]
+    | Some bp -> [ bidi_candidate estimate conn bc ~growth ~cap bp ]
     | None -> []
   in
   List.stable_sort
@@ -265,19 +266,19 @@ let variant_of tc =
 
 (* -- join ordering ---------------------------------------------------- *)
 
-(* Cost of evaluating [input] seeded with [rows] records (literal pin
-   or anchors imported from a join partner): no Select, one directional
-   walk across the whole RPE. *)
-let seeded_cost (input : planner_input) ~rows =
-  let bc = costs_of input.pi_conn in
-  let growth, cap = growth_of input.pi_conn in
-  walk_cost bc ~growth ~cap ~rows
-    ~steps:(Rpe.max_length input.pi_norm)
-
 type slot = {
   sl_input : planner_input;
+  sl_growth : float * float;  (** [growth_of] its connection *)
   sl_cands : candidate list;  (** cheapest first; [] = not anchorable *)
 }
+
+(* Cost of evaluating a slot seeded with [rows] records (literal pin
+   or anchors imported from a join partner): no Select, one directional
+   walk across the whole RPE. *)
+let seeded_cost s ~rows =
+  let growth, cap = s.sl_growth in
+  walk_cost (costs_of s.sl_input.pi_conn) ~growth ~cap ~rows
+    ~steps:(Rpe.max_length s.sl_input.pi_norm)
 
 (* Cost and per-variable decisions of one evaluation order; an error
    naming the first variable that is neither seedable by then nor
@@ -297,23 +298,21 @@ let cost_order slots order =
         let choice =
           if input.pi_lit_seed then
             Some
-              ( seeded_cost input ~rows:1.,
+              ( seeded_cost s ~rows:1.,
                 1.,
                 Eval_rpe.Auto,
                 "literal-seeded",
-                [],
-                C_auto )
+                [] )
           else
             match joined_earlier with
             | p :: _ ->
                 let rows = List.assoc p acc_rows in
                 Some
-                  ( seeded_cost input ~rows,
+                  ( seeded_cost s ~rows,
                     rows,
                     Eval_rpe.Auto,
                     Printf.sprintf "join-imported from %s" p,
-                    [],
-                    C_auto )
+                    [] )
             | [] -> (
                 match s.sl_cands with
                 | [] -> None
@@ -323,8 +322,7 @@ let cost_order slots order =
                         best.cd_rows,
                         best.cd_strategy,
                         best.cd_desc,
-                        List.map (fun c -> (c.cd_desc, c.cd_cost)) others,
-                        best.cd_id ))
+                        List.map (fun c -> (c.cd_desc, c.cd_cost)) others ))
         in
         (match choice with
         | None ->
@@ -332,10 +330,10 @@ let cost_order slots order =
               (Printf.sprintf
                  "variable %S is not anchored and cannot import an anchor from a join"
                  v)
-        | Some (cost, rows, strategy, desc, alts, id) ->
+        | Some (cost, rows, strategy, desc, alts) ->
             go (acc_cost +. cost)
               ((v, rows) :: acc_rows)
-              ((v, cost, rows, strategy, desc, alts, id) :: decided)
+              ((v, cost, rows, strategy, desc, alts) :: decided)
               rest)
   in
   go 0. [] [] order
@@ -411,50 +409,28 @@ let best_order slots =
       | _ -> best)
     (cost_order slots greedy) others
 
-(* -- plan cache ------------------------------------------------------- *)
+(* -- prune-mask memo --------------------------------------------------- *)
 
-(* A cached plan stores only structural decisions ([cache_decision]) —
-   the order and, for anchored variables, which enumeration index (or
-   the bidirectional shape) won. Strategies are rebuilt from the
-   incoming inputs on every hit and only the choice is reused. *)
-type cache_entry = {
-  ce_versions : (string * int) list;  (** var -> conn version at plan time *)
-  ce_order : string list;
-  ce_decisions : (string * cache_decision) list;
-  ce_alts : (string * (string * float) list) list;
-      (** rejected-alternative display lines (stale costs are fine) *)
-}
+let mask_mutex = Mutex.create ()
 
-let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 64
-let cache_fifo : string Queue.t = Queue.create ()
-let cache_capacity = 512
-let cache_mutex = Mutex.create ()
+let locked f =
+  Mutex.lock mask_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mask_mutex) f
 
 (* Schema identity token: physical equality, same lifetime as the
    [Analysis.tables_of] memo — a re-created schema gets a fresh token
-   and therefore a fresh cache slot. *)
+   and therefore fresh mask-memo slots. Registered under the lock: two
+   schemas racing for one token would share memo slots. *)
 let schema_tokens : (Schema.t * int) list ref = ref []
 
 let schema_token s =
-  match List.find_opt (fun (s', _) -> s' == s) !schema_tokens with
-  | Some (_, i) -> i
-  | None ->
-      let i = List.length !schema_tokens in
-      schema_tokens := (s, i) :: !schema_tokens;
-      i
-
-let cache_key fingerprint (inputs : planner_input list) =
-  let var_part i =
-    Printf.sprintf "%s=%s/%d/%s" i.pi_var
-      (Backend_intf.conn_name i.pi_conn)
-      (schema_token (Backend_intf.conn_schema i.pi_conn))
-      (variant_of i.pi_tc)
-  in
-  String.concat "|" (fingerprint :: List.map var_part inputs)
-
-let locked f =
-  Mutex.lock cache_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
+  locked (fun () ->
+      match List.find_opt (fun (s', _) -> s' == s) !schema_tokens with
+      | Some (_, i) -> i
+      | None ->
+          let i = List.length !schema_tokens in
+          schema_tokens := (s, i) :: !schema_tokens;
+          i)
 
 (* The pruning fixpoint costs ~1ms — noticeable against sub-millisecond
    native walks — but its verdict depends only on the automaton's
@@ -495,194 +471,34 @@ let pruner_of schema : Eval_rpe.pruner =
 
 let cache_clear () =
   locked (fun () ->
-      Hashtbl.reset cache;
-      Queue.clear cache_fifo;
       Hashtbl.reset mask_cache;
       Queue.clear mask_fifo)
 
 let () = Metrics.on_reset cache_clear
 
-let cache_stats () =
-  locked (fun () ->
-      ( Hashtbl.length cache,
-        Metrics.counter_value m_cache_hit,
-        Metrics.counter_value m_cache_miss ))
-
-let cache_store key entry =
-  locked (fun () ->
-      (* Stale entries (version mismatch) are overwritten in place;
-         only genuinely new keys join the eviction queue. *)
-      if not (Hashtbl.mem cache key) then begin
-        Queue.push key cache_fifo;
-        while Queue.length cache_fifo > cache_capacity do
-          Hashtbl.remove cache (Queue.pop cache_fifo)
-        done
-      end;
-      Hashtbl.replace cache key entry)
-
-let cache_find key = locked (fun () -> Hashtbl.find_opt cache key)
-
-(* -- plan construction ------------------------------------------------ *)
-
-let decision_of_choice input (cost, rows, strategy, desc, alts) =
-  let schema = Backend_intf.conn_schema input.pi_conn in
-  {
-    vd_var = input.pi_var;
-    vd_strategy = strategy;
-    vd_prune = Some (pruner_of schema);
-    vd_variant = variant_of input.pi_tc;
-    vd_est_cost = cost;
-    vd_est_rows = rows;
-    vd_desc = desc;
-    vd_alternatives = alts;
-  }
-
-let fresh_plan inputs =
-  let slots =
-    List.map (fun i -> { sl_input = i; sl_cands = candidates i }) inputs
-  in
-  match best_order slots with
-  | Error _ as e -> e
-  | Ok (total, decided) ->
-      let order =
-        List.map
-          (fun (v, cost, rows, strategy, desc, alts, _) ->
-            let input =
-              (List.find (fun s -> s.sl_input.pi_var = v) slots)
-                .sl_input
-            in
-            decision_of_choice input (cost, rows, strategy, desc, alts))
-          decided
-      in
-      Ok ({ xp_order = order; xp_cache = `Miss; xp_cost = total }, decided)
-
-let entry_of inputs decided =
-  {
-    ce_versions =
-      List.map
-        (fun i ->
-          (i.pi_var, Backend_intf.conn_version i.pi_conn))
-        inputs;
-    ce_order = List.map (fun (v, _, _, _, _, _, _) -> v) decided;
-    ce_decisions = List.map (fun (v, _, _, _, _, _, id) -> (v, id)) decided;
-    ce_alts = List.map (fun (v, _, _, _, _, alts, _) -> (v, alts)) decided;
-  }
-
-(* Rebuild an exec_plan from a cached entry against THIS query's inputs
-   (fresh atoms, fresh estimates, fresh prune closures). [None] when
-   the entry no longer applies — treat as a miss. *)
-let replay_plan inputs entry =
-  let input_of v = List.find_opt (fun i -> i.pi_var = v) inputs in
-  let versions_ok =
-    List.for_all
-      (fun (v, ver) ->
-        match input_of v with
-        | Some i -> Backend_intf.conn_version i.pi_conn = ver
-        | None -> false)
-      entry.ce_versions
-    && List.length entry.ce_versions = List.length inputs
-  in
-  if not versions_ok then None
-  else
-    let rec go acc_cost acc_rows decided = function
-      | [] -> Some (acc_cost, List.rev decided)
-      | v :: rest -> (
-          match input_of v with
-          | None -> None
-          | Some input ->
-              let conn = input.pi_conn in
-              let bc = costs_of conn in
-              let growth, cap = growth_of conn in
-              let joined_earlier =
-                List.filter
-                  (fun p -> List.mem_assoc p acc_rows)
-                  input.pi_join_vars
-              in
-              let alts =
-                match List.assoc_opt v entry.ce_alts with
-                | Some a -> a
-                | None -> []
-              in
-              let choice =
-                if input.pi_lit_seed then
-                  Some
-                    (seeded_cost input ~rows:1., 1., Eval_rpe.Auto,
-                     "literal-seeded", [])
-                else
-                  match joined_earlier with
-                  | p :: _ ->
-                      let rows = List.assoc p acc_rows in
-                      Some
-                        ( seeded_cost input ~rows,
-                          rows,
-                          Eval_rpe.Auto,
-                          Printf.sprintf "join-imported from %s" p,
-                          [] )
-                  | [] -> (
-                      match List.assoc_opt v entry.ce_decisions with
-                      | Some (C_anchor n) -> (
-                          let sels =
-                            Anchor.enumerate ~cost:(estimate conn)
-                              input.pi_norm
-                          in
-                          let rec nth k = function
-                            | [] -> None
-                            | s :: rest ->
-                                if k = 0 then Some s else nth (k - 1) rest
-                          in
-                          match nth n sels with
-                          | None -> None
-                          | Some sel ->
-                              let c =
-                                selection_candidate conn bc ~growth ~cap n sel
-                              in
-                              Some
-                                ( c.cd_cost, c.cd_rows, c.cd_strategy,
-                                  c.cd_desc, alts ))
-                      | Some C_bidi -> (
-                          match
-                            bidi_of
-                              (Backend_intf.conn_schema conn)
-                              ~tc:input.pi_tc input.pi_norm
-                          with
-                          | None -> None
-                          | Some bp ->
-                              let c = bidi_candidate conn bc ~growth ~cap bp in
-                              Some
-                                ( c.cd_cost, c.cd_rows, c.cd_strategy,
-                                  c.cd_desc, alts ))
-                      | Some C_auto | None -> None)
-              in
-              (match choice with
-              | None -> None
-              | Some (cost, rows, strategy, desc, a) ->
-                  go (acc_cost +. cost)
-                    ((v, rows) :: acc_rows)
-                    (decision_of_choice input (cost, rows, strategy, desc, a)
-                     :: decided)
-                    rest))
-    in
-    match go 0. [] [] entry.ce_order with
-    | None -> None
-    | Some (total, order) ->
-        Some { xp_order = order; xp_cache = `Hit; xp_cost = total }
-
 (* -- entry point ------------------------------------------------------ *)
 
-let plan_query ~fingerprint inputs =
-  let key = cache_key fingerprint inputs in
-  let cached =
-    match cache_find key with
-    | Some entry -> replay_plan inputs entry
-    | None -> None
+let plan_query inputs =
+  let estimate = memo_estimate () in
+  let slots =
+    List.map
+      (fun i ->
+        let growth = growth_of estimate i.pi_conn in
+        { sl_input = i; sl_growth = growth; sl_cands = candidates estimate growth i })
+      inputs
   in
-  match cached with
-  | Some ep ->
-      Metrics.incr m_cache_hit;
-      Ok ep
-  | None ->
-      Metrics.incr m_cache_miss;
-      let* ep, decided = fresh_plan inputs in
-      Metrics.incr m_plans;
-      cache_store key (entry_of inputs decided);
-      Ok ep
+  let* total, decided = best_order slots in
+  let decision (v, cost, rows, strategy, desc, alts) =
+    let input = (List.find (fun s -> s.sl_input.pi_var = v) slots).sl_input in
+    {
+      vd_var = v;
+      vd_strategy = strategy;
+      vd_prune = Some (pruner_of (Backend_intf.conn_schema input.pi_conn));
+      vd_variant = variant_of input.pi_tc;
+      vd_est_cost = cost;
+      vd_est_rows = rows;
+      vd_desc = desc;
+      vd_alternatives = alts;
+    }
+  in
+  Ok { xp_order = List.map decision decided; xp_cost = total }

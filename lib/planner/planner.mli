@@ -22,12 +22,12 @@
       temporal operator variant ([snapshot] / [timeslice] / [range])
       it was costed under.
 
-    Compiled plans are memoized in a bounded cache keyed on the
-    statement fingerprint, backend identity, schema identity and
-    temporal form; entries are invalidated when a backend's version
-    changes (any write, including re-classing). Cache outcomes are
-    exported as the [planner.cache_hit] / [planner.cache_miss]
-    OpenMetrics counters.
+    Every query is planned from scratch: the plan is a function of
+    the query and the store (schema and cardinality estimates), never
+    of which queries ran before. Within one plan each backend estimate
+    is asked for once; across queries only the pruning fixpoint's
+    verdict is memoized ({!pruner_of}), since it depends on the
+    automaton's class-level structure alone.
 
     The engine calls {!plan_query} for every query it compiles; the
     planner is the only place that decides the evaluation order. *)
@@ -61,15 +61,12 @@ type var_decision = {
 type exec_plan = {
   xp_order : var_decision list;
       (** evaluation order; covers exactly the input variables *)
-  xp_cache : [ `Hit | `Miss ];  (** plan-cache outcome for this query *)
   xp_cost : float;  (** total estimated cost of the chosen plan *)
 }
 
-val plan_query :
-  fingerprint:string -> planner_input list -> (exec_plan, string) result
-(** The plan for one query. [fingerprint] is the statement fingerprint
-    (the plan-cache key component). An error when no evaluation order
-    is feasible: it names the first declared variable that is not
+val plan_query : planner_input list -> (exec_plan, string) result
+(** The plan for one query. An error when no evaluation order is
+    feasible: it names the first declared variable that is not
     anchored and cannot import an anchor from a join. *)
 
 val pruner_of : Nepal_schema.Schema.t -> Nepal_query.Eval_rpe.pruner
@@ -85,10 +82,3 @@ val bidi_of :
 (** The bidirectional decomposition of a node·edge-rep·node RPE, when
     the shape and temporal constraint admit one ([Snapshot]/[At] only;
     repetition upper bound at least 2). *)
-
-val cache_clear : unit -> unit
-(** Drop every cached plan (test isolation). *)
-
-val cache_stats : unit -> int * int * int
-(** [(entries, hits, misses)] — current cache size and the lifetime
-    hit/miss counter values. *)

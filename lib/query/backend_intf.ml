@@ -56,10 +56,6 @@ module type S = sig
   val name : string
   val schema : t -> Nepal_schema.Schema.t
 
-  val version : t -> int
-  (** Monotone mutation counter; any successful mutation moves it. The
-      planner's plan cache keys its entries to it. *)
-
   val parallel_safe : bool
   (** Whether the read operations below ([select_atom], [bulk_extend],
       [element_by_uid]) may be called concurrently from multiple
@@ -140,7 +136,6 @@ let make (type a) (backend : a backend) (t : a) : conn =
 
 let conn_name { handle = Handle ((module B), _); _ } = B.name
 let conn_schema { handle = Handle ((module B), t); _ } = B.schema t
-let conn_version { handle = Handle ((module B), t); _ } = B.version t
 let parallel_safe { handle = Handle ((module B), _); _ } = B.parallel_safe
 
 let tick conn =

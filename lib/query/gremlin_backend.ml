@@ -16,14 +16,11 @@ type t = {
   versions : (int, version list) Hashtbl.t; (* oldest first *)
   mutable log : string list;
   mutable log_len : int;
-  (* Mutation counter; keys the planner's plan cache. *)
-  mutable gversion : int;
 }
 
 let name = "gremlin"
 let schema t = t.schema
 let graph t = t.graph
-let version t = t.gversion
 
 (* Read paths log the traversal text, so walks stay sequential here. *)
 let parallel_safe = false
@@ -49,7 +46,6 @@ let create schema =
     versions = Hashtbl.create 4096;
     log = [];
     log_len = 0;
-    gversion = 0;
   }
 
 let element_count t =
@@ -69,7 +65,6 @@ let existence_period versions =
         }
 
 let mirror_store t store =
-  t.gversion <- t.gversion + 1;
   let module GS = Nepal_store.Graph_store in
   let module E = Nepal_store.Entity in
   let sch = GS.schema store in

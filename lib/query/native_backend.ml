@@ -17,7 +17,6 @@ type t = Store.t
 
 let name = "native"
 let schema = Store.schema
-let version = Store.version
 
 (* All store read paths are pure (adjacency, extents and indexes are
    maintained eagerly at mutation time), so domains may read

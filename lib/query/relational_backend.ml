@@ -23,8 +23,6 @@ type t = {
   stats : (string * string, int * int) Hashtbl.t;
   mutable log : string list;
   mutable log_len : int;
-  (* Mutation counter; keys the planner's plan cache. *)
-  mutable rversion : int;
 }
 
 let ( let* ) = Result.bind
@@ -32,8 +30,6 @@ let ( let* ) = Result.bind
 let name = "relational"
 let schema t = t.schema
 let database t = t.db
-let version t = t.rversion
-let bump t = t.rversion <- t.rversion + 1
 
 (* Read paths mutate connection state (SQL log, temp tables, join
    caches, lazy statistics), so walks stay sequential here. *)
@@ -132,7 +128,6 @@ let create sch =
       stats = Hashtbl.create 64;
       log = [];
       log_len = 0;
-      rversion = 0;
     }
 
 let create_exn sch =
@@ -179,7 +174,6 @@ let insert_node t ~at ~cls ~fields =
   in
   log_sql t
     (Printf.sprintf "INSERT INTO %s (id_, ...) VALUES (%d, ...)" cls uid);
-  bump t;
   Ok uid
 
 let current_class_of t uid = Hashtbl.find_opt t.directory uid
@@ -234,7 +228,6 @@ let insert_edge t ~at ~cls ~src ~dst ~fields =
   log_sql t
     (Printf.sprintf "INSERT INTO %s (id_, source_id_, target_id_, ...) VALUES (%d, %d, %d, ...)"
        cls uid src dst);
-  bump t;
   Ok uid
 
 let update t ~at uid ~fields =
@@ -259,7 +252,6 @@ let update t ~at uid ~fields =
       if n = 0 then Error (Printf.sprintf "#%d is not alive; cannot update" uid)
       else begin
         log_sql t (Printf.sprintf "UPDATE %s SET ... WHERE id_ = %d" cls uid);
-        bump t;
         Ok ()
       end
 
@@ -293,7 +285,6 @@ let rec delete t ~at ?(cascade = false) uid =
           if n = 0 then Error (Printf.sprintf "#%d is not alive" uid)
           else begin
             log_sql t (Printf.sprintf "DELETE FROM %s WHERE id_ = %d" cls uid);
-            bump t;
             Ok ()
           end
       | _ ->
@@ -312,14 +303,12 @@ let rec delete t ~at ?(cascade = false) uid =
             if n = 0 then Error (Printf.sprintf "#%d is not alive" uid)
             else begin
               log_sql t (Printf.sprintf "DELETE FROM %s WHERE id_ = %d" cls uid);
-              bump t;
               Ok ()
             end)
 
 (* -- mirroring a native store --------------------------------------- *)
 
 let mirror_store t store =
-  bump t;
   let module GS = Nepal_store.Graph_store in
   let module E = Nepal_store.Entity in
   let uids = List.init (GS.count_entities store) (fun i -> i + 1) in

@@ -57,8 +57,6 @@ let fingerprint text =
         spanned;
       Buffer.contents b
 
-let fingerprint_of_query q = fingerprint (Query_ast.to_string q)
-
 (* -- the statistics table ------------------------------------------- *)
 
 type entry = {

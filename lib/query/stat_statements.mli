@@ -3,7 +3,7 @@
     fingerprint) in a bounded LRU table.
 
     The engine records every [run]/[run_string] here; `nepal stats`
-    and the bench [--json] runs render the table. Set
+    renders the table. Set
     [NEPAL_STATS_DUMP=path] to write the table at process exit (only
     when non-empty), and [NEPAL_STAT_STATEMENTS_MAX] to size the LRU
     (default 512). The table registers with [Metrics.on_reset], so
@@ -16,10 +16,6 @@ val fingerprint : string -> string
     token joins. Repetition bounds inside [{ }] are preserved — they
     are query shape, not data. Text that does not tokenize is trimmed
     and used as-is. *)
-
-val fingerprint_of_query : Query_ast.query -> string
-(** Fingerprint of a parsed query (via its canonical rendering), for
-    AST-level entry points that never saw the original text. *)
 
 val record :
   backend:string ->

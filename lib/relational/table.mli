@@ -29,8 +29,8 @@ val insert_row : t -> Value.t array -> (unit, string) result
 val row_count : t -> int
 
 val version : t -> int
-(** Mutation counter — bumped by every write; lets plan caches detect
-    staleness. *)
+(** Mutation counter — bumped by every write; lets the join cache
+    detect staleness. *)
 
 
 val rows_in_order : t -> Value.t array list

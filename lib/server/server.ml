@@ -128,11 +128,13 @@ let session_count t = with_lock t.lock (fun () -> Hashtbl.length t.sessions)
 let watch_count t = with_lock t.lock (fun () -> Hashtbl.length t.watch_routes)
 let with_write t f = Rwlock.write t.rw (fun () -> f t.store)
 
-(* The default per-session runner: a fresh native connection (own
-   round-trip counter) evaluating through the same instrumented entry the
-   in-process API uses, rendered with the same pretty-printer — which
-   is what makes wire results byte-identical to [Nepal.query_on]. *)
-let default_make_runner store () =
+(* A session's runner: a fresh native connection (own round-trip
+   counter) evaluating through [Explain.run_string], the entry
+   [Nepal.query_on] aliases, rendered with the same printer — which is
+   what makes wire results and errors byte-identical to the in-process
+   API. *)
+let new_runner store : runner =
+  let module Explain = Nepal_engine.Explain in
   let conn = Nepal_query.Connect.native store in
   let reply ?trace result =
     {
@@ -143,17 +145,10 @@ let default_make_runner store () =
   in
   fun ~trace text ->
     if trace then
-      match Nepal_engine.Explain.run_string_wire_traced ~conn text with
-      | Ok tr ->
-          Ok
-            (reply
-               ~trace:(Nepal_engine.Explain.traced_json tr)
-               tr.Nepal_engine.Explain.tr_result)
-      | Error e -> Error e
-    else
-      match Nepal_engine.Explain.run_string ~conn text with
-      | Ok result -> Ok (reply result)
-      | Error e -> Error e
+      Result.map
+        (fun tr -> reply ~trace:(Explain.traced_json tr) tr.Explain.tr_result)
+        (Explain.run_string_wire_traced ~conn text)
+    else Result.map (fun r -> reply r) (Explain.run_string ~conn text)
 
 (* -- verb handlers (reader thread) ------------------------------------ *)
 
@@ -388,7 +383,7 @@ let session_loop t s =
 
 (* -- listener ----------------------------------------------------------- *)
 
-let listener_loop t make_runner =
+let listener_loop t =
   while Atomic.get t.running do
     match Net.accept_tick t.listen_fd ~tick_s:0.2 with
     | None -> ()
@@ -421,7 +416,7 @@ let listener_loop t make_runner =
                 s_fd = fd;
                 s_outbox = Outbox.create ~capacity:t.cfg.outbox_capacity;
                 s_lr = Net.line_reader ~max_line:t.cfg.max_line_bytes fd;
-                s_runner = make_runner ();
+                s_runner = new_runner t.store;
                 s_started = Unix.gettimeofday ();
                 s_requests = Atomic.make 0;
                 s_alerts_sent = Atomic.make 0;
@@ -484,17 +479,12 @@ let pump_loop t =
 
 (* -- lifecycle ---------------------------------------------------------- *)
 
-let start ?(config = default_config) ?make_runner store =
+let start ?(config = default_config) store =
   match
     Net.listen_tcp ~backlog:128 ~addr:config.addr ~port:config.port ()
   with
   | Error e -> Error e
   | Ok (listen_fd, bound_port) ->
-      let make_runner =
-        match make_runner with
-        | Some f -> f
-        | None -> default_make_runner store
-      in
       let t =
         {
           cfg = config;
@@ -519,7 +509,7 @@ let start ?(config = default_config) ?make_runner store =
           float_of_int (Hashtbl.length t.sessions));
       Metrics.register_gauge "executor.queue_depth" (fun () ->
           float_of_int (Executor.queue_depth t.exec));
-      t.listener <- Some (Thread.create (fun () -> listener_loop t make_runner) ());
+      t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
       t.pump <- Some (Thread.create (fun () -> pump_loop t) ());
       Ok t
 

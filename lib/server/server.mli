@@ -33,12 +33,6 @@ type query_reply = {
     {!Nepal_engine.Engine.pp_result} rendering (which is what makes wire
     results byte-identical to the in-process API). *)
 
-type runner = trace:bool -> string -> (query_reply, string) result
-(** A session's query evaluator. [trace:true] asks for the full
-    EXPLAIN ANALYZE span tree in [qr_trace] (the default runner uses
-    {!Nepal_engine.Explain.run_string_wire_traced}); the result text
-    must be identical either way. *)
-
 type config = {
   addr : Unix.inet_addr;
   port : int;  (** 0 picks a free port; see {!port} *)
@@ -58,15 +52,14 @@ val default_config : config
 type t
 
 val start :
-  ?config:config ->
-  ?make_runner:(unit -> runner) ->
-  Nepal_store.Graph_store.t ->
-  (t, string) result
-(** Bind and serve on background threads. [make_runner] is invoked once
-    per session to build its query runner (the CLI injects the
-    [Nepal.query_on] path; the default evaluates through a fresh native
-    connection per session — own round-trip counter — with the shared
-    instrumented engine entry). [Error] on bind failure. *)
+  ?config:config -> Nepal_store.Graph_store.t -> (t, string) result
+(** Bind and serve on background threads. Each session evaluates
+    through its own native connection (own round-trip counter) with
+    {!Nepal_engine.Explain.run_string} — the entry [Nepal.query_on]
+    aliases — so wire answers and errors are byte-identical to the
+    in-process API; a [{"trace": true}] request runs
+    {!Nepal_engine.Explain.run_string_wire_traced}, whose result text is
+    the same. [Error] on bind failure. *)
 
 val stop : t -> unit
 (** Stop accepting, wake and join every session, join the pump, close

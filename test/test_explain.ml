@@ -155,6 +155,12 @@ let test_explain_errors_propagate () =
       "EXPLAIN AT '2017-02-30 10:00:00' Retrieve P From PATHS P Where P MATCHES VNF()";
     ]
 
+(* A query whose NPL013 finding has a source span: the [P(@…)]
+   declaration contradicts the AT window. *)
+let q_npl013 =
+  "AT '2017-02-15 10:00:00' : '2017-02-15 11:00:00' Retrieve P From \
+   PATHS P(@'2019-01-01 00:00:00') Where P MATCHES VNF()->VFC()"
+
 (* EXPLAIN's diagnostics are the analyzer's findings, rendered by
    [Diagnostic.to_string] in the analyzer's order; [`Strict] rejects
    with the error- and warning-severity subset of the same lines. The
@@ -165,9 +171,7 @@ let test_diagnostics_are_the_analyzers () =
   let conn = List.assoc "relational" conns in
   let queries =
     [
-      ( [ "NPL013" ],
-        "AT '2017-02-15 10:00:00' : '2017-02-15 11:00:00' Retrieve P From \
-         PATHS P(@'2019-01-01 00:00:00') Where P MATCHES VNF()->VFC()" );
+      ([ "NPL013" ], q_npl013);
       ( [ "NPL016"; "NPL017" ],
         "Retrieve P, Q From PATHS P, PATHS Q Where P MATCHES VNF()->VFC() \
          And Q MATCHES VM()->VirtualLink()->VirtualNetwork() And \
@@ -187,8 +191,8 @@ let test_diagnostics_are_the_analyzers () =
   let spans = ref [] in
   List.iter
     (fun (codes, q) ->
-      (* EXPLAIN parses the text after its keyword, so its spans are
-         columns of that text. *)
+      (* EXPLAIN parses the typed text with its keyword blanked, so its
+         spans are columns of the typed text. *)
       let explain = "EXPLAIN " ^ q in
       let findings = analyze (snd (Nepal.Explain.classify explain)) in
       List.iter
@@ -227,6 +231,40 @@ let test_diagnostics_are_the_analyzers () =
   check_bool "a finding with a span" true (List.mem false !spans);
   check_bool "a finding without a span" true (List.mem true !spans)
 
+(* EXPLAIN's carets point at what the user typed: the NPL013 finding
+   under EXPLAIN sits at the 1-based line and column of the [P(@…)]
+   token in the typed text (newlines kept), and the plain query's own
+   column is unchanged. *)
+let test_explain_columns_are_typed () =
+  let conns, _ = Lazy.force setup in
+  let conn = List.assoc "relational" conns in
+  let position text =
+    let needle = "P(@" in
+    let rec go i line bol =
+      if String.sub text i (String.length needle) = needle then
+        (line, i - bol + 1)
+      else if text.[i] = '\n' then go (i + 1) (line + 1) (i + 1)
+      else go (i + 1) line bol
+    in
+    go 0 1 0
+  in
+  let finding text =
+    let line, col = position text in
+    Printf.sprintf "warning[NPL013] line %d, column %d:" line col
+  in
+  check_bool "plain query: column 72" true
+    (position q_npl013 = (1, 72)
+    && List.exists
+         (fun d ->
+           String.starts_with ~prefix:(finding q_npl013)
+             (Nepal.Diagnostic.to_string d))
+         (Nepal.check_on conn q_npl013));
+  List.iter
+    (fun typed ->
+      check_bool ("EXPLAIN position in " ^ typed) true
+        (contains (explain_lines conn typed) (finding typed)))
+    [ "EXPLAIN " ^ q_npl013; "  explain\n    " ^ q_npl013 ]
+
 let () =
   Alcotest.run "nepal_explain"
     [
@@ -240,6 +278,8 @@ let () =
           Alcotest.test_case "metrics registry populated" `Quick
             test_metrics_registry_populated;
           Alcotest.test_case "errors propagate" `Quick test_explain_errors_propagate;
+          Alcotest.test_case "columns are the typed text's" `Quick
+            test_explain_columns_are_typed;
           Alcotest.test_case "diagnostics are the analyzer's" `Quick
             test_diagnostics_are_the_analyzers;
         ] );

@@ -32,8 +32,9 @@ let forms (vs : V.t) =
     ("range", fun q -> Printf.sprintf "AT '%s' : '%s' %s" (Tp.to_string vs.V.born) clock q);
   ]
 
-(* Every section, in one fixed order: plan caches and statistics are
-   per connection, so the order is part of the golden text. *)
+(* Every section, in one fixed order: the relational mirror's
+   statistics and join caches are per connection and filled on first
+   use, so the order is part of the golden text. *)
 let sections =
   lazy
     (let vs = V.generate ~seed:5 ~vnf_count:6 ~server_count:12 ~virtual_networks:8 () in

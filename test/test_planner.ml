@@ -1,8 +1,8 @@
 (* Cost-based plan compiler (lib/planner): planned results equal the
    reference evaluator's (test/reference.ml) on all three backends
-   (QCheck), golden EXPLAIN output for the Table-1 families, plan-cache
-   hit/miss/version behaviour, the chosen plan against every forced
-   alternative in allocated words, and product-automaton pruning
+   (QCheck), golden EXPLAIN output for the Table-1 families, the plan as
+   a function of the query and the store, the chosen plan against every
+   forced alternative in allocated words, and product-automaton pruning
    (language preservation + memoized masks). *)
 
 module Nepal = Core.Nepal
@@ -161,61 +161,27 @@ let test_explain_anchored () =
   check_bool "lists rejected alternatives" true
     (contains_line lines "    rejected: ")
 
-(* ---------------- plan cache ---------------- *)
+(* ---------------- plan determinism ---------------- *)
 
-let test_cache_hit_on_repeat () =
+(* The plan is a function of the query and the store: a Table-1 query's
+   EXPLAIN text is the same cold, right after the query ran, after a
+   same-shape query with another literal ran, and on a second store
+   generated from the same seeds. *)
+let test_plan_is_a_function () =
   let vs, db, _, _ = Lazy.force shared in
   let conn = Nepal.conn db in
   let q = Virt.q_top_down ~vnf_id:vs.Virt.vnf_ids.(0) in
-  Nepal.Planner.cache_clear ();
-  let _, h0, m0 = Nepal.Planner.cache_stats () in
+  let explain conn = explain_lines conn ("EXPLAIN " ^ q) in
+  let cold = explain conn in
   ignore (ok (Nepal.query_on conn q));
-  let _, h1, m1 = Nepal.Planner.cache_stats () in
-  check_int "first run is a miss" (m0 + 1) m1;
-  check_int "first run is not a hit" h0 h1;
-  ignore (ok (Nepal.query_on conn q));
-  let entries, h2, m2 = Nepal.Planner.cache_stats () in
-  check_int "second run is a hit" (h1 + 1) h2;
-  check_int "second run adds no miss" m1 m2;
-  check_bool "cache holds the entry" true (entries >= 1)
-
-let test_cache_hit_across_literals () =
-  (* Same statement fingerprint, different literals: the cached plan
-     shape replays, and the replayed plan still answers correctly. *)
-  let vs, db, _, _ = Lazy.force shared in
-  let conn = Nepal.conn db in
-  let qa = Virt.q_top_down ~vnf_id:vs.Virt.vnf_ids.(0) in
-  let qb = Virt.q_top_down ~vnf_id:vs.Virt.vnf_ids.(1) in
-  Nepal.Planner.cache_clear ();
-  ignore (ok (Nepal.query_on conn qa));
-  let _, h0, _ = Nepal.Planner.cache_stats () in
-  let replayed = Reference.of_result (ok (Nepal.query_on conn qb)) in
-  let _, h1, _ = Nepal.Planner.cache_stats () in
-  check_int "different literals share the cached plan" (h0 + 1) h1;
-  let rpe =
-    Printf.sprintf "VNF(id=%d)->[Vertical()]{1,6}->Server()" vs.Virt.vnf_ids.(1)
-  in
-  check_bool "the literal-replay query is the one the reference runs" true
-    (qb = Reference.query_text Nepal.Time_constraint.Snapshot rpe);
-  check_bool "replayed plan answers correctly" true
-    (replayed = reference_of rpe Nepal.Time_constraint.Snapshot)
-
-let test_cache_versioned_by_schema () =
-  (* The same query text against a different schema instance (as after
-     re-classing, which rebuilds the schema) must not reuse the entry. *)
-  let vs, db, _, _ = Lazy.force shared in
-  let q = Virt.q_top_down ~vnf_id:vs.Virt.vnf_ids.(0) in
-  let vs2 =
-    Virt.generate ~seed:11 ~vnf_count:6 ~server_count:12 ~virtual_networks:8 ()
-  in
-  let db2 = Nepal.of_store vs2.Virt.store in
-  Nepal.Planner.cache_clear ();
-  ignore (ok (Nepal.query_on (Nepal.conn db) q));
-  let _, h0, m0 = Nepal.Planner.cache_stats () in
-  ignore (ok (Nepal.query_on (Nepal.conn db2) q));
-  let _, h1, m1 = Nepal.Planner.cache_stats () in
-  check_int "other schema instance is a miss" (m0 + 1) m1;
-  check_int "other schema instance is not a hit" h0 h1
+  Alcotest.(check (list string)) "after the query ran" cold (explain conn);
+  ignore (ok (Nepal.query_on conn (Virt.q_top_down ~vnf_id:vs.Virt.vnf_ids.(1))));
+  Alcotest.(check (list string)) "after another literal ran" cold (explain conn);
+  let vs2, db2, _, _ = build () in
+  check_bool "same seeds, same literal" true
+    (vs2.Virt.vnf_ids.(0) = vs.Virt.vnf_ids.(0));
+  Alcotest.(check (list string)) "on a second schema instance" cold
+    (explain (Nepal.conn db2))
 
 (* ---------------- chosen plan vs forced alternatives ---------------- *)
 
@@ -369,13 +335,10 @@ let () =
             test_explain_bidirectional;
           Alcotest.test_case "anchored plan" `Quick test_explain_anchored;
         ] );
-      ( "plan cache",
+      ( "plan",
         [
-          Alcotest.test_case "hit on repeat" `Quick test_cache_hit_on_repeat;
-          Alcotest.test_case "hit across literals" `Quick
-            test_cache_hit_across_literals;
-          Alcotest.test_case "versioned by schema" `Quick
-            test_cache_versioned_by_schema;
+          Alcotest.test_case "function of query and store" `Quick
+            test_plan_is_a_function;
         ] );
       ( "chosen plan",
         [

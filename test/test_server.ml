@@ -59,31 +59,12 @@ let build_small store =
   let link = edge "Link" box1 box2 in
   (app, box1, box2, runs, link)
 
-(* The same runner the CLI injects: the Nepal.query_on path, so wire
-   text must match in-process rendering byte for byte; traced requests
-   take the Explain.run_string_wire_traced path exactly like the CLI. *)
-let query_on_runner store () =
-  let conn = Nepal.native_conn store in
-  let reply ?trace result =
-    {
-      Server.qr_count = Nepal.Engine.result_count result;
-      qr_text = Nepal.Engine.result_to_string result;
-      qr_trace = trace;
-    }
-  in
-  fun ~trace text ->
-    if trace then
-      match Nepal.Explain.run_string_wire_traced ~conn text with
-      | Ok tr ->
-          Ok
-            (reply
-               ~trace:(Nepal.Explain.traced_json tr)
-               tr.Nepal.Explain.tr_result)
-      | Error e -> Error e
-    else
-      match Nepal.query_on conn text with
-      | Ok result -> Ok (reply result)
-      | Error e -> Error e
+(* In-process evaluation on a fresh native connection, rendered the way
+   the server renders a reply: wire text must match it byte for byte. *)
+let in_process store text =
+  Result.map
+    (fun r -> (Nepal.Engine.result_count r, Nepal.Engine.result_to_string r))
+    (Nepal.query_on (Nepal.native_conn store) text)
 
 let test_config =
   {
@@ -105,7 +86,7 @@ let with_server ?(config = test_config) ?build f =
   in
   ignore built;
   let server =
-    ok (Server.start ~config ~make_runner:(query_on_runner store) store)
+    ok (Server.start ~config store)
   in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f store server)
 
@@ -397,14 +378,13 @@ let test_roundtrip_identical () =
               check_string "hello" "hello"
                 (Option.value ~default:"?" (Json.string_field "event" ev))
           | None -> Alcotest.fail "no hello greeting");
-          let local = query_on_runner store () in
           List.iter
             (fun q ->
               let wire = ok (Client.query c q) in
-              let inproc = ok (local ~trace:false q) in
-              check_string "wire text = in-process text" inproc.Server.qr_text
+              let count, text = ok (in_process store q) in
+              check_string "wire text = in-process text" text
                 wire.Server.qr_text;
-              check_int "wire count = in-process count" inproc.Server.qr_count
+              check_int "wire count = in-process count" count
                 wire.Server.qr_count)
             [ q_app_box; q_box_box; q_two_hop ];
           (* a bad query comes back as an error, session keeps serving *)
@@ -415,11 +395,28 @@ let test_roundtrip_identical () =
           check_bool "stats has sessions" true
             (Json.int_field "sessions" stats = Some 1)))
 
+(* An engine error crosses the wire exactly as [Nepal.query_on]
+   returns it: the message plus the analyzer's findings with their
+   caret snippets. *)
+let test_error_identical () =
+  with_server (fun store server ->
+      with_client server (fun c ->
+          let q = "Retrieve P From PATHS P Where P MATCHES NoSuchClass()" in
+          let local =
+            match in_process store q with
+            | Ok _ -> Alcotest.fail "unknown class must error"
+            | Error e -> e
+          in
+          check_bool "in-process error carries a diagnostic" true
+            (List.length (String.split_on_char '\n' local) > 1);
+          match Client.query c q with
+          | Ok _ -> Alcotest.fail "unknown class must error over the wire"
+          | Error e -> check_string "wire error = in-process error" local e))
+
 let test_concurrent_clients () =
   with_server (fun store server ->
-      let local = query_on_runner store () in
       let expected =
-        List.map (fun q -> (q, ok (local ~trace:false q))) [ q_app_box; q_box_box; q_two_hop ]
+        List.map (fun q -> (q, ok (in_process store q))) [ q_app_box; q_box_box; q_two_hop ]
       in
       let n = 4 and per_client = 6 in
       let failures = Array.make n "" in
@@ -429,15 +426,15 @@ let test_concurrent_clients () =
         | Ok c ->
             (try
                for round = 0 to per_client - 1 do
-                 let q, want =
+                 let q, (want_count, want_text) =
                    List.nth expected ((i + round) mod List.length expected)
                  in
                  match Client.query c q with
                  | Error e -> failures.(i) <- q ^ ": " ^ e
                  | Ok got ->
-                     if got.Server.qr_text <> want.Server.qr_text then
+                     if got.Server.qr_text <> want_text then
                        failures.(i) <- q ^ ": text mismatch"
-                     else if got.Server.qr_count <> want.Server.qr_count then
+                     else if got.Server.qr_count <> want_count then
                        failures.(i) <- q ^ ": count mismatch"
                done
              with exn -> failures.(i) <- Printexc.to_string exn);
@@ -1100,6 +1097,8 @@ let () =
         [
           Alcotest.test_case "round-trip byte-identical" `Quick
             test_roundtrip_identical;
+          Alcotest.test_case "error byte-identical" `Quick
+            test_error_identical;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
           Alcotest.test_case "max sessions" `Quick test_max_sessions;

@@ -147,14 +147,14 @@ let poly_compare_dirs = [ "lib/engine/"; "lib/query/"; "lib/rpe/" ]
 (* -- LNT003 allowlist -------------------------------------------------- *)
 
 (* Interactive CLI paths and tools/ binaries block on purpose —
-   [stats --watch] and [nepal top] sleep between refreshes. They are
+   [events tail --follow], [watch] and [top] sleep between polls. They are
    excluded from LNT003 by explicit module-level entries rather than by
    skipping their files, so any future lib/ code moved into these
    directories stays covered unless it is deliberately listed here. *)
 let lnt003_allowlist =
   [
     ( "Nepal_cli",
-      "interactive CLI: watch/top/stats refresh loops sleep by design; \
+      "interactive CLI: events/watch/top polling loops sleep by design; \
        no shared lock is held across them" );
     ("Style_check", "build-time tool, single-threaded file walker");
     ("Concur_lint", "build-time tool, single-threaded analyzer");
