@@ -16,16 +16,27 @@ let rec segment_hash label i h =
   if i = String.length label || label.[i] = ':' then h land max_int
   else segment_hash label (i + 1) ((h * 31) + Char.code label.[i])
 
+(* One label's elements, with per-kind counts kept at mutation time. *)
+type group = {
+  g_label : string;
+  mutable g_ids : int list;
+  mutable g_vertices : int;
+  mutable g_edges : int;
+}
+
 type t = {
   mutable next_id : int;
   elements : (int, element) Hashtbl.t;
   adj_out : (int, int list) Hashtbl.t;
   adj_in : (int, int list) Hashtbl.t;
-  (* Label-segment index: first segment -> element ids, to make prefix
-     scans cheaper than a full pass. Keyed by the segment's hash, so a
-     lookup allocates nothing; a collision only adds candidates that
-     the prefix test rejects. *)
-  by_first_segment : (int, int list) Hashtbl.t;
+  (* Label index: first segment -> one group per label, so a prefix scan
+     or count visits the labels under the prefix's first segment, not
+     their elements. Keyed by the segment's hash, so a lookup allocates
+     nothing; a collision only adds groups that the prefix test
+     rejects. *)
+  by_first_segment : (int, group list) Hashtbl.t;
+  mutable vertex_total : int;
+  mutable edge_total : int;
 }
 
 let create () =
@@ -35,17 +46,40 @@ let create () =
     adj_out = Hashtbl.create 4096;
     adj_in = Hashtbl.create 4096;
     by_first_segment = Hashtbl.create 64;
+    vertex_total = 0;
+    edge_total = 0;
   }
 
-let segment_ids t label =
+let segment_groups t label =
   match Hashtbl.find t.by_first_segment (segment_hash label 0 0) with
-  | ids -> ids
+  | groups -> groups
   | exception Not_found -> []
+
+(* Add [d] (+1 or -1) to the counts of [e]'s kind, in its label group
+   and in the totals. *)
+let count t g e d =
+  if e.endpoints = None then begin
+    g.g_vertices <- g.g_vertices + d;
+    t.vertex_total <- t.vertex_total + d
+  end
+  else begin
+    g.g_edges <- g.g_edges + d;
+    t.edge_total <- t.edge_total + d
+  end
 
 let register t e =
   Hashtbl.replace t.elements e.id e;
-  Hashtbl.replace t.by_first_segment (segment_hash e.label 0 0)
-    (e.id :: segment_ids t e.label)
+  let groups = segment_groups t e.label in
+  let g =
+    match List.find_opt (fun g -> String.equal g.g_label e.label) groups with
+    | Some g -> g
+    | None ->
+        let g = { g_label = e.label; g_ids = []; g_vertices = 0; g_edges = 0 } in
+        Hashtbl.replace t.by_first_segment (segment_hash e.label 0 0) (g :: groups);
+        g
+  in
+  g.g_ids <- e.id :: g.g_ids;
+  count t g e 1
 
 let take_id t = function
   | Some id ->
@@ -91,8 +125,12 @@ let unregister t id =
   | None -> ()
   | Some e ->
       Hashtbl.remove t.elements id;
-      Hashtbl.replace t.by_first_segment (segment_hash e.label 0 0)
-        (List.filter (fun x -> x <> id) (segment_ids t e.label));
+      let g =
+        List.find (fun g -> String.equal g.g_label e.label)
+          (segment_groups t e.label)
+      in
+      g.g_ids <- List.filter (fun x -> x <> id) g.g_ids;
+      count t g e (-1);
       (match e.endpoints with
       | Some (s, d) ->
           let strip tbl k =
@@ -136,28 +174,34 @@ let label_has_prefix ~prefix label =
   && same_chars prefix label 0 lp
   && (String.length label = lp || label.[lp] = ':')
 
-let matches ~prefix ~vertices e =
-  is_vertex e = vertices && label_has_prefix ~prefix e.label
-
 let by_label_prefix t prefix ~vertices =
   List.fold_left
-    (fun acc id ->
-      let e = Hashtbl.find t.elements id in
-      if matches ~prefix ~vertices e then e :: acc else acc)
-    [] (segment_ids t prefix)
+    (fun acc g ->
+      if label_has_prefix ~prefix g.g_label then
+        List.fold_left
+          (fun acc id ->
+            let e = Hashtbl.find t.elements id in
+            if is_vertex e = vertices then e :: acc else acc)
+          acc g.g_ids
+      else acc)
+    [] (segment_groups t prefix)
   |> List.sort (fun a b -> Int.compare a.id b.id)
 
 let vertices_by_label_prefix t prefix = by_label_prefix t prefix ~vertices:true
 let edges_by_label_prefix t prefix = by_label_prefix t prefix ~vertices:false
 
-let rec count_matching elements ~prefix ~vertices n = function
+let rec count_matching ~prefix ~vertices n = function
   | [] -> n
-  | id :: rest ->
-      let n = if matches ~prefix ~vertices (Hashtbl.find elements id) then n + 1 else n in
-      count_matching elements ~prefix ~vertices n rest
+  | g :: rest ->
+      let n =
+        if not (label_has_prefix ~prefix g.g_label) then n
+        else if vertices then n + g.g_vertices
+        else n + g.g_edges
+      in
+      count_matching ~prefix ~vertices n rest
 
 let label_prefix_count t ~vertices prefix =
-  count_matching t.elements ~prefix ~vertices 0 (segment_ids t prefix)
+  count_matching ~prefix ~vertices 0 (segment_groups t prefix)
 
 let incident t tbl id =
   match Hashtbl.find_opt tbl id with
@@ -169,7 +213,5 @@ let incident t tbl id =
 let out_edges t id = incident t t.adj_out id
 let in_edges t id = incident t t.adj_in id
 
-let vertex_count t =
-  Hashtbl.fold (fun _ e n -> if is_vertex e then n + 1 else n) t.elements 0
-
-let edge_count t = Hashtbl.length t.elements - vertex_count t
+let vertex_count t = t.vertex_total
+let edge_count t = t.edge_total

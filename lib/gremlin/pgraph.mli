@@ -57,13 +57,14 @@ val label_has_prefix : prefix:string -> string -> bool
 
 val label_prefix_count : t -> vertices:bool -> string -> int
 (** [List.length] of {!vertices_by_label_prefix} (or of
-    {!edges_by_label_prefix} when [vertices] is false), counted in
-    place over the first-segment label index: no element list, no sort,
-    no allocation. Cost probes use it. *)
+    {!edges_by_label_prefix} when [vertices] is false), summed from the
+    per-label counts the graph keeps at mutation time: time linear in
+    the labels under the prefix's first segment, not in their elements,
+    and no allocation. Cost probes use it. *)
 
 val out_edges : t -> int -> element list
 val in_edges : t -> int -> element list
 
 val vertex_count : t -> int
 val edge_count : t -> int
-(** Both count in place, without building element lists. *)
+(** Both read totals kept at mutation time. *)

@@ -23,6 +23,7 @@ module Time_constraint = Nepal_temporal.Time_constraint
 module Rpe = Nepal_rpe.Rpe
 module Nfa = Nepal_rpe.Nfa
 module Anchor = Nepal_rpe.Anchor
+module Predicate = Nepal_rpe.Predicate
 module Analysis = Nepal_analysis.Analysis
 module Backend_intf = Nepal_query.Backend_intf
 module Eval_rpe = Nepal_query.Eval_rpe
@@ -90,32 +91,35 @@ let edge_only schema = function
         branches
   | _ -> false
 
-let bidi_of schema ~tc norm =
-  match (tc : Time_constraint.t) with
-  | Time_constraint.Range _ ->
-      (* Range validity unions presence over runs of the whole pathway;
-         per-half intersection cannot reproduce it. *)
-      None
-  | Time_constraint.Snapshot | Time_constraint.At _ -> (
-      match norm with
-      | Rpe.N_seq [ Rpe.N_atom l; Rpe.N_rep (body, m, n); Rpe.N_atom r ]
-        when m >= 1 && n >= 2
-             && Rpe.atom_kind schema l = Some Schema.Node_kind
-             && Rpe.atom_kind schema r = Some Schema.Node_kind
-             && edge_only schema body ->
-          let k1 = (n + 2) / 2 in
-          let k2 = n + 1 - k1 in
-          Some
-            {
-              Eval_rpe.bd_left = l;
-              bd_right = r;
-              bd_fwd = Rpe.N_seq [ Rpe.N_atom l; Rpe.N_rep (body, 1, k1) ];
-              bd_bwd =
-                Rpe.reverse
-                  (Rpe.N_seq [ Rpe.N_rep (body, 1, k2); Rpe.N_atom r ]);
-              bd_min_length = Rpe.min_length norm;
-            }
-      | _ -> None)
+(* Meet-in-the-middle pays only when both halves start from a few
+   seeds, so both endpoints must be pinned by an equality lookup: from a
+   bare class one half walks from every instance of it. The plan is
+   sound under every temporal form. Range validity is a union over runs
+   of per-element presence intersections, and the join intersects the
+   two halves' validities. Halves that consumed the shared edge under
+   the same atom rebuild one run exactly. Halves that consumed it under
+   two atoms give the intersection of both presences, which lies inside
+   the run that uses either atom there (the body is an alternation, so
+   any body atom may take any repetition), and [Eval_rpe.dedup_paths]'s
+   union is unchanged. *)
+let bidi_of schema norm =
+  let pinned (a : Rpe.atom) = Predicate.equality_lookups a.Rpe.pred <> [] in
+  let node a = Rpe.atom_kind schema a = Some Schema.Node_kind && pinned a in
+  match norm with
+  | Rpe.N_seq [ Rpe.N_atom l; Rpe.N_rep (body, m, n); Rpe.N_atom r ]
+    when m >= 1 && n >= 2 && node l && node r && edge_only schema body ->
+      let k1 = (n + 2) / 2 in
+      let k2 = n + 1 - k1 in
+      Some
+        {
+          Eval_rpe.bd_left = l;
+          bd_right = r;
+          bd_fwd = Rpe.N_seq [ Rpe.N_atom l; Rpe.N_rep (body, 1, k1) ];
+          bd_bwd =
+            Rpe.reverse (Rpe.N_seq [ Rpe.N_rep (body, 1, k2); Rpe.N_atom r ]);
+          bd_min_length = Rpe.min_length norm;
+        }
+  | _ -> None
 
 (* -- cost model ------------------------------------------------------ *)
 
@@ -250,7 +254,7 @@ let candidates estimate (growth, cap) (input : planner_input) =
     |> List.map (selection_candidate estimate conn bc ~growth ~cap)
   in
   let bidi =
-    match bidi_of schema ~tc:input.pi_tc input.pi_norm with
+    match bidi_of schema input.pi_norm with
     | Some bp -> [ bidi_candidate estimate conn bc ~growth ~cap bp ]
     | None -> []
   in

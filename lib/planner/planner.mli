@@ -76,9 +76,10 @@ val pruner_of : Nepal_schema.Schema.t -> Nepal_query.Eval_rpe.pruner
 
 val bidi_of :
   Nepal_schema.Schema.t ->
-  tc:Nepal_temporal.Time_constraint.t ->
   Nepal_rpe.Rpe.norm ->
   Nepal_query.Eval_rpe.bidi_plan option
-(** The bidirectional decomposition of a node·edge-rep·node RPE, when
-    the shape and temporal constraint admit one ([Snapshot]/[At] only;
-    repetition upper bound at least 2). *)
+(** The bidirectional decomposition of a node·edge-rep·node RPE whose
+    repetition body consumes one edge per iteration, whose upper bound
+    is at least 2 and whose two endpoint atoms are both pinned by an
+    equality lookup ({!Nepal_rpe.Predicate.equality_lookups}). Sound
+    under every temporal form. *)

@@ -884,9 +884,11 @@ let eval_anywhere conn ~cfg ~tc ~max_length ~stats ?trace ?prune splits =
    consuming a matched repetition-body edge; the join therefore glues
    two junction-clean fragments at a matched element and can never
    fabricate the double-skip junctions the one-directional automaton
-   forbids. Gated to Snapshot/At by the planner: path validity under
-   Range unions presence over all runs of the *whole* pathway, which
-   the per-half intersection cannot reproduce. *)
+   forbids. Under Range each joined pair's validity is the intersection
+   of its halves'. When both halves consumed the shared edge under the
+   same body atom that is exactly one run's validity; under two atoms it
+   is a subset of either run's, so the union [dedup_paths] takes over
+   split points and runs is the whole pathway's validity. *)
 let eval_bidi conn ~cfg ~tc ~max_length ~stats ?trace ?prune (bp : bidi_plan) =
   let kind_of = kind_of_for (conn_schema conn) in
   let compile dir norm =

@@ -273,6 +273,45 @@ let test_counts_match_lists () =
         (Pgraph.label_prefix_count g ~vertices:false p))
     trap_prefixes
 
+(* The counts kept at mutation time equal a full fold over the elements
+   after every one of a random sequence of vertex and edge additions and
+   removals over the trap labels (a vertex removal also drops its
+   edges). *)
+let test_counts_match_fold () =
+  let g = trap_graph () in
+  let labels = Array.of_list (List.filter (( <> ) "") trap_prefixes) in
+  let rng = Random.State.make [| 7 |] in
+  let live () = List.map (fun (e : Pgraph.element) -> e.Pgraph.id) (Pgraph.vertices g) in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let fold ~vertices p =
+    List.length
+      (List.filter
+         (fun (e : Pgraph.element) ->
+           Pgraph.is_vertex e = vertices && Pgraph.label_has_prefix ~prefix:p e.Pgraph.label)
+         (Pgraph.vertices g @ Pgraph.edges g))
+  in
+  for step = 1 to 300 do
+    let label = labels.(Random.State.int rng (Array.length labels)) in
+    (match (Random.State.int rng 4, live ()) with
+    | 0, _ | _, ([] | [ _ ]) -> ignore (Pgraph.add_vertex g ~label (props []))
+    | 1, vs -> ignore (Pgraph.add_edge g ~label ~src:(pick vs) ~dst:(pick vs) (props []))
+    | 2, vs -> Pgraph.remove g (pick vs)
+    | _, _ -> (
+        match Pgraph.edges g with
+        | [] -> ()
+        | es -> Pgraph.remove g (pick es).Pgraph.id));
+    let what s = Printf.sprintf "step %d: %s" step s in
+    check_int (what "vertex_count") (List.length (Pgraph.vertices g)) (Pgraph.vertex_count g);
+    check_int (what "edge_count") (List.length (Pgraph.edges g)) (Pgraph.edge_count g);
+    List.iter
+      (fun p ->
+        check_int (what ("vertices " ^ p)) (fold ~vertices:true p)
+          (Pgraph.label_prefix_count g ~vertices:true p);
+        check_int (what ("edges " ^ p)) (fold ~vertices:false p)
+          (Pgraph.label_prefix_count g ~vertices:false p))
+      trap_prefixes
+  done
+
 (* Words allocated while [f] runs, minor and direct-to-major alike
    (Gc.quick_stat is only refreshed by collections). *)
 let words_during f =
@@ -284,21 +323,19 @@ let words_during f =
   f ();
   words () -. w0
 
-(* Cost probes run the prefix test and the count several times per
-   query; over [n] calls each, fewer than [n] words means none per call.
-   The element counts fold the element table, which costs the fold's
-   closure and nothing per element. *)
+(* Cost probes run the prefix test and the counts several times per
+   query; over [n] calls each, fewer than [n] words means none per call. *)
 let test_prefix_probes_allocation_free () =
   let g = trap_graph () in
   let n = 1_000 in
-  let per_call ?(words = 1) name f =
+  let per_call name f =
     let used =
       words_during (fun () ->
           for _ = 1 to n do
             ignore (Sys.opaque_identity (f ()))
           done)
     in
-    if used >= float_of_int (words * n) then
+    if used >= float_of_int n then
       Alcotest.failf "%s: %.0f words over %d calls" name used n
   in
   per_call "label_has_prefix" (fun () ->
@@ -307,7 +344,7 @@ let test_prefix_probes_allocation_free () =
   per_call "label_prefix_count" (fun () ->
       Pgraph.label_prefix_count g ~vertices:true "Node:VM"
       + Pgraph.label_prefix_count g ~vertices:false "Edge");
-  per_call ~words:12 "vertex_count + edge_count" (fun () ->
+  per_call "vertex_count + edge_count" (fun () ->
       Pgraph.vertex_count g + Pgraph.edge_count g)
 
 let () =
@@ -335,6 +372,8 @@ let () =
       ( "label index",
         [
           Alcotest.test_case "counts = list lengths" `Quick test_counts_match_lists;
+          Alcotest.test_case "counts = fold after mutations" `Quick
+            test_counts_match_fold;
           Alcotest.test_case "prefix probes allocation-free" `Quick
             test_prefix_probes_allocation_free;
         ] );

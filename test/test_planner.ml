@@ -185,15 +185,12 @@ let test_plan_is_a_function () =
 
 (* ---------------- chosen plan vs forced alternatives ---------------- *)
 
-(* On the golden topology (test_golden's), the planner's plan for the
-   Table-1 pair queries must allocate no more than any forced
-   alternative — every anchor candidate plus the bidirectional plan, all
-   with the same pruner — and the worst alternative at least five times
-   as much. One domain and one warm-up run make the word counts exact.
-   Top-down and bottom-up are not covered: on this small topology the
-   planner picks the bidirectional plan for them although anchoring at
-   the literal allocates several times fewer words (it anchors them on
-   the full-size topology). *)
+(* On the golden topology (test_golden's), the planner's plan for every
+   Table-1 family in snapshot, AT and range form must allocate no more
+   than any forced alternative — every anchor candidate plus the
+   bidirectional plan where both endpoints are pinned, all with the same
+   pruner — and the worst alternative at least five times as much. One
+   domain and one warm-up run make the word counts exact. *)
 let test_chosen_plan_allocates_least () =
   let vs =
     Virt.generate ~seed:5 ~vnf_count:6 ~server_count:12 ~virtual_networks:8 ()
@@ -228,7 +225,7 @@ let test_chosen_plan_allocates_least () =
         |> List.map (fun s -> Nepal.Eval_rpe.Forced s)
       in
       let bidi =
-        match Nepal.Planner.bidi_of schema ~tc:vp.vp_tc vp.vp_rpe with
+        match Nepal.Planner.bidi_of schema vp.vp_rpe with
         | Some bp -> [ Nepal.Eval_rpe.Bidi bp ]
         | None -> []
       in
@@ -249,16 +246,27 @@ let test_chosen_plan_allocates_least () =
       if worst < 5. *. chosen then
         Alcotest.failf "%s: worst alternative allocates %.0f words, under 5x %.0f"
           name worst chosen)
-    [
-      ( "VM-VM(4)",
-        Virt.q_vm_vm ~a:vs.Virt.container_ids.(0) ~b:vs.Virt.container_ids.(1) );
-      ( "Host-Host(4)",
-        Virt.q_host_host ~hops:4 ~a:vs.Virt.server_ids.(0)
-          ~b:vs.Virt.server_ids.(1) );
-      ( "Host-Host(6)",
-        Virt.q_host_host ~hops:6 ~a:vs.Virt.server_ids.(0)
-          ~b:vs.Virt.server_ids.(1) );
-    ]
+    (let clock = Nepal.Time_point.to_string (Nepal.Graph_store.clock vs.Virt.store) in
+     let born = Nepal.Time_point.to_string vs.Virt.born in
+     List.concat_map
+       (fun (family, q) ->
+         [
+           (family ^ " snapshot", q);
+           (family ^ " AT", Printf.sprintf "AT '%s' %s" clock q);
+           (family ^ " range", Printf.sprintf "AT '%s' : '%s' %s" born clock q);
+         ])
+       [
+         ("top-down", Virt.q_top_down ~vnf_id:vs.Virt.vnf_ids.(0));
+         ("bottom-up", Virt.q_bottom_up ~server_id:vs.Virt.server_ids.(0));
+         ( "VM-VM(4)",
+           Virt.q_vm_vm ~a:vs.Virt.container_ids.(0) ~b:vs.Virt.container_ids.(1) );
+         ( "Host-Host(4)",
+           Virt.q_host_host ~hops:4 ~a:vs.Virt.server_ids.(0)
+             ~b:vs.Virt.server_ids.(1) );
+         ( "Host-Host(6)",
+           Virt.q_host_host ~hops:6 ~a:vs.Virt.server_ids.(0)
+             ~b:vs.Virt.server_ids.(1) );
+       ])
 
 (* ---------------- product-automaton pruning ---------------- *)
 

@@ -119,8 +119,9 @@ let n_nodes = 8
 
 (* Nodes A/B with ids 0..7 and a random x (y on B), random E/F edges,
    then a 20-day history that rewrites x and y, re-weights and retires
-   edges, and adds new ones. *)
-let churn_store seed =
+   edges, and adds new ones. [w_rewrites] more random live edges are
+   re-weighted each day. *)
+let churn_store ?(w_rewrites = 0) seed =
   let rng = Nepal.Prng.create seed in
   let db = Nepal.create (schema ()) in
   let day d = tp (Printf.sprintf "2017-02-%02d 00:00:00" (d + 1)) in
@@ -151,7 +152,7 @@ let churn_store seed =
     ok
       (Nepal.update db ~at:(day d) nodes.(i)
          ~fields:(fields [ (f, Value.Int (Nepal.Prng.int rng 3)) ]));
-    match Nepal.Prng.int rng 4 with
+    (match Nepal.Prng.int rng 4 with
     | 0 -> add_edge (day d)
     | 1 -> (
         match !edges with
@@ -166,11 +167,22 @@ let churn_store seed =
               (Nepal.update db ~at:(day d) e
                  ~fields:(fields [ ("w", Value.Int (Nepal.Prng.int rng 2)) ]))
         | [] -> ())
-    | _ -> ()
+    | _ -> ());
+    for j = 1 to w_rewrites do
+      match !edges with
+      | [] -> ()
+      | l ->
+          ok
+            (Nepal.update db
+               ~at:(Nepal.Time_point.add_seconds (day d) (float_of_int (3600 * j)))
+               (List.nth l (Nepal.Prng.int rng (List.length l)))
+               ~fields:(fields [ ("w", Value.Int (Nepal.Prng.int rng 2)) ]))
+    done
   done;
   db
 
 let churn = lazy (churn_store 2017)
+let w_churn = lazy (churn_store ~w_rewrites:20 2017)
 
 (* RPE text over the churn schema: sequences, alternations and {m,n}
    repetitions of node and edge atoms, with predicates on the rewritten
@@ -233,6 +245,96 @@ let test_churn_nonempty () =
   in
   check_bool "range probe finds pathways" true (n > 0)
 
+(* ---------------- forced meet-in-the-middle ---------------- *)
+
+(* Pair RPEs between two id-pinned endpoints (one in six also tests the
+   rewritten field) whose repetition body is an alternation of edge
+   atoms: the shape [Planner.bidi_of] decomposes.
+   With bodies like [E(w=1)|E(w=0)] one rewritten edge matches two body
+   atoms whose presence differs, so the two halves may consume the
+   meeting edge under different atoms. *)
+let gen_pair_rpe =
+  let open QCheck.Gen in
+  let endpoint =
+    map2
+      (fun i v ->
+        let cls, f = if i mod 2 = 0 then ("A", "x") else ("B", "y") in
+        if v = 0 then Printf.sprintf "%s(id=%d,%s=0)" cls i f
+        else Printf.sprintf "%s(id=%d)" cls i)
+      (int_bound (n_nodes - 1)) (int_bound 5)
+  in
+  let body =
+    oneof
+      [
+        oneofl [ "E(w=1)|E(w=0)"; "E(w=1)|F(w=0)|E()"; "F(w=1)|F(w=0)" ];
+        map (String.concat "|")
+          (list_size (int_range 1 3)
+             (oneofl [ "E()"; "F()"; "E(w=1)"; "E(w=0)"; "F(w=0)"; "F(w=1)" ]));
+      ]
+  in
+  map3
+    (fun l (b, k) r -> Printf.sprintf "%s->[%s]{1,%d}->%s" l b k r)
+    endpoint (pair body (int_range 2 4)) endpoint
+
+(* Forced [Bidi] on every backend equals the reference, validity
+   included, under Snapshot and two Range windows over a store that
+   re-weights edges every day; enough answers are non-empty and
+   multi-interval that the property cannot hold vacuously. *)
+let test_forced_bidi () =
+  let db = Lazy.force w_churn in
+  let schema = Nepal.schema db in
+  let conns = conns db in
+  let prune = Nepal.Planner.pruner_of schema in
+  let nonempty = ref 0 and multi = ref 0 in
+  let tcs =
+    [
+      Time_constraint.Snapshot;
+      Time_constraint.Range (tp "2017-02-01 00:00:00", tp "2017-02-21 00:00:00");
+      Time_constraint.Range (tp "2017-02-06 00:00:00", tp "2017-02-13 00:00:00");
+    ]
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 24 |])
+    (QCheck.Test.make ~name:"forced bidi = reference" ~count:150
+       (QCheck.make ~print:Fun.id gen_pair_rpe)
+       (fun rpe ->
+         let norm = ok (Nepal.Rpe.validate schema (Nepal.Rpe_parser.parse_exn rpe)) in
+         let bp =
+           match Nepal.Planner.bidi_of schema norm with
+           | Some bp -> bp
+           | None -> QCheck.Test.fail_reportf "%s: no bidirectional plan" rpe
+         in
+         List.iter
+           (fun tc ->
+             let found = Reference.find (Nepal.store db) ~tc norm in
+             let want = Reference.canon found in
+             List.iter
+               (fun (name, conn) ->
+                 let got =
+                   Reference.of_paths
+                     (ok
+                        (Nepal.Eval_rpe.find conn ~tc ~prune
+                           ~strategy:(Nepal.Eval_rpe.Bidi bp) norm))
+                 in
+                 if got <> want then
+                   QCheck.Test.fail_reportf "%s: %s\nbidi:\n%s\nreference:\n%s"
+                     name (Reference.query_text tc rpe) (Reference.show got)
+                     (Reference.show want);
+                 if found <> [] then incr nonempty;
+                 if
+                   List.exists
+                     (fun (_, v) ->
+                       match v with
+                       | Some v -> Nepal.Interval_set.cardinality v > 1
+                       | None -> false)
+                     found
+                 then incr multi)
+               conns)
+           tcs;
+         true));
+  if !nonempty < 400 || !multi < 100 then
+    Alcotest.failf "vacuous: %d non-empty and %d multi-interval answers" !nonempty
+      !multi
+
 let () =
   Alcotest.run "nepal_reference"
     [
@@ -250,5 +352,6 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 16 |])
             prop_random_rpes;
+          Alcotest.test_case "forced bidi = reference" `Quick test_forced_bidi;
         ] );
     ]
