@@ -23,14 +23,6 @@ let schema = Store.schema
    concurrently. *)
 let parallel_safe = true
 
-let element_of_entity (e : Entity.t) =
-  {
-    Path.uid = e.uid;
-    cls = e.cls;
-    fields = e.fields;
-    is_node = Entity.is_node e;
-  }
-
 let atom_pred (a : Rpe.atom) fields = Predicate.eval a.Rpe.pred fields
 
 (* The entity's versions the constraint admits that satisfy [keep]. *)
@@ -64,11 +56,11 @@ let select_atom t ~tc (a : Rpe.atom) =
         (fun (e : Entity.t) ((elems, versions) as acc) ->
           match versions_where ~keep:(atom_pred a) t ~tc e.uid with
           | [] -> acc
-          | vs -> (element_of_entity e :: elems, (e.uid, vs) :: versions))
+          | vs -> (e.elem :: elems, (e.uid, vs) :: versions))
         candidates ([], no_versions)
   | Time_constraint.Snapshot | Time_constraint.At _ ->
       ( List.filter (fun (e : Entity.t) -> atom_pred a e.fields) candidates
-        |> List.map element_of_entity,
+        |> List.map (fun (e : Entity.t) -> e.elem),
         no_versions )
 
 let estimate_atom t (a : Rpe.atom) =
@@ -90,44 +82,58 @@ let estimate_atom t (a : Rpe.atom) =
       Float.max 1. (class_count /. 100.)
   | [] -> class_count
 
-(* Could the element begin to match one of the atoms? Exact predicate
-   evaluation is left to the evaluator; here we prune by kind and
-   class only. *)
-let class_admissible sch (spec : extend_spec) (e : Entity.t) =
-  spec.with_skip
-  || List.exists
-       (fun (a : Rpe.atom) ->
-         (match Rpe.atom_kind sch a with
-         | Some Schema.Node_kind -> Entity.is_node e
-         | Some Schema.Edge_kind -> Entity.is_edge e
-         | None -> false)
-         && Schema.is_subclass sch ~sub:e.Entity.cls ~sup:a.Rpe.cls)
-       spec.atoms
+(* Does this version satisfy one of the atoms, kind, class and
+   predicate alike? The evaluator asks the same of every element it is
+   handed, so a candidate no version of which passes cannot extend any
+   partial. Top-level and recursive, so checking a candidate allocates
+   nothing. *)
+let rec satisfies_any sch (e : Entity.t) = function
+  | [] -> false
+  | (a : Rpe.atom) :: rest ->
+      ((match Rpe.atom_kind sch a with
+       | Some Schema.Node_kind -> e.elem.is_node
+       | Some Schema.Edge_kind -> not e.elem.is_node
+       | None -> false)
+      && Rpe.atom_matches sch a ~cls:e.cls ~fields:e.fields)
+      || satisfies_any sch e rest
 
+(* One round's candidate filter. With a junction skip anything may be
+   consumed, so nothing is pruned. Under Range a candidate qualifies
+   when any admitted version satisfies an atom, as in the evaluator. *)
+let candidate_filter t ~tc sch (spec : extend_spec) =
+  if spec.with_skip then fun _ -> true
+  else
+    match tc with
+    | Time_constraint.Snapshot | Time_constraint.At _ ->
+        fun e -> satisfies_any sch e spec.atoms
+    | Time_constraint.Range _ ->
+        let any found v = found || satisfies_any sch v spec.atoms in
+        fun (e : Entity.t) -> Store.fold_versions_under t ~tc e.uid any false
+
+(* The candidates are the store's own entities, read from its adjacency
+   in place; only the ones handed out cost a cell. *)
 let bulk_extend t ~tc ~dir ~spec items =
-  let sch = Store.schema t in
+  let keep = candidate_filter t ~tc (Store.schema t) spec in
+  let fold_adj =
+    match dir with Fwd -> Store.fold_out_edges | Bwd -> Store.fold_in_edges
+  in
   let rev_out =
     List.fold_left
       (fun acc { item_id; frontier; prefix } ->
-        let candidates =
-          if frontier.Path.is_node then
-            match dir with
-            | Fwd -> Store.out_edges t ~tc frontier.Path.uid
-            | Bwd -> Store.in_edges t ~tc frontier.Path.uid
-          else
-            let edge = Store.get t ~tc frontier.Path.uid in
-            match edge with
-            | Some e when Entity.is_edge e ->
-                let next = match dir with Fwd -> Entity.dst e | Bwd -> Entity.src e in
-                Option.to_list (Store.get t ~tc next)
-            | _ -> []
+        let add acc (e : Entity.t) =
+          if Path.mem_uid e.uid prefix || not (keep e) then acc
+          else (item_id, e.elem) :: acc
         in
-        List.fold_left
-          (fun acc (e : Entity.t) ->
-            if Path.mem_uid e.uid prefix || not (class_admissible sch spec e)
-            then acc
-            else (item_id, element_of_entity e) :: acc)
-          acc candidates)
+        if frontier.Path.is_node then fold_adj t ~tc frontier.Path.uid add acc
+        else
+          match Store.find_under t ~tc frontier.Path.uid with
+          | { endpoints = Some (src, dst); _ } -> (
+              let next = match dir with Fwd -> dst | Bwd -> src in
+              match Store.find_under t ~tc next with
+              | e -> add acc e
+              | exception Not_found -> acc)
+          | { endpoints = None; _ } -> acc
+          | exception Not_found -> acc)
       [] items
   in
   let out = List.rev rev_out in
@@ -146,21 +152,26 @@ let describe_select t ~tc (a : Rpe.atom) =
   | Time_constraint.Snapshot | Time_constraint.At _ ->
       access ^ " |> filter predicate"
 
-let describe_extend _t ~tc:_ ~dir ~spec =
+let describe_extend _t ~tc ~dir ~spec =
   let adj = match dir with Fwd -> "out_edges" | Bwd -> "in_edges" in
-  let classes =
-    if spec.with_skip then "*"
+  let check =
+    if spec.with_skip then "keep_all(junction skip)"
     else
-      String.concat "|"
-        (List.sort_uniq String.compare
-           (List.map (fun (a : Rpe.atom) -> a.Rpe.cls) spec.atoms))
+      let atoms =
+        String.concat "|"
+          (List.sort_uniq String.compare
+             (List.map (fun a -> Rpe.to_string (Rpe.Atom a)) spec.atoms))
+      in
+      match tc with
+      | Time_constraint.Range _ -> Printf.sprintf "atom_check_any_version(%s)" atoms
+      | Time_constraint.Snapshot | Time_constraint.At _ ->
+          Printf.sprintf "atom_check(%s)" atoms
   in
-  Printf.sprintf "%s(frontier) |> prune_visited |> class_admissible(%s)" adj
-    classes
+  Printf.sprintf "%s(frontier) |> prune_visited |> %s" adj check
 
 let element_by_uid t ~tc uid =
   Option.map
-    (fun e -> (element_of_entity e, versions_of t ~tc Fun.id [ uid ]))
+    (fun (e : Entity.t) -> (e.elem, versions_of t ~tc Fun.id [ uid ]))
     (Store.get t ~tc uid)
 
 let version_boundaries t ~uid ~window:(a, b) =

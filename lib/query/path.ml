@@ -2,7 +2,7 @@ module Value = Nepal_schema.Value
 module Strmap = Nepal_util.Strmap
 module Interval_set = Nepal_temporal.Interval_set
 
-type element = {
+type element = Nepal_store.Element.t = {
   uid : int;
   cls : string;
   fields : Value.t Strmap.t;

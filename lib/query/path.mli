@@ -9,12 +9,14 @@ module Value = Nepal_schema.Value
 module Strmap = Nepal_util.Strmap
 module Interval_set = Nepal_temporal.Interval_set
 
-type element = {
+type element = Nepal_store.Element.t = {
   uid : int;
   cls : string;
   fields : Value.t Strmap.t;
   is_node : bool;
 }
+(** The store's element type: the native backend hands out the values
+    the store built at mutation time; the mirrors build their own. *)
 
 type t = {
   elements : element list;

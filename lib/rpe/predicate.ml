@@ -20,9 +20,10 @@ let rec field_path fields = function
   | [] -> Value.Null
   | [ f ] -> Strmap.find_opt_or f ~default:Value.Null fields
   | f :: rest -> (
-      match Strmap.find_opt f fields with
-      | Some (Value.Data (_, inner)) -> field_path inner rest
-      | _ -> Value.Null)
+      match Strmap.find f fields with
+      | Value.Data (_, inner) -> field_path inner rest
+      | _ -> Value.Null
+      | exception Not_found -> Value.Null)
 
 let apply_comparison op (a : Value.t) (b : Value.t) =
   (* Comparisons involving Null are never true, including <>. *)

@@ -288,10 +288,14 @@ let ancestors t name =
   | Some p -> p
   | None -> if name = root_any then [ root_any ] else raise Not_found
 
+(* [kind_of] and [is_subclass] run per candidate in Extend and per
+   element in the evaluator, so they look up with [find], which
+   allocates no option. *)
 let kind_of t name =
-  match Strmap.find_opt name t.ancestors_cache with
-  | Some (_ :: k :: _) -> if k = root_node then Some Node_kind else Some Edge_kind
+  match Strmap.find name t.ancestors_cache with
+  | _ :: k :: _ -> if k = root_node then Some Node_kind else Some Edge_kind
   | _ -> None
+  | exception Not_found -> None
 
 let is_abstract t name =
   match Strmap.find_opt name t.classes with
@@ -311,9 +315,9 @@ let inheritance_label t name =
 let is_subclass t ~sub ~sup =
   sup = root_any
   ||
-  match Strmap.find_opt sub t.ancestors_cache with
-  | Some path -> List.mem sup path
-  | None -> false
+  match Strmap.find sub t.ancestors_cache with
+  | path -> List.mem sup path
+  | exception Not_found -> false
 
 let subclasses t name =
   let rec collect n =

@@ -10,7 +10,12 @@ type t = {
   fields : Value.t Strmap.t;
   period : Interval.t;
   endpoints : (uid * uid) option;
+  elem : Element.t;
 }
+
+let make ~uid ~cls ~fields ~period ~endpoints =
+  let elem = { Element.uid; cls; fields; is_node = endpoints = None } in
+  { uid; cls; fields; period; endpoints; elem }
 
 let is_edge t = t.endpoints <> None
 let is_node t = t.endpoints = None

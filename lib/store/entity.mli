@@ -13,7 +13,20 @@ type t = {
   fields : Nepal_schema.Value.t Nepal_util.Strmap.t;
   period : Nepal_temporal.Interval.t;
   endpoints : (uid * uid) option;  (** [Some (src, dst)] iff an edge *)
+  elem : Element.t;
+      (** this version's uid, class and fields as a query element; every
+          version has its own, shared by the copies that only change
+          [period] *)
 }
+
+val make :
+  uid:uid ->
+  cls:string ->
+  fields:Nepal_schema.Value.t Nepal_util.Strmap.t ->
+  period:Nepal_temporal.Interval.t ->
+  endpoints:(uid * uid) option ->
+  t
+(** A version with its element built from the same values. *)
 
 val is_edge : t -> bool
 val is_node : t -> bool

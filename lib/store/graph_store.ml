@@ -52,6 +52,15 @@ type subscription = {
 
 type index_key = string * string (* class, field *)
 
+(* A node's incident edge uids in ascending order, in [ids.(0 ..
+   len - 1)]. Uids are handed out in ascending order and an edge is
+   appended when it is inserted, so the array is sorted without ever
+   being sorted. Deleted edges stay: reads filter by time. *)
+type adj = {
+  mutable ids : int array [@guarded_by "owner: store writer (Server rw)"];
+  mutable len : int [@guarded_by "owner: store writer (Server rw)"];
+}
+
 type t = {
   schema : Schema.t;
   mutable clock : Time_point.t [@guarded_by "owner: store writer (Server rw)"];
@@ -64,8 +73,8 @@ type t = {
       (* concrete class -> live uids *)
   extent_all : (string, (uid, unit) Hashtbl.t) Hashtbl.t;
       (* concrete class -> uids ever *)
-  adj_out : (uid, (uid, unit) Hashtbl.t) Hashtbl.t; (* node -> edge uids ever *)
-  adj_in : (uid, (uid, unit) Hashtbl.t) Hashtbl.t;
+  adj_out : (uid, adj) Hashtbl.t; (* node -> edge uids ever *)
+  adj_in : (uid, adj) Hashtbl.t;
   indexes : (index_key, (Value.t, (uid, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
       (* (cls, field) -> value -> uids that ever had this value *)
   mutable creation_order : uid list
@@ -191,6 +200,85 @@ let set_members tbl key =
   | Some s -> Hashtbl.fold (fun k () acc -> k :: acc) s []
   | None -> []
 
+(* -- adjacency ------------------------------------------------------ *)
+
+let adj_add tbl node edge =
+  match Hashtbl.find tbl node with
+  | a ->
+      if a.len = Array.length a.ids then begin
+        let ids = Array.make (2 * a.len) 0 in
+        Array.blit a.ids 0 ids 0 a.len;
+        a.ids <- ids
+      end;
+      a.ids.(a.len) <- edge;
+      a.len <- a.len + 1
+  | exception Not_found -> Hashtbl.replace tbl node { ids = [| edge |]; len = 1 }
+
+(* -- time-constrained lookups and adjacency folds ------------------- *)
+
+(* The read paths below run per candidate in Extend, so they neither
+   build lists nor allocate closures: the helpers are top-level and the
+   misses raise [Not_found]. *)
+
+let rec fold_admitted tc f acc = function
+  | [] -> acc
+  | (e : Entity.t) :: rest ->
+      let acc = if Time_constraint.admits tc e.period then f acc e else acc in
+      fold_admitted tc f acc rest
+
+(* The versions the constraint admits, newest first: the current one,
+   then the closed ones in stored order. No intermediate list. *)
+let fold_versions_under t ~tc uid f acc =
+  let acc =
+    match Hashtbl.find t.current uid with
+    | e when Time_constraint.admits tc e.Entity.period -> f acc e
+    | _ -> acc
+    | exception Not_found -> acc
+  in
+  match Hashtbl.find t.history uid with
+  | closed -> fold_admitted tc f acc closed
+  | exception Not_found -> acc
+
+let rec first_admitted tc = function
+  | [] -> raise Not_found
+  | (e : Entity.t) :: rest ->
+      if Time_constraint.admits tc e.period then e else first_admitted tc rest
+
+let closed_under t ~tc uid =
+  match tc with
+  | Time_constraint.Snapshot -> raise Not_found
+  | Time_constraint.At _ | Time_constraint.Range _ ->
+      first_admitted tc (Hashtbl.find t.history uid)
+
+(* The newest admitted version: the current one when admitted, else the
+   first admitted closed version. *)
+let find_under t ~tc uid =
+  match Hashtbl.find t.current uid with
+  | e when Time_constraint.admits tc e.Entity.period -> e
+  | _ -> closed_under t ~tc uid
+  | exception Not_found -> closed_under t ~tc uid
+
+let get t ~tc uid =
+  match find_under t ~tc uid with e -> Some e | exception Not_found -> None
+
+let rec fold_ids t ~tc ids len i f acc =
+  if i >= len then acc
+  else
+    let acc =
+      match find_under t ~tc (Array.unsafe_get ids i) with
+      | e -> f acc e
+      | exception Not_found -> acc
+    in
+    fold_ids t ~tc ids len (i + 1) f acc
+
+let fold_adj t ~tc adj uid f acc =
+  match Hashtbl.find adj uid with
+  | a -> fold_ids t ~tc a.ids a.len 0 f acc
+  | exception Not_found -> acc
+
+let fold_out_edges t ~tc uid f acc = fold_adj t ~tc t.adj_out uid f acc
+let fold_in_edges t ~tc uid f acc = fold_adj t ~tc t.adj_in uid f acc
+
 (* -- index maintenance --------------------------------------------- *)
 
 (* Register a (possibly new) version's field values in all indexes that
@@ -231,17 +319,14 @@ let fresh_uid t =
   t.next_uid <- u + 1;
   u
 
-let alive_at_clock t uid =
-  match Hashtbl.find_opt t.current uid with Some _ -> true | None -> false
-
 let register_new t (e : Entity.t) =
   Hashtbl.replace t.current e.uid e;
   set_add t.extent_current e.cls e.uid;
   set_add t.extent_all e.cls e.uid;
   (match e.endpoints with
   | Some (s, d) ->
-      set_add t.adj_out s e.uid;
-      set_add t.adj_in d e.uid
+      adj_add t.adj_out s e.uid;
+      adj_add t.adj_in d e.uid
   | None -> ());
   t.creation_order <- e.uid :: t.creation_order;
   index_version t e;
@@ -260,7 +345,7 @@ let insert_node t ~at ~cls ~fields =
   let* fields = Schema.typecheck_record t.schema cls fields in
   let uid = fresh_uid t in
   let e =
-    { Entity.uid; cls; fields; period = Interval.from at; endpoints = None }
+    Entity.make ~uid ~cls ~fields ~period:(Interval.from at) ~endpoints:None
   in
   register_new t e;
   Ok uid
@@ -299,13 +384,8 @@ let insert_edge t ~at ~cls ~src ~dst ~fields =
   in
   let uid = fresh_uid t in
   let e =
-    {
-      Entity.uid;
-      cls;
-      fields;
-      period = Interval.from at;
-      endpoints = Some (src, dst);
-    }
+    Entity.make ~uid ~cls ~fields ~period:(Interval.from at)
+      ~endpoints:(Some (src, dst))
   in
   register_new t e;
   Ok uid
@@ -330,7 +410,10 @@ let update t ~at uid ~fields =
         Error "update time must be after the current version's start"
       else begin
         close_current t ~at uid e;
-        let e' = { e with fields = merged; period = Interval.from at } in
+        let e' =
+          Entity.make ~uid ~cls:e.cls ~fields:merged ~period:(Interval.from at)
+            ~endpoints:e.endpoints
+        in
         Hashtbl.replace t.current uid e';
         set_add t.extent_current e'.cls uid;
         index_version t e';
@@ -340,8 +423,9 @@ let update t ~at uid ~fields =
       end
 
 let live_incident_edges t uid =
-  List.filter (alive_at_clock t) (set_members t.adj_out uid)
-  @ List.filter (alive_at_clock t) (set_members t.adj_in uid)
+  let add acc (e : Entity.t) = e.uid :: acc in
+  fold_out_edges t ~tc:Time_constraint.Snapshot uid add
+    (fold_in_edges t ~tc:Time_constraint.Snapshot uid add [])
 
 let rec delete t ~at ?(cascade = false) uid =
   let* () = tick t at in
@@ -423,33 +507,6 @@ let versions t uid =
   | Some e -> closed @ [ e ]
   | None -> closed
 
-(* The versions the constraint admits, newest first: the current one,
-   then the closed ones in stored order. No intermediate list. *)
-let fold_versions_under t ~tc uid f acc =
-  let acc =
-    match Hashtbl.find t.current uid with
-    | e when Time_constraint.admits tc e.Entity.period -> f acc e
-    | _ -> acc
-    | exception Not_found -> acc
-  in
-  match Hashtbl.find t.history uid with
-  | closed ->
-      List.fold_left
-        (fun acc (e : Entity.t) ->
-          if Time_constraint.admits tc e.period then f acc e else acc)
-        acc closed
-  | exception Not_found -> acc
-
-(* The newest admitted version: the current one when admitted, else the
-   first admitted closed version. *)
-let get t ~tc uid =
-  match Hashtbl.find_opt t.current uid with
-  | Some e as current when Time_constraint.admits tc e.Entity.period -> current
-  | _ when tc = Time_constraint.Snapshot -> None
-  | _ ->
-      Option.bind (Hashtbl.find_opt t.history uid)
-        (List.find_opt (fun (e : Entity.t) -> Time_constraint.admits tc e.period))
-
 let scan_class t ~tc cls =
   let concrete = Schema.subclasses t.schema cls in
   match tc with
@@ -468,14 +525,9 @@ let scan_class t ~tc cls =
         concrete
       |> List.sort (fun (a : Entity.t) b -> Int.compare a.uid b.uid)
 
-let edges_from_adj t ~tc adj uid =
-  List.filter_map
-    (fun edge_uid -> get t ~tc edge_uid)
-    (set_members adj uid)
-  |> List.sort (fun (a : Entity.t) b -> Int.compare a.uid b.uid)
-
-let out_edges t ~tc uid = edges_from_adj t ~tc t.adj_out uid
-let in_edges t ~tc uid = edges_from_adj t ~tc t.adj_in uid
+let cons_edge acc (e : Entity.t) = e :: acc
+let out_edges t ~tc uid = List.rev (fold_out_edges t ~tc uid cons_edge [])
+let in_edges t ~tc uid = List.rev (fold_in_edges t ~tc uid cons_edge [])
 
 let lookup t ~tc ~cls ~field value =
   let filter_entities uids =

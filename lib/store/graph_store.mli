@@ -125,6 +125,10 @@ val get : t -> tc:Time_constraint.t -> uid -> Entity.t option
 (** The version visible under the constraint (for [Range], the latest
     overlapping version; {!fold_versions_under} visits all). *)
 
+val find_under : t -> tc:Time_constraint.t -> uid -> Entity.t
+(** {!get} without the option: allocation-free.
+    @raise Not_found where {!get} returns [None]. *)
+
 val versions : t -> uid -> Entity.t list
 (** All versions, oldest first; empty for unknown uids. *)
 
@@ -142,7 +146,20 @@ val scan_class : t -> tc:Time_constraint.t -> string -> Entity.t list
     [tc]. Under [Range], an entity appears once (latest qualifying
     version). *)
 
+val fold_out_edges :
+  t -> tc:Time_constraint.t -> uid -> ('a -> Entity.t -> 'a) -> 'a -> 'a
+(** Folds over the node's outgoing edges the constraint admits, in
+    ascending uid order, each as {!get} would return it. The adjacency
+    is read in place (it is kept in uid order at mutation time), so the
+    fold allocates nothing of its own. *)
+
+val fold_in_edges :
+  t -> tc:Time_constraint.t -> uid -> ('a -> Entity.t -> 'a) -> 'a -> 'a
+(** {!fold_out_edges} over the incoming edges. *)
+
 val out_edges : t -> tc:Time_constraint.t -> uid -> Entity.t list
+(** {!fold_out_edges} as a list, in ascending uid order. *)
+
 val in_edges : t -> tc:Time_constraint.t -> uid -> Entity.t list
 
 (** {1 Field indexes} *)

@@ -380,24 +380,25 @@ let path_of_uids uids =
     valid = None;
   }
 
+(* Over 1,000 calls of [f], fewer than 1,000 words in all means none
+   per call. *)
+let per_call name f =
+  let n = 1_000 in
+  let used, () =
+    Words.during (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (f ()))
+        done)
+  in
+  if used >= float_of_int n then
+    Alcotest.failf "%s: %.0f words over %d calls" name used n
+
 (* Joins, sorts and row deduplication call these per candidate pair, so
-   they walk the element lists in place. Over [n] calls each, fewer than
-   [n] words in all means none per call. *)
+   they walk the element lists in place. *)
 let test_path_ops_allocation_free () =
   let a = path_of_uids [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
   and b = path_of_uids [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
   and c = path_of_uids [ 1; 2; 3; 4; 5; 6; 7; 10; 11 ] in
-  let n = 1_000 in
-  let per_call name f =
-    let used, () =
-      Words.during (fun () ->
-          for _ = 1 to n do
-            ignore (Sys.opaque_identity (f ()))
-          done)
-    in
-    if used >= float_of_int n then
-      Alcotest.failf "%s: %.0f words over %d calls" name used n
-  in
   per_call "compare" (fun () -> Q.Path.compare a c);
   per_call "equal" (fun () -> Q.Path.equal a b);
   per_call "hash" (fun () -> Q.Path.hash a);
@@ -405,6 +406,77 @@ let test_path_ops_allocation_free () =
   per_call "length" (fun () -> Q.Path.length a);
   check_int "target" 9 (Q.Path.target a).Q.Path.uid;
   check_int "length" 4 (Q.Path.length a)
+
+(* Extend checks every candidate against the walk's atoms, so the
+   predicate and class tests it makes per candidate must allocate
+   nothing. *)
+let test_predicate_allocation_free () =
+  let sch = schema () in
+  let fs = fields [ ("id", i 21); ("status", Value.Str "Green") ] in
+  let module P = Nepal_rpe.Predicate in
+  let eq = P.Cmp ([ "status" ], P.Eq, Value.Str "Red") in
+  let missing = P.Cmp ([ "name" ], P.Lt, Value.Str "x") in
+  let nested = P.Cmp ([ "status"; "x" ], P.Eq, i 1) in
+  per_call "eval Cmp" (fun () -> P.eval eq fs);
+  per_call "eval Cmp, absent field" (fun () -> P.eval missing fs);
+  per_call "eval Cmp, field path" (fun () -> P.eval nested fs);
+  per_call "is_subclass" (fun () -> Schema.is_subclass sch ~sub:"HostedOn" ~sup:"Vertical");
+  per_call "is_subclass, unknown" (fun () -> Schema.is_subclass sch ~sub:"Nope" ~sup:"Vertical");
+  per_call "kind_of" (fun () -> Schema.kind_of sch "VNF_DNS");
+  check_bool "eval" false (P.eval eq fs);
+  check_bool "is_subclass" true (Schema.is_subclass sch ~sub:"HostedOn" ~sup:"Vertical")
+
+(* A flat-legacy hub with [degree] in-edges, all of the noise
+   indicator, and the hub's element. *)
+let legacy_hub degree =
+  let module L = Nepal_wrap.Legacy in
+  let st = Store.create (L.schema L.Flat) in
+  let node id =
+    ok
+      (Store.insert_node st ~at:t0 ~cls:"LegacyNode"
+         ~fields:(fields [ ("id", i id); ("layer", Value.Str "logical") ]))
+  in
+  let hub = node 0 in
+  for k = 1 to degree do
+    ignore
+      (ok
+         (Store.insert_edge st ~at:t0 ~cls:"LegacyEdge" ~src:(node k) ~dst:hub
+            ~fields:(fields [ ("type_indicator", Value.Str "noise") ])))
+  done;
+  match Store.get st ~tc:Time_constraint.snapshot hub with
+  | Some e -> (st, e.Nepal_store.Entity.elem)
+  | None -> assert false
+
+(* One bottom-up Extend round from a hub whose edges all have the
+   walk's class but match none of its atoms (the vertical indicators
+   of Table 2's bottom-up query): the native backend checks the atoms
+   where the adjacency is stored, so the round allocates the same
+   words at 500 and at 5,000 in-edges. *)
+let test_hub_extend_allocation () =
+  let module P = Nepal_rpe.Predicate in
+  let edge pred = { Rpe.cls = "LegacyEdge"; pred; span = Nepal_rpe.Span.dummy } in
+  let vertical ind = edge (P.Cmp ([ "type_indicator" ], P.Eq, Value.Str ind)) in
+  let spec =
+    { Q.Backend_intf.atoms = List.map vertical [ "vert_a"; "vert_b"; "vert_c" ];
+      with_skip = false }
+  in
+  let round (st, hub) spec =
+    Q.Native_backend.bulk_extend st ~tc:Time_constraint.snapshot
+      ~dir:Q.Backend_intf.Bwd ~spec
+      [ { Q.Backend_intf.item_id = 0; frontier = hub; prefix = [ hub ] } ]
+  in
+  let words degree =
+    let h = legacy_hub degree in
+    let all, _ = round h { spec with atoms = [ edge P.True ] } in
+    check_int "hub in-degree" degree (List.length all);
+    ignore (round h spec);
+    let used, (out, _) = Words.during (fun () -> round h spec) in
+    check_int "no edge matches" 0 (List.length out);
+    used
+  in
+  let small = words 500 and big = words 5_000 in
+  if big > small then
+    Alcotest.failf "%.0f words at 5,000 in-edges against %.0f at 500" big small
 
 (* Small uids and short paths, so equal pairs are common. *)
 let arb_path_pair =
@@ -429,7 +501,7 @@ let prop_hash_agrees_with_equal =
    re-keys finished pathways to compare, join or deduplicate them
    allocates about three times as much. Sequential, so the count is
    deterministic. *)
-let reverse_path_words_per_path = 353.
+let reverse_path_words_per_path = 300.
 
 let test_reverse_path_allocation () =
   let module L = Nepal_wrap.Legacy in
@@ -495,6 +567,10 @@ let () =
             test_path_ops_allocation_free;
           Alcotest.test_case "reverse path words per pathway" `Quick
             test_reverse_path_allocation;
+          Alcotest.test_case "predicate and class checks allocation-free" `Quick
+            test_predicate_allocation_free;
+          Alcotest.test_case "hub Extend words independent of degree" `Quick
+            test_hub_extend_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

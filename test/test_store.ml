@@ -337,6 +337,143 @@ let prop_timeslice_matches_history =
           Value.equal (Entity.field a "status") (Entity.field b "status")
       | _ -> false)
 
+(* A random history: each step is one mutation an hour after the last,
+   drawn from (kind, a, b): one in six inserts a node, two in six an
+   edge, two update and one deletes. Nodes are VM or Host; edges
+   join live nodes (hosted_on into a Host from a VM, connects between
+   Hosts; a step the schema rejects is simply skipped); updates and
+   deletes (cascading) pick a live uid. *)
+let history_of steps =
+  let st = Store.create (schema ()) in
+  let time = ref t0 in
+  let live () = Array.of_list (Store.live_uids st) in
+  List.iter
+    (fun (kind, a, b) ->
+      time := Time_point.add_seconds !time 3600.;
+      let at = !time in
+      let uids = live () in
+      let pick i = uids.(i mod Array.length uids) in
+      match kind with
+      | 0 ->
+          let cls = if a mod 2 = 0 then "VM" else "Host" in
+          ignore (Store.insert_node st ~at ~cls ~fields:Strmap.empty)
+      | 1 | 2 when Array.length uids > 0 -> (
+          let src = pick a and dst = pick b in
+          match (Store.get st ~tc:Time_constraint.snapshot src,
+                 Store.get st ~tc:Time_constraint.snapshot dst) with
+          | Some s, Some d when Entity.is_node s && Entity.is_node d ->
+              let cls = if s.Entity.cls = "VM" then "hosted_on" else "connects" in
+              ignore (Store.insert_edge st ~at ~cls ~src ~dst ~fields:Strmap.empty)
+          | _ -> ())
+      | 3 | 5 when Array.length uids > 0 ->
+          let u = pick a in
+          let fields =
+            match Store.get st ~tc:Time_constraint.snapshot u with
+            | Some e when e.Entity.cls = "VM" -> fields [ ("vid", Value.Int b) ]
+            | Some e when e.Entity.cls = "Host" -> fields [ ("hid", Value.Int b) ]
+            | _ -> Strmap.empty
+          in
+          ignore (Store.update st ~at u ~fields)
+      | 4 when Array.length uids > 0 ->
+          ignore (Store.delete st ~at ~cascade:true (pick a))
+      | _ -> ())
+    steps;
+  (st, !time)
+
+(* The newest version the constraint admits, found the slow way: every
+   version of the uid, no adjacency, no current/history split. *)
+let naive_get st ~tc uid =
+  List.fold_left
+    (fun best (v : Entity.t) ->
+      if not (Time_constraint.admits tc v.period) then best
+      else
+        match best with
+        | Some (b : Entity.t) when Time_point.compare b.period.start v.period.start > 0 -> best
+        | _ -> Some v)
+    None (Store.versions st uid)
+
+let same_version (a : Entity.t) (b : Entity.t) =
+  a.uid = b.uid && Interval.equal a.period b.period && Strmap.equal Value.equal a.fields b.fields
+  && a.elem.uid = a.uid && a.elem.fields == a.fields
+
+let rec ascending = function
+  | (a : Entity.t) :: (b :: _ as rest) -> a.uid < b.uid && ascending rest
+  | [ _ ] | [] -> true
+
+let nonempty_folds = ref 0
+let closed_edges = ref 0
+
+(* Under Snapshot, AT and Range, the adjacency fold returns in
+   ascending uid order exactly the admitted edges a naive scan of every
+   version finds, each as [get] returns it; [out_edges]/[in_edges] are
+   that fold as a list, and [find_under] agrees with [get]. *)
+
+let prop_adjacency_fold_matches_scan =
+  QCheck.Test.make ~name:"adjacency fold = naive scan of all versions" ~count:150
+    QCheck.(list_of_size Gen.(1 -- 80)
+              (triple (int_bound 5) (int_bound 1000) (int_bound 1000)))
+    (fun steps ->
+      let st, last = history_of steps in
+      let n = Store.count_entities st in
+      let hour k = Time_point.add_seconds t0 (3600. *. k) in
+      let tcs =
+        Time_constraint.snapshot
+        :: List.concat_map
+             (fun k ->
+               [ Time_constraint.at (hour (float_of_int k +. 0.5));
+                 Time_constraint.range (hour (float_of_int k)) (hour (float_of_int k +. 7.5)) ])
+             [ 1; 5; 12; 30 ]
+        @ [ Time_constraint.at last ]
+      in
+      let all = List.init (n + 1) (fun i -> i + 1) in
+      List.for_all
+        (fun tc ->
+          List.for_all
+            (fun u ->
+              let find =
+                match Store.find_under st ~tc u with
+                | e -> Some e
+                | exception Not_found -> None
+              in
+              (match (find, Store.get st ~tc u, naive_get st ~tc u) with
+               | None, None, None -> true
+               | Some a, Some b, Some c -> a == b && same_version a c
+               | _ -> false)
+              &&
+              let naive keep =
+                List.filter_map
+                  (fun e ->
+                    match naive_get st ~tc e with
+                    | Some (v : Entity.t) when v.endpoints <> None && keep v -> Some v
+                    | _ -> None)
+                  all
+              in
+              let out = List.rev (Store.fold_out_edges st ~tc u (fun acc e -> e :: acc) [])
+              and inc = List.rev (Store.fold_in_edges st ~tc u (fun acc e -> e :: acc) []) in
+              let want_out = naive (fun v -> Entity.src v = u)
+              and want_in = naive (fun v -> Entity.dst v = u) in
+              if out <> [] then incr nonempty_folds;
+              List.iter
+                (fun (e : Entity.t) -> if e.period.stop <> None then incr closed_edges)
+                out;
+              ascending out && ascending inc
+              && List.equal same_version out want_out
+              && List.equal same_version inc want_in
+              && List.equal ( == ) out (Store.out_edges st ~tc u)
+              && List.equal ( == ) inc (Store.in_edges st ~tc u))
+            all)
+        tcs)
+
+(* The property over a fixed seed, with a floor on what it saw: folds
+   that return edges, and edges returned as a closed version (deleted,
+   or updated later), so it cannot hold only on empty adjacency. *)
+let test_adjacency_fold () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 25 |])
+    prop_adjacency_fold_matches_scan;
+  if !nonempty_folds < 400 || !closed_edges < 250 then
+    Alcotest.failf "vacuous: %d non-empty folds, %d closed edge versions"
+      !nonempty_folds !closed_edges
+
 let () =
   Alcotest.run "nepal_store"
     [
@@ -368,5 +505,12 @@ let () =
       ("stats", [ Alcotest.test_case "counters" `Quick test_stats ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_version_intervals_ordered; prop_timeslice_matches_history ] );
+          [
+            prop_version_intervals_ordered;
+            prop_timeslice_matches_history;
+          ]
+        @ [
+            Alcotest.test_case "adjacency fold = naive scan" `Quick
+              test_adjacency_fold;
+          ] );
     ]

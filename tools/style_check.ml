@@ -65,7 +65,7 @@ let check_file file =
 let mli_grandfathered =
   [
     "backend_intf.ml"; "query_ast.ml"; "intmap.ml"; "intset.ml";
-    "strmap.ml"; "strset.ml";
+    "strset.ml";
   ]
 
 (* Directories added after the rule existed get no grandfathering at
