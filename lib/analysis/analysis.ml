@@ -9,15 +9,21 @@
    ever touches backend data, so `Strict mode can reject a query with
    zero backend round-trips.
 
-   Satisfiability is decided by abstract interpretation over a frontier
-   of "where could the pathway be" states: [N c] (last matched element
-   is a node of concrete class [c]) and [E (c, e)] (last matched element
-   is an edge of concrete class [e] entered from source class [c]).
-   Stepping an atom applies the paper's 4-case junction rule: node/edge
-   adjacency is direct, node-to-node skips one edge, edge-to-edge skips
-   one node. Predicates are ignored (class-level abstraction), which
-   keeps the analysis sound: a pattern reported empty is empty for
-   every store conforming to the schema. *)
+   Satisfiability has one abstract interpreter, shared with the
+   planner: the pattern's automaton ({!Nepal_rpe.Nfa}) runs in product
+   with a frontier of "where could the pathway be" class states — [N c]
+   (last element is a node of concrete class [c]) and [E (c, e)] (last
+   element is an edge of concrete class [e] entered from source class
+   [c]) — one element at a time, so node-to-node and edge-to-edge
+   junctions take the automaton's skip transition over one unmatched
+   element. The verdict ({!Nepal_rpe.Nfa.prune_mask}: per transition
+   live, blocked or unused, plus the frontier at the accept state) is
+   memoized per schema, direction and automaton shape; the planner
+   replays it to prune evaluation automata ({!pruner}), the analyzer
+   reads NPL010, NPL011 and the end classes off it. Predicates are
+   ignored (class-level abstraction), which keeps the analysis sound: a
+   pattern reported empty is empty for every store conforming to the
+   schema. *)
 
 module Schema = Nepal_schema.Schema
 module Ftype = Nepal_schema.Ftype
@@ -30,6 +36,10 @@ module Interval = Nepal_temporal.Interval
 module Interval_set = Nepal_temporal.Interval_set
 module Intset = Nepal_util.Intset
 module Strset = Nepal_util.Strset
+module Metrics = Nepal_util.Metrics
+module Nfa = Nepal_rpe.Nfa
+module Backend_intf = Nepal_query.Backend_intf
+module Eval_rpe = Nepal_query.Eval_rpe
 module Q = Nepal_query.Query_ast
 
 (* -- tunables -------------------------------------------------------- *)
@@ -43,11 +53,16 @@ let expensive_anchor_threshold = 1000.
 (* Estimated anchor cardinality at or above this triggers NPL019 (only
    when the caller supplies a cost function, e.g. a live backend). *)
 
-let rep_walk_cap = 512
-(* Satisfiability iterates repetition bodies at most this many times;
-   beyond it the walk falls back to "conservatively satisfiable". The
-   frontier lattice has far fewer than 512 distinct states for any
-   realistic catalog, so the cap is never reached in practice. *)
+let max_unrolled_atoms = 512
+(* Satisfiability compiles the whole pattern into an automaton whose
+   repetitions are unrolled, one copy per iteration; a pattern with more
+   atom copies than this is assumed satisfiable (no NPL010/NPL011,
+   unconstrained end classes) rather than compiled. The Table-1
+   families unroll to at most 8. *)
+
+let verdict_capacity = 256
+(* Entries in the shared verdict memo (FIFO eviction): one per schema,
+   direction and automaton shape. *)
 
 (* -- "did you mean" suggestions -------------------------------------- *)
 
@@ -93,18 +108,19 @@ let suggest candidates name =
 (* -- schema reachability tables -------------------------------------- *)
 
 type tables = {
+  t_id : int;  (** distinct per build: the verdict memo's schema key *)
   t_nodes : string array;  (** concrete node classes *)
   t_edges : string array;  (** concrete edge classes *)
   t_node_idx : (string, int) Hashtbl.t;
   t_edge_idx : (string, int) Hashtbl.t;
   t_succ : Intset.t array array;
       (** [t_succ.(e).(a)]: node indices [b] with [edge_allowed e a b] *)
-  t_adj : Intset.t array;  (** union of [t_succ.(_).(a)] over all edges *)
   t_pred : Intset.t array array;
       (** transpose: [t_pred.(e).(b)]: node indices [a] with
           [edge_allowed e a b] — backward walks *)
-  t_adj_in : Intset.t array;  (** union of [t_pred.(_).(b)] over all edges *)
 }
+
+let table_ids = Atomic.make 0
 
 let build_tables schema =
   let nodes = Array.of_list (Schema.concrete_subclasses schema "Node") in
@@ -139,87 +155,50 @@ let build_tables schema =
             !s))
       succ
   in
-  let adj =
-    Array.init nn (fun ai ->
-        Array.fold_left
-          (fun acc per_src -> Intset.union acc per_src.(ai))
-          Intset.empty succ)
-  in
-  let adj_in =
-    Array.init nn (fun bi ->
-        Array.fold_left
-          (fun acc per_dst -> Intset.union acc per_dst.(bi))
-          Intset.empty pred)
-  in
   {
+    t_id = Atomic.fetch_and_add table_ids 1;
     t_nodes = nodes;
     t_edges = edges;
     t_node_idx = node_idx;
     t_edge_idx = edge_idx;
     t_succ = succ;
-    t_adj = adj;
     t_pred = pred;
-    t_adj_in = adj_in;
   }
 
 (* The analyzer runs on every query at the default [`Warn] mode, so the
    O(|E|·|N|²) table build is memoized per schema value (physical
-   equality — schemas are immutable and long-lived). *)
+   equality — schemas are immutable and long-lived). Concurrent sessions
+   (the nepal server) analyze on worker domains, so this memo and the
+   verdict memo below share one mutex; the build itself runs outside
+   it, and a racing duplicate build is discarded (the first one's
+   [t_id] may already key verdicts). *)
+let lock = Mutex.create ()
 let table_cache : (Schema.t * tables) list ref = ref []
-let table_cache_lock = Mutex.create ()
 
-(* Concurrent sessions (the nepal server) analyze on worker domains, so
-   the memo is mutex-protected; the build itself runs outside the lock
-   — a racing duplicate build is wasted work, not corruption. *)
 let tables_of schema =
-  let cached =
-    Mutex.lock table_cache_lock;
-    let r = List.find_opt (fun (s, _) -> s == schema) !table_cache in
-    Mutex.unlock table_cache_lock;
-    r
-  in
-  match cached with
-  | Some (_, t) -> t
+  match Mutex.protect lock (fun () -> List.assq_opt schema !table_cache) with
+  | Some t -> t
   | None ->
       let t = build_tables schema in
-      Mutex.lock table_cache_lock;
-      (if not (List.exists (fun (s, _) -> s == schema) !table_cache) then
-         let keep = List.filteri (fun i _ -> i < 7) !table_cache in
-         table_cache := (schema, t) :: keep);
-      Mutex.unlock table_cache_lock;
-      t
+      Mutex.protect lock (fun () ->
+          match List.assq_opt schema !table_cache with
+          | Some first -> first
+          | None ->
+              table_cache := (schema, t) :: List.filteri (fun i _ -> i < 7) !table_cache;
+              t)
 
 (* -- frontier states -------------------------------------------------
 
    Encoded as ints in an [Intset]: [start_state] before any element has
    matched; [a] for "last element is a node of class index [a]";
    [nn + a * ne + e] for "last element is an edge of class index [e]
-   entered from source class index [a]". Edge states are only created
-   when [t_succ.(e).(a)] is non-empty, so every edge state can complete
-   to a pathway (pathways end on a node — the implicit endpoint of a
-   trailing edge atom). *)
+   entered from source class index [a]" (in walk order: its real dst
+   when walking backward). Edge states are only created when the
+   direction's successor set is non-empty, so every edge state can
+   complete to a pathway (pathways end on a node — the implicit
+   endpoint of a trailing edge atom). *)
 
 let start_state = -1
-
-type walk_ctx = {
-  schema : Schema.t;
-  tb : tables;
-  mutable died : bool;
-  mutable died_at : Span.t;
-  mutable dead_branches : (Span.t * string) list;
-  mutable dup_branches : (Span.t * string) list;
-  mutable high_reps : (Span.t * int * int) list;
-}
-
-let concrete_nodes ctx cls =
-  List.filter_map
-    (fun c -> Hashtbl.find_opt ctx.tb.t_node_idx c)
-    (Schema.concrete_subclasses ctx.schema cls)
-
-let concrete_edges ctx cls =
-  List.filter_map
-    (fun c -> Hashtbl.find_opt ctx.tb.t_edge_idx c)
-    (Schema.concrete_subclasses ctx.schema cls)
 
 let rec first_span_norm = function
   | Rpe.N_atom a -> a.Rpe.span
@@ -231,135 +210,7 @@ let rec first_span_rpe = function
   | Rpe.Atom a -> a.Rpe.span
   | Rpe.Seq (x, _) | Rpe.Alt (x, _) | Rpe.Rep (x, _, _) -> first_span_rpe x
 
-let step_node ctx fr cs =
-  let nn = Array.length ctx.tb.t_nodes and ne = Array.length ctx.tb.t_edges in
-  let out = ref Intset.empty in
-  Intset.iter
-    (fun st ->
-      if st = start_state then
-        List.iter (fun c -> out := Intset.add c !out) cs
-      else if st < nn then
-        (* node -> node: skips exactly one (unmatched) edge *)
-        List.iter
-          (fun c -> if Intset.mem c ctx.tb.t_adj.(st) then out := Intset.add c !out)
-          cs
-      else begin
-        (* edge -> node: direct junction, node must be a legal dst *)
-        let k = st - nn in
-        let a = k / ne and e = k mod ne in
-        List.iter
-          (fun c ->
-            if Intset.mem c ctx.tb.t_succ.(e).(a) then out := Intset.add c !out)
-          cs
-      end)
-    fr;
-  !out
-
-let step_edge ctx fr es =
-  let nn = Array.length ctx.tb.t_nodes and ne = Array.length ctx.tb.t_edges in
-  let out = ref Intset.empty in
-  let from_src a =
-    List.iter
-      (fun e ->
-        if not (Intset.is_empty ctx.tb.t_succ.(e).(a)) then
-          out := Intset.add (nn + (a * ne) + e) !out)
-      es
-  in
-  Intset.iter
-    (fun st ->
-      if st = start_state then
-        (* lone leading edge atom: implicit source node, any class *)
-        for a = 0 to nn - 1 do
-          from_src a
-        done
-      else if st < nn then (* node -> edge: direct junction *)
-        from_src st
-      else begin
-        (* edge -> edge: skips exactly one (unmatched) node *)
-        let k = st - nn in
-        let a = k / ne and e = k mod ne in
-        Intset.iter from_src ctx.tb.t_succ.(e).(a)
-      end)
-    fr;
-  !out
-
-let rec walk ctx fr norm =
-  match norm with
-  | Rpe.N_atom a -> (
-      match Schema.kind_of ctx.schema a.Rpe.cls with
-      | None -> fr (* unresolved class: reported as NPL001, walk skipped *)
-      | Some kind ->
-          let out =
-            match kind with
-            | Schema.Node_kind -> step_node ctx fr (concrete_nodes ctx a.Rpe.cls)
-            | Schema.Edge_kind -> step_edge ctx fr (concrete_edges ctx a.Rpe.cls)
-          in
-          if Intset.is_empty out && (not (Intset.is_empty fr)) && not ctx.died
-          then begin
-            ctx.died <- true;
-            ctx.died_at <- a.Rpe.span
-          end;
-          out)
-  | Rpe.N_seq rs -> List.fold_left (walk ctx) fr rs
-  | Rpe.N_alt rs ->
-      let outs = List.map (fun r -> (r, walk_quiet ctx fr r)) rs in
-      let any_live = List.exists (fun (_, o) -> not (Intset.is_empty o)) outs in
-      if any_live && not (Intset.is_empty fr) then
-        List.iter
-          (fun (r, o) ->
-            if Intset.is_empty o then
-              ctx.dead_branches <-
-                (first_span_norm r, Rpe.norm_to_string r) :: ctx.dead_branches)
-          outs;
-      let rec dups = function
-        | [] -> ()
-        | r :: rest ->
-            (match List.find_opt (Rpe.equal_norm r) rest with
-            | Some r' ->
-                ctx.dup_branches <-
-                  (first_span_norm r', Rpe.norm_to_string r') :: ctx.dup_branches
-            | None -> ());
-            dups (List.filter (fun r' -> not (Rpe.equal_norm r r')) rest)
-      in
-      dups rs;
-      List.fold_left (fun acc (_, o) -> Intset.union acc o) Intset.empty outs
-  | Rpe.N_rep (r, m, n) ->
-      if n >= high_rep_threshold then
-        ctx.high_reps <- (first_span_norm r, m, n) :: ctx.high_reps;
-      let acc = ref (if m <= 0 then fr else Intset.empty) in
-      let cur = ref fr in
-      let limit = min n rep_walk_cap in
-      (try
-         for k = 1 to limit do
-           cur := walk_quiet ctx !cur r;
-           if Intset.is_empty !cur then raise Exit;
-           if k >= m then acc := Intset.union !acc !cur
-         done
-       with Exit -> ());
-      (* Conservative fallback for bounds past the cap: whatever class
-         frontier survived the capped unrolling is assumed reachable. *)
-      if Intset.is_empty !acc && not (Intset.is_empty !cur) then acc := !cur;
-      if Intset.is_empty !acc && (not (Intset.is_empty fr)) && not ctx.died
-      then begin
-        ctx.died <- true;
-        ctx.died_at <- first_span_norm r
-      end;
-      !acc
-
-(* A branch dying is not (yet) the whole pattern dying: suppress the
-   blame marker inside alternation branches and repetition bodies. *)
-and walk_quiet ctx fr r =
-  let died = ctx.died and died_at = ctx.died_at in
-  let out = walk ctx fr r in
-  ctx.died <- died;
-  ctx.died_at <- died_at;
-  out
-
-(* Possible node classes at either end of a satisfying pathway —
-   over-approximations used by Select/filter field checks. [None] when
-   the end is unconstrained (e.g. the whole RPE can match the empty
-   pathway, whose endpoints are arbitrary). *)
-
+(* Possible node classes at the end of a frontier's pathways. *)
 let frontier_node_classes tb fr =
   let nn = Array.length tb.t_nodes and ne = Array.length tb.t_edges in
   Intset.fold
@@ -374,50 +225,28 @@ let frontier_node_classes tb fr =
           tb.t_succ.(e).(a) acc)
     fr Strset.empty
 
-(* -- plan-time frontier oracle ----------------------------------------
-
-   The same abstract domain, packaged for the planner: direction-aware
-   (backward walks use the transposed tables) and driven one transition
-   at a time, so [Nfa.prune] can run it as the abstract half of a
-   product automaton. *)
-
+(* The abstract half of the product automaton: direction-aware
+   (backward walks use the transposed tables), one element at a time.
+   Elements strictly alternate node/edge, so a node element is never
+   consumable from a node state, nor an edge element from an edge
+   state: those steps are empty, which is what blocks the eps half of a
+   same-kind junction and leaves its skip half. Sound for any store
+   that enforces [Schema.edge_allowed] on insertion (all Nepal stores
+   do): an empty step proves no conforming data can take the
+   transition. *)
 module Frontier = struct
   type t = { f_schema : Schema.t; f_tb : tables; f_rev : bool }
-
-  let get schema ~dir =
-    {
-      f_schema = schema;
-      f_tb = tables_of schema;
-      f_rev = (match dir with `Fwd -> false | `Bwd -> true);
-    }
 
   let start = Intset.singleton start_state
 
   let succ ft e a = if ft.f_rev then ft.f_tb.t_pred.(e).(a) else ft.f_tb.t_succ.(e).(a)
 
-  let node_indices ft cls =
-    List.filter_map
-      (fun c -> Hashtbl.find_opt ft.f_tb.t_node_idx c)
-      (Schema.concrete_subclasses ft.f_schema cls)
+  (* The indices of [cls]'s concrete classes in a class index
+     ([t_node_idx] or [t_edge_idx]). *)
+  let indices idx schema cls =
+    List.filter_map (Hashtbl.find_opt idx) (Schema.concrete_subclasses schema cls)
 
-  let edge_indices ft cls =
-    List.filter_map
-      (fun c -> Hashtbl.find_opt ft.f_tb.t_edge_idx c)
-      (Schema.concrete_subclasses ft.f_schema cls)
-
-  (* Element-wise steps with the direction-selected tables; edge states
-     encode the node class the edge was entered from in walk order (its
-     real dst when walking backward).
-
-     Unlike [step_node]/[step_edge] above — which step {e atoms}, with
-     implicit unmatched elements between adjacent same-kind atoms —
-     these step one {e element} at a time, exactly as the product
-     automaton consumes them. Elements strictly alternate node/edge, so
-     a node element is never consumable from a node state, nor an edge
-     element from an edge state: those steps are dead, which is
-     precisely the narrowing that makes {!Nepal_rpe.Nfa.prune}
-     effective. *)
-  let fstep_node ft fr cs =
+  let step_node ft fr cs =
     let nn = Array.length ft.f_tb.t_nodes and ne = Array.length ft.f_tb.t_edges in
     let out = ref Intset.empty in
     Intset.iter
@@ -434,7 +263,7 @@ module Frontier = struct
       fr;
     !out
 
-  let fstep_edge ft fr es =
+  let step_edge ft fr es =
     let nn = Array.length ft.f_tb.t_nodes and ne = Array.length ft.f_tb.t_edges in
     let out = ref Intset.empty in
     let from_src a =
@@ -457,26 +286,76 @@ module Frontier = struct
       fr;
     !out
 
-  let all_node_indices ft = List.init (Array.length ft.f_tb.t_nodes) Fun.id
-  let all_edge_indices ft = List.init (Array.length ft.f_tb.t_edges) Fun.id
-
   let step_skip ft fr ~is_node =
-    if is_node then fstep_node ft fr (all_node_indices ft)
-    else fstep_edge ft fr (all_edge_indices ft)
+    if is_node then step_node ft fr (List.init (Array.length ft.f_tb.t_nodes) Fun.id)
+    else step_edge ft fr (List.init (Array.length ft.f_tb.t_edges) Fun.id)
 
   let step_atom ft fr (a : Rpe.atom) ~is_node =
     match Schema.kind_of ft.f_schema a.Rpe.cls with
     | Some Schema.Node_kind ->
-        if is_node then fstep_node ft fr (node_indices ft a.Rpe.cls)
+        if is_node then step_node ft fr (indices ft.f_tb.t_node_idx ft.f_schema a.Rpe.cls)
         else Intset.empty
     | Some Schema.Edge_kind ->
         if is_node then Intset.empty
-        else fstep_edge ft fr (edge_indices ft a.Rpe.cls)
+        else step_edge ft fr (indices ft.f_tb.t_edge_idx ft.f_schema a.Rpe.cls)
     | None ->
         (* Unresolved class (cannot happen on validated RPEs): stay
            sound by treating the match as an unconstrained skip. *)
         step_skip ft fr ~is_node
+
+  let oracle ft : Intset.t Nfa.oracle =
+    let nonempty f = if Intset.is_empty f then None else Some f in
+    {
+      Nfa.o_start = start;
+      o_step_match = (fun f a ~is_node -> nonempty (step_atom ft f a ~is_node));
+      o_step_skip = (fun f ~is_node -> nonempty (step_skip ft f ~is_node));
+      o_join = Intset.union;
+      o_equal = Intset.equal;
+    }
 end
+
+(* -- the verdict memo ------------------------------------------------
+
+   The product fixpoint is far costlier than replaying its verdict, and
+   the verdict depends only on the automaton's class-level structure
+   ({!Nfa.signature}), never on predicate literals. Verdicts are
+   therefore memoized per (schema tables, direction, signature) — one
+   memo for the analyzer and the planner — and every query replays the
+   verdict onto its own automaton. A re-created schema gets fresh
+   tables, hence fresh keys; its stale entries age out of the FIFO. *)
+
+let verdicts : (int * bool * string, Intset.t Nfa.prune_mask) Hashtbl.t =
+  Hashtbl.create 64
+
+let verdict_fifo : (int * bool * string) Queue.t = Queue.create ()
+
+let verdict schema ~rev nfa =
+  let tb = tables_of schema in
+  let key = (tb.t_id, rev, Nfa.signature nfa) in
+  match Mutex.protect lock (fun () -> Hashtbl.find_opt verdicts key) with
+  | Some m -> m
+  | None ->
+      let ft = { Frontier.f_schema = schema; f_tb = tb; f_rev = rev } in
+      let m = Nfa.prune_mask (Frontier.oracle ft) nfa in
+      Mutex.protect lock (fun () ->
+          if not (Hashtbl.mem verdicts key) then begin
+            Hashtbl.replace verdicts key m;
+            Queue.push key verdict_fifo;
+            if Queue.length verdict_fifo > verdict_capacity then
+              Hashtbl.remove verdicts (Queue.pop verdict_fifo)
+          end);
+      m
+
+let () =
+  Metrics.on_reset (fun () ->
+      Mutex.protect lock (fun () ->
+          Hashtbl.reset verdicts;
+          Queue.clear verdict_fifo))
+
+let pruner schema : Eval_rpe.pruner =
+ fun ~dir nfa ->
+  let rev = match dir with Backend_intf.Fwd -> false | Backend_intf.Bwd -> true in
+  Nfa.apply_mask nfa (verdict schema ~rev nfa)
 
 let rec leading_atoms = function
   | Rpe.N_atom a -> [ a ]
@@ -487,18 +366,22 @@ let rec leading_atoms = function
   | Rpe.N_alt rs -> List.concat_map leading_atoms rs
   | Rpe.N_rep (r, _, _) -> leading_atoms r
 
-let start_node_classes ctx norm =
+(* Possible node classes at the start of a satisfying pathway — an
+   over-approximation used by Select/filter field checks; [None] when
+   the pattern can match the empty pathway, whose endpoints are
+   arbitrary. *)
+let start_node_classes schema tb norm =
   if Rpe.min_length norm = 0 then None
   else
     Some
       (List.fold_left
          (fun acc (a : Rpe.atom) ->
-           match Schema.kind_of ctx.schema a.Rpe.cls with
+           match Schema.kind_of schema a.Rpe.cls with
            | Some Schema.Node_kind ->
                List.fold_left
-                 (fun acc i -> Strset.add ctx.tb.t_nodes.(i) acc)
+                 (fun acc i -> Strset.add tb.t_nodes.(i) acc)
                  acc
-                 (concrete_nodes ctx a.Rpe.cls)
+                 (Frontier.indices tb.t_node_idx schema a.Rpe.cls)
            | Some Schema.Edge_kind ->
                (* implicit source endpoint of a leading edge atom *)
                List.fold_left
@@ -506,12 +389,12 @@ let start_node_classes ctx norm =
                    let acc = ref acc in
                    Array.iteri
                      (fun ai _ ->
-                       if not (Intset.is_empty ctx.tb.t_succ.(e).(ai)) then
-                         acc := Strset.add ctx.tb.t_nodes.(ai) !acc)
-                     ctx.tb.t_nodes;
+                       if not (Intset.is_empty tb.t_succ.(e).(ai)) then
+                         acc := Strset.add tb.t_nodes.(ai) !acc)
+                     tb.t_nodes;
                    !acc)
                  acc
-                 (concrete_edges ctx a.Rpe.cls)
+                 (Frontier.indices tb.t_edge_idx schema a.Rpe.cls)
            | None -> acc)
          Strset.empty (leading_atoms norm))
 
@@ -569,17 +452,18 @@ let check_pred ~schema ~(add : ?span:Span.t -> Diagnostic.severity -> string -> 
   go a.Rpe.pred
 
 let check_atoms ~schema ~(add : ?span:Span.t -> Diagnostic.severity -> string -> string -> unit) rpe =
-  let walkable = ref true in
-  let concepts =
-    List.filter
-      (fun c -> c <> "Any")
-      (Schema.node_classes schema @ Schema.edge_classes schema)
-  in
+  let resolved = ref true in
   let rec go = function
     | Rpe.Atom a -> (
         match Schema.kind_of schema a.Rpe.cls with
         | None ->
-            walkable := false;
+            resolved := false;
+            (* the did-you-mean candidates, built only for a miss *)
+            let concepts =
+              List.filter
+                (fun c -> c <> "Any")
+                (Schema.node_classes schema @ Schema.edge_classes schema)
+            in
             add ~span:a.Rpe.span Diagnostic.Error "NPL001"
               (Printf.sprintf "unknown concept %S%s" a.Rpe.cls
                  (suggest concepts a.Rpe.cls))
@@ -594,7 +478,7 @@ let check_atoms ~schema ~(add : ?span:Span.t -> Diagnostic.severity -> string ->
         go r
   in
   go rpe;
-  !walkable
+  !resolved
 
 (* -- satisfiability: NPL010..NPL012, NPL015 --------------------------- *)
 
@@ -604,58 +488,103 @@ type var_shape = {
   vs_ends : Strset.t option;  (** possible target-node classes *)
 }
 
+(* Atom copies in the pattern's automaton: repetitions unroll. Saturates
+   past [max_unrolled_atoms]. *)
+let rec unrolled_atoms = function
+  | Rpe.N_atom _ -> 1
+  | Rpe.N_seq rs | Rpe.N_alt rs ->
+      List.fold_left
+        (fun acc r -> min (max_unrolled_atoms + 1) (acc + unrolled_atoms r))
+        0 rs
+  | Rpe.N_rep (r, _, n) ->
+      min (max_unrolled_atoms + 1) (min n (max_unrolled_atoms + 1) * unrolled_atoms r)
+
 let check_satisfiability ~schema ~(add : ?span:Span.t -> Diagnostic.severity -> string -> string -> unit) norm =
-  let ctx =
-    {
-      schema;
-      tb = tables_of schema;
-      died = false;
-      died_at = Span.dummy;
-      dead_branches = [];
-      dup_branches = [];
-      high_reps = [];
-    }
+  let tb = tables_of schema in
+  let rec high_reps = function
+    | Rpe.N_atom _ -> ()
+    | Rpe.N_seq rs | Rpe.N_alt rs -> List.iter high_reps rs
+    | Rpe.N_rep (r, m, n) ->
+        if n >= high_rep_threshold then
+          add ~span:(first_span_norm r) Diagnostic.Warning "NPL015"
+            (Printf.sprintf
+               "repetition bound {%d,%d} walks up to %d steps; high-fanout \
+                edge classes make this expensive — consider a tighter bound"
+               m n n);
+        high_reps r
   in
-  let final = walk ctx (Intset.singleton start_state) norm in
-  List.iter
-    (fun (sp, m, n) ->
-      add ~span:sp Diagnostic.Warning "NPL015"
-        (Printf.sprintf
-           "repetition bound {%d,%d} walks up to %d steps; high-fanout edge \
-            classes make this expensive — consider a tighter bound"
-           m n n))
-    (List.rev ctx.high_reps);
-  if Intset.is_empty final then begin
-    add
-      ~span:(if ctx.died then ctx.died_at else first_span_norm norm)
-      Diagnostic.Error "NPL010"
-      "pattern is provably empty: the schema's edge rules admit no pathway \
-       matching it";
-    None
-  end
-  else begin
-    List.iter
-      (fun (sp, txt) ->
-        add ~span:sp Diagnostic.Warning "NPL011"
-          (Printf.sprintf "union branch %s can never match here and is dead"
-             txt))
-      (List.rev ctx.dead_branches);
-    List.iter
-      (fun (sp, txt) ->
-        add ~span:sp Diagnostic.Warning "NPL012"
-          (Printf.sprintf "duplicate union branch %s" txt))
-      (List.rev ctx.dup_branches);
-    let ends =
-      if Intset.mem start_state final then None
-      else Some (frontier_node_classes ctx.tb final)
+  high_reps norm;
+  let shape ends =
+    Some { vs_norm = norm; vs_starts = start_node_classes schema tb norm; vs_ends = ends }
+  in
+  if unrolled_atoms norm > max_unrolled_atoms then shape None
+  else
+    let kind_of (a : Rpe.atom) =
+      match Schema.kind_of schema a.Rpe.cls with
+      | Some Schema.Node_kind -> Some `Node
+      | Some Schema.Edge_kind -> Some `Edge
+      | None -> None
     in
-    Some
-      {
-        vs_norm = norm;
-        vs_starts = start_node_classes ctx norm;
-        vs_ends = ends;
-      }
-  end
+    let nfa = Nfa.compile ~lead_skip:false ~trail_skip:true ~kind_of norm in
+    let mask = verdict schema ~rev:false nfa in
+    let verdict_of = Nfa.match_verdict nfa mask in
+    match Nfa.accept_frontier mask with
+    | None ->
+        (* Blame the first atom no conforming element can take where the
+           pathway reaches it. *)
+        let blamed =
+          List.find_opt (fun a -> verdict_of a = Nfa.Blocked) (Rpe.atoms norm)
+        in
+        add
+          ~span:
+            (match blamed with
+            | Some a -> a.Rpe.span
+            | None -> first_span_norm norm)
+          Diagnostic.Error "NPL010"
+          "pattern is provably empty: the schema's edge rules admit no pathway \
+           matching it";
+        None
+    | Some final ->
+        (* A branch that must match an atom but matches none on any
+           accepted conforming run, in any unrolled copy, is dead; the
+           alternations inside a dead branch are not reported again. *)
+        let dead r =
+          Rpe.min_length r > 0
+          && List.for_all (fun a -> verdict_of a <> Nfa.Live) (Rpe.atoms r)
+        in
+        let rec branches ~in_dead = function
+          | Rpe.N_atom _ -> ()
+          | Rpe.N_seq rs -> List.iter (branches ~in_dead) rs
+          | Rpe.N_rep (r, _, _) -> branches ~in_dead r
+          | Rpe.N_alt rs ->
+              List.iter
+                (fun r ->
+                  let d = dead r in
+                  if d && not in_dead then
+                    add ~span:(first_span_norm r) Diagnostic.Warning "NPL011"
+                      (Printf.sprintf
+                         "union branch %s can never match here and is dead"
+                         (Rpe.norm_to_string r));
+                  branches ~in_dead:(in_dead || d) r)
+                rs;
+              let rec dups = function
+                | [] -> ()
+                | r :: rest ->
+                    (match List.find_opt (Rpe.equal_norm r) rest with
+                    | Some r' ->
+                        add ~span:(first_span_norm r') Diagnostic.Warning
+                          "NPL012"
+                          (Printf.sprintf "duplicate union branch %s"
+                             (Rpe.norm_to_string r'))
+                    | None -> ());
+                    dups (List.filter (fun r' -> not (Rpe.equal_norm r r')) rest)
+              in
+              dups rs
+        in
+        branches ~in_dead:false norm;
+        shape
+          (if Intset.mem start_state final then None
+           else Some (frontier_node_classes tb final))
 
 (* -- whole-query analysis -------------------------------------------- *)
 
@@ -1076,7 +1005,7 @@ let analyze_string ~schema ?schema_of ?cost text =
 
    Pre-computed once for a standing (watched) query so a monitor can
    discard store changes that provably cannot affect its result set.
-   Soundness is class-level over-approximation, like the frontier walk:
+   Soundness is class-level over-approximation, like satisfiability:
    a change to class [c] at transaction time [t] can only matter when
    [c] is in [rel_classes] (or [rel_classes] is [None] = unknown) and
    [t] does not fall after [rel_until].

@@ -1,11 +1,11 @@
 (** Static analysis of Nepal queries against a live schema catalog.
 
     [analyze] inspects a parsed query — labels, predicates, RPE
-    satisfiability (schema-graph reachability under the 4-case junction
-    rule), temporal windows, anchors/joins — and returns structured
-    {!Diagnostic.t}s without contacting any backend. [Nepal_engine.Engine]
-    calls {!analyze} before it runs a query ([~analyze]) and for
-    EXPLAIN's [diagnostics:] section. *)
+    satisfiability (the pattern's automaton run against the schema's
+    edge rules, {!pruner}'s verdict), temporal windows, anchors/joins —
+    and returns structured {!Diagnostic.t}s without contacting any
+    backend. [Nepal_engine.Engine] calls {!analyze} before it runs a
+    query ([~analyze]) and for EXPLAIN's [diagnostics:] section. *)
 
 val analyze :
   schema:Nepal_schema.Schema.t ->
@@ -66,35 +66,20 @@ val relevance :
     pass over the query plus [O(|edge classes| * |node classes|)]
     against the memoized reachability tables. *)
 
-(** {1 Plan-time frontier oracle}
+(** {1 Schema pruning}
 
-    The satisfiability abstract domain (frontiers of "where could the
-    pathway be" class states), packaged one step at a time so the
-    planner can run it as the abstract half of a product automaton
-    ({!Nepal_rpe.Nfa.prune}). Frontiers are [Intset]s over an internal
-    state encoding; treat them as opaque. Sound for any store that
-    enforces [Schema.edge_allowed] on insertion (all Nepal stores do):
-    an empty stepped frontier proves no conforming data can take the
-    transition. *)
-module Frontier : sig
-  type t
+    The satisfiability abstract interpretation (frontiers of "where
+    could the pathway be" class states, run in product with the
+    pattern's automaton by {!Nepal_rpe.Nfa.prune_mask}) also prunes the
+    planner's evaluation automata. Analyzer and planner share one
+    verdict memo, keyed per schema, walk direction and automaton shape
+    ({!Nepal_rpe.Nfa.signature}), FIFO-bounded and cleared by
+    {!Nepal_util.Metrics.reset_all}. *)
 
-  val get : Nepal_schema.Schema.t -> dir:[ `Fwd | `Bwd ] -> t
-  (** Direction-aware tables ([`Bwd] walks pathways right-to-left, as
-      backward Extend does); memoized per schema value. *)
-
-  val start : Nepal_util.Intset.t
-  (** The frontier before any element has been consumed. *)
-
-  val step_atom :
-    t -> Nepal_util.Intset.t -> Nepal_rpe.Rpe.atom -> is_node:bool ->
-    Nepal_util.Intset.t
-  (** Consume one element matched by the atom. Empty result = no
-      conforming element can extend any frontier pathway this way. A
-      kind mismatch between [is_node] and the atom's schema kind is
-      empty; an unresolved class degrades to {!step_skip}. *)
-
-  val step_skip :
-    t -> Nepal_util.Intset.t -> is_node:bool -> Nepal_util.Intset.t
-  (** Consume one unconstrained element of the given kind. *)
-end
+val pruner : Nepal_schema.Schema.t -> Nepal_query.Eval_rpe.pruner
+(** Product-automaton pruning against the schema's edge rules,
+    direction-aware (a backward walk reads them transposed): deletes the
+    transitions no store conforming to the schema can take and narrows
+    the rest to their feasible kinds. Sound for any store that enforces
+    [Schema.edge_allowed] on insertion (all Nepal stores do): accepted
+    element sequences of conforming data are preserved exactly. *)

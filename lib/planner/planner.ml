@@ -7,21 +7,19 @@
    shape admits one) a bidirectional meet-in-the-middle plan, costs
    them with a per-backend model calibrated against the E9
    per-operator wall times, prunes every compiled automaton against
-   the schema's frontier tables, and picks the cross-variable
-   evaluation order by enumerating join orders. Every query is planned
-   from scratch, so the plan is a function of the query and the store.
+   the schema's edge rules ([Analysis.pruner]), and picks the
+   cross-variable evaluation order by enumerating join orders. Every
+   query is planned from scratch, so the plan is a function of the
+   query and the store.
 
    Everything here is estimation-only: the single source of truth for
    result sets stays in [Eval_rpe], and every plan is a choice among
    equivalent evaluations, so a planner bug can cost time but never
    rows. *)
 
-module Intset = Nepal_util.Intset
-module Metrics = Nepal_util.Metrics
 module Schema = Nepal_schema.Schema
 module Time_constraint = Nepal_temporal.Time_constraint
 module Rpe = Nepal_rpe.Rpe
-module Nfa = Nepal_rpe.Nfa
 module Anchor = Nepal_rpe.Anchor
 module Predicate = Nepal_rpe.Predicate
 module Analysis = Nepal_analysis.Analysis
@@ -54,27 +52,6 @@ type exec_plan = {
   xp_order : var_decision list;
   xp_cost : float;
 }
-
-(* -- product-automaton pruning -------------------------------------- *)
-
-(* The frontier abstract interpretation (lib/analysis) as an [Nfa.prune]
-   oracle: a frontier is the set of schema states a conforming element
-   sequence can be in; an empty step means no conforming store contains
-   an element able to take that transition. *)
-let oracle ft : Intset.t Nfa.oracle =
-  {
-    Nfa.o_start = Analysis.Frontier.start;
-    o_step_match =
-      (fun f a ~is_node ->
-        let f' = Analysis.Frontier.step_atom ft f a ~is_node in
-        if Intset.is_empty f' then None else Some f');
-    o_step_skip =
-      (fun f ~is_node ->
-        let f' = Analysis.Frontier.step_skip ft f ~is_node in
-        if Intset.is_empty f' then None else Some f');
-    o_join = Intset.union;
-    o_equal = Intset.equal;
-  }
 
 (* -- bidirectional decomposition ------------------------------------ *)
 
@@ -413,73 +390,6 @@ let best_order slots =
       | _ -> best)
     (cost_order slots greedy) others
 
-(* -- prune-mask memo --------------------------------------------------- *)
-
-let mask_mutex = Mutex.create ()
-
-let locked f =
-  Mutex.lock mask_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mask_mutex) f
-
-(* Schema identity token: physical equality, same lifetime as the
-   [Analysis.tables_of] memo — a re-created schema gets a fresh token
-   and therefore fresh mask-memo slots. Registered under the lock: two
-   schemas racing for one token would share memo slots. *)
-let schema_tokens : (Schema.t * int) list ref = ref []
-
-let schema_token s =
-  locked (fun () ->
-      match List.find_opt (fun (s', _) -> s' == s) !schema_tokens with
-      | Some (_, i) -> i
-      | None ->
-          let i = List.length !schema_tokens in
-          schema_tokens := (s, i) :: !schema_tokens;
-          i)
-
-(* The pruning fixpoint costs ~1ms — noticeable against sub-millisecond
-   native walks — but its verdict depends only on the automaton's
-   class-level structure ({!Nfa.signature}), never on predicate
-   literals. Masks are therefore memoized per (schema, direction,
-   signature): the fixpoint runs once per plan shape, and every
-   subsequent execution replays the verdict onto its own automaton
-   (whose atoms carry the current query's predicates). *)
-let mask_cache : (string, Nfa.prune_mask) Hashtbl.t = Hashtbl.create 64
-let mask_fifo : string Queue.t = Queue.create ()
-let mask_capacity = 256
-
-let pruner_of schema : Eval_rpe.pruner =
- fun ~dir nfa ->
-  let d =
-    match dir with Backend_intf.Fwd -> `Fwd | Backend_intf.Bwd -> `Bwd
-  in
-  let key =
-    Printf.sprintf "%d/%c/%s" (schema_token schema)
-      (match d with `Fwd -> 'f' | `Bwd -> 'b')
-      (Nfa.signature nfa)
-  in
-  let mask =
-    match locked (fun () -> Hashtbl.find_opt mask_cache key) with
-    | Some m -> m
-    | None ->
-        let m = Nfa.prune_mask (oracle (Analysis.Frontier.get schema ~dir:d)) nfa in
-        locked (fun () ->
-            if not (Hashtbl.mem mask_cache key) then begin
-              Hashtbl.replace mask_cache key m;
-              Queue.push key mask_fifo;
-              if Queue.length mask_fifo > mask_capacity then
-                Hashtbl.remove mask_cache (Queue.pop mask_fifo)
-            end);
-        m
-  in
-  Nfa.apply_mask nfa mask
-
-let cache_clear () =
-  locked (fun () ->
-      Hashtbl.reset mask_cache;
-      Queue.clear mask_fifo)
-
-let () = Metrics.on_reset cache_clear
-
 (* -- entry point ------------------------------------------------------ *)
 
 let plan_query inputs =
@@ -497,7 +407,7 @@ let plan_query inputs =
     {
       vd_var = v;
       vd_strategy = strategy;
-      vd_prune = Some (pruner_of (Backend_intf.conn_schema input.pi_conn));
+      vd_prune = Some (Analysis.pruner (Backend_intf.conn_schema input.pi_conn));
       vd_variant = variant_of input.pi_tc;
       vd_est_cost = cost;
       vd_est_rows = rows;

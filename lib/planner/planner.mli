@@ -4,10 +4,11 @@
     against the live schema and the backend's cardinality estimates
     into an {!exec_plan}:
 
-    - {b Pruned product automata}: the frontier abstract interpretation
-      of [Nepal_analysis] runs at plan time as an {!Nepal_rpe.Nfa.prune}
-      oracle, deleting automaton transitions no schema-conforming store
-      can take and statically narrowing each Extend round's class set.
+    - {b Pruned product automata}: every decision carries
+      {!Nepal_analysis.Analysis.pruner}, the analyzer's schema verdict
+      replayed onto each compiled automaton, deleting transitions no
+      schema-conforming store can take and statically narrowing each
+      Extend round's class set.
     - {b Cost-based anchor and join ordering}: all anchor candidates
       from {!Nepal_rpe.Anchor.enumerate} are costed with a per-backend
       model calibrated against the E9 per-operator wall times, and the
@@ -26,8 +27,9 @@
     the query and the store (schema and cardinality estimates), never
     of which queries ran before. Within one plan each backend estimate
     is asked for once; across queries only the pruning fixpoint's
-    verdict is memoized ({!pruner_of}), since it depends on the
-    automaton's class-level structure alone.
+    verdict is memoized (in [Nepal_analysis], shared with the
+    analyzer), since it depends on the automaton's class-level
+    structure alone.
 
     The engine calls {!plan_query} for every query it compiles; the
     planner is the only place that decides the evaluation order. *)
@@ -68,11 +70,6 @@ val plan_query : planner_input list -> (exec_plan, string) result
 (** The plan for one query. An error when no evaluation order is
     feasible: it names the first declared variable that is not
     anchored and cannot import an anchor from a join. *)
-
-val pruner_of : Nepal_schema.Schema.t -> Nepal_query.Eval_rpe.pruner
-(** Product-automaton pruning against the given schema's frontier
-    tables (direction-aware). Exposed for tests and for callers that
-    evaluate RPEs outside the engine. *)
 
 val bidi_of :
   Nepal_schema.Schema.t ->

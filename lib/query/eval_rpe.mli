@@ -62,8 +62,10 @@ type strategy =
 type pruner = dir:Backend_intf.direction -> Nepal_rpe.Nfa.t -> Nepal_rpe.Nfa.t
 (** Product-automaton pruning hook, applied to every compiled NFA
     (direction-aware: backward walks read the schema transposed).
-    Typically [Nfa.prune] against {!Nepal_analysis.Analysis.Frontier};
-    must preserve the accepted language over conforming stores. *)
+    Typically [Nepal_analysis.Analysis.pruner] (the schema verdict of
+    {!Nepal_rpe.Nfa.prune_mask}, replayed with
+    {!Nepal_rpe.Nfa.apply_mask}); must preserve the accepted language
+    over conforming stores. *)
 
 type config = {
   domains : int;  (** domain-pool width; 1 disables parallelism *)

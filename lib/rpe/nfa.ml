@@ -88,22 +88,6 @@ let rec build b (r : Rpe.norm) =
    meet-in-the-middle evaluator joins two half-walks on a shared edge,
    so its half-automata accept edge-ending sequences). *)
 let infer_kinds ~kind_of ~edge_final n_states raw_moves eps accept =
-  let eps_closure_of = Array.make n_states [] in
-  for s = 0 to n_states - 1 do
-    let seen = Array.make n_states false in
-    let rec visit x =
-      if not seen.(x) then begin
-        seen.(x) <- true;
-        List.iter visit eps.(x)
-      end
-    in
-    visit s;
-    let acc = ref [] in
-    for x = n_states - 1 downto 0 do
-      if seen.(x) then acc := x :: !acc
-    done;
-    eps_closure_of.(s) <- !acc
-  done;
   let moves_arr = Array.of_list raw_moves in
   let n_trans = Array.length moves_arr in
   let kinds =
@@ -118,37 +102,55 @@ let infer_kinds ~kind_of ~edge_final n_states raw_moves eps accept =
             | None -> { k_node = true; k_edge = true }))
       moves_arr
   in
-  (* followers.(i): indexes of transitions leaving eps_closure(target i);
-     accept_after.(i): accept reachable without consuming. *)
   let leaving = Array.make n_states [] in
   Array.iteri
     (fun i (s, _, _) -> leaving.(s) <- i :: leaving.(s))
     moves_arr;
-  let followers = Array.make n_trans [] in
-  let accept_after = Array.make n_trans false in
-  Array.iteri
-    (fun i (_, _, target) ->
-      let closure = eps_closure_of.(target) in
-      accept_after.(i) <- List.mem accept closure;
-      followers.(i) <- List.concat_map (fun s -> leaving.(s)) closure)
-    moves_arr;
+  (* [closure_has test s]: does some state of eps_closure(s) pass
+     [test]? A depth-first search; one stamp array serves every search,
+     so the fixpoint below allocates nothing. *)
+  let stamp = Array.make n_states (-1) and search = ref 0 in
+  let rec reach test x =
+    if stamp.(x) = !search then false
+    else begin
+      stamp.(x) <- !search;
+      test x || reach_any test eps.(x)
+    end
+  and reach_any test = function
+    | [] -> false
+    | y :: ys -> reach test y || reach_any test ys
+  in
+  let closure_has test s =
+    incr search;
+    reach test s
+  in
+  let rec any_admits ~node = function
+    | [] -> false
+    | j :: js ->
+        (if node then kinds.(j).k_node else kinds.(j).k_edge)
+        || any_admits ~node js
+  in
+  let leaves_node x = any_admits ~node:true leaving.(x) in
+  let leaves_edge x = any_admits ~node:false leaving.(x) in
+  let is_accept x = x = accept in
+  (* accept_after.(i): accept reachable without consuming. *)
+  let accept_after =
+    Array.map (fun (_, _, target) -> closure_has is_accept target) moves_arr
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = 0 to n_trans - 1 do
       let k = kinds.(i) in
-      let followers_admit flipped_is_node =
-        List.exists
-          (fun j ->
-            let kj = kinds.(j) in
-            if flipped_is_node then kj.k_node else kj.k_edge)
-          followers.(i)
-      in
+      let _, _, target = moves_arr.(i) in
       (* Consuming a node is feasible if we may stop here (final
          pathway element) or an edge-consuming transition follows. *)
-      let node_ok = k.k_node && (accept_after.(i) || followers_admit false) in
+      let node_ok =
+        k.k_node && (accept_after.(i) || closure_has leaves_edge target)
+      in
       let edge_ok =
-        k.k_edge && ((edge_final && accept_after.(i)) || followers_admit true)
+        k.k_edge
+        && ((edge_final && accept_after.(i)) || closure_has leaves_node target)
       in
       if node_ok <> k.k_node || edge_ok <> k.k_edge then begin
         kinds.(i) <- { k_node = node_ok; k_edge = edge_ok };
@@ -190,8 +192,6 @@ let compile ?(lead_skip = true) ?(trail_skip = true) ?(edge_final = false)
     moves_arr;
   { n_states = n; moves; eps; start_state; accept }
 
-let size t = t.n_states
-
 let move_count t =
   Array.fold_left (fun acc ms -> acc + List.length ms) 0 t.moves
 
@@ -217,12 +217,17 @@ type 'f oracle = {
    and replay them onto fresh automata (whose atoms carry the current
    query's predicates) with [apply_mask]. *)
 let signature t =
-  let b = Buffer.create 128 in
-  Buffer.add_string b (string_of_int t.n_states);
+  let b = Buffer.create (32 * t.n_states) in
+  (* digits of a non-negative int, without an intermediate string *)
+  let rec add_int n =
+    if n >= 10 then add_int (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  add_int t.n_states;
   Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int t.start_state);
+  add_int t.start_state;
   Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int t.accept);
+  add_int t.accept;
   Array.iter
     (fun ms ->
       Buffer.add_char b ';';
@@ -233,7 +238,7 @@ let signature t =
           | Skip -> Buffer.add_char b '.');
           Buffer.add_char b (if k.k_node then 'n' else '-');
           Buffer.add_char b (if k.k_edge then 'e' else '-');
-          Buffer.add_string b (string_of_int dst);
+          add_int dst;
           Buffer.add_char b ' ')
         ms)
     t.moves;
@@ -242,20 +247,44 @@ let signature t =
       Buffer.add_char b ';';
       List.iter
         (fun dst ->
-          Buffer.add_string b (string_of_int dst);
+          add_int dst;
           Buffer.add_char b ' ')
         es)
     t.eps;
   Buffer.contents b
 
 (* A pruning verdict detached from the automaton it was computed on:
-   per transition, [Some kinds] (kept, possibly narrowed) or [None]
-   (dead), aligned positionally with [moves]/[eps]. *)
-type prune_mask = {
+   one byte per transition, in [moves] order state by state, then one per
+   eps edge in [eps] order — so it replays onto any automaton with the
+   same signature — plus the abstract frontier at the accept state. A
+   move's byte is its kept kinds ([node_bit] lor [edge_bit]), [blocked]
+   (source state reached, abstract step empty) or [dropped] (any other
+   deletion); an eps edge's byte is [kept] or [dropped]. Memoized masks
+   live as long as their memo slot, hence the compact form. *)
+type 'f prune_mask = {
   pm_signature : string;
-  pm_moves : kinds option list array;
-  pm_eps : bool list array;
+  pm_moves : string;
+  pm_eps : string;
+  pm_accept : 'f option;
 }
+
+let dropped = '\000'
+let kept = '\001'
+let node_bit = 1
+let edge_bit = 2
+let blocked = '\004'
+
+(* A move byte's kept kinds; [None] for [dropped] and [blocked]. *)
+let kinds_of_byte =
+  let kept_kinds =
+    [|
+      None;
+      Some { k_node = true; k_edge = false };
+      Some { k_node = false; k_edge = true };
+      Some { k_node = true; k_edge = true };
+    |]
+  in
+  fun c -> kept_kinds.(Char.code c land (node_bit lor edge_bit))
 
 (* Prune the automaton against the oracle: a forward dataflow pass
    associates with each NFA state the join of every abstract frontier
@@ -315,25 +344,22 @@ let prune_mask (o : 'f oracle) t =
             t.moves.(s)
     done
   done;
-  (* Narrow each surviving transition to its feasible kinds (kept
-     positionally aligned with [t.moves] so the verdict can be replayed
-     onto a structurally identical automaton). *)
-  let refined =
+  (* Per transition, the kinds its abstract step admits ([node_bit] lor
+     [edge_bit]); 0 when the step is empty or its source unreached. *)
+  let admitted =
     Array.init n (fun s ->
         List.map
-          (fun (tr, (kinds : kinds), _dst) ->
+          (fun (tr, (kinds : kinds), _) ->
             match fr.(s) with
-            | None -> None
+            | None -> 0
             | Some f ->
-                let k =
-                  {
-                    k_node =
-                      kinds.k_node && step_kind f tr ~is_node:true <> None;
-                    k_edge =
-                      kinds.k_edge && step_kind f tr ~is_node:false <> None;
-                  }
-                in
-                if k.k_node || k.k_edge then Some k else None)
+                (if kinds.k_node && step_kind f tr ~is_node:true <> None then
+                   node_bit
+                 else 0)
+                lor
+                if kinds.k_edge && step_kind f tr ~is_node:false <> None then
+                  edge_bit
+                else 0)
           t.moves.(s))
   in
   (* Backward liveness to the accept state over the surviving graph. *)
@@ -342,8 +368,8 @@ let prune_mask (o : 'f oracle) t =
     if fr.(s) <> None then begin
       List.iter (fun s' -> rev.(s') <- s :: rev.(s')) t.eps.(s);
       List.iter2
-        (fun (_, _, dst) k -> if k <> None then rev.(dst) <- s :: rev.(dst))
-        t.moves.(s) refined.(s)
+        (fun (_, _, dst) k -> if k <> 0 then rev.(dst) <- s :: rev.(dst))
+        t.moves.(s) admitted.(s)
     end
   done;
   let useful = Array.make n false in
@@ -354,46 +380,81 @@ let prune_mask (o : 'f oracle) t =
     end
   in
   mark t.accept;
-  let pm_moves =
-    Array.init n (fun s ->
-        List.map2
-          (fun (_, _, dst) k ->
-            if fr.(s) = None || not useful.(s) || not useful.(dst) then None
-            else k)
-          t.moves.(s) refined.(s))
-  in
-  let pm_eps =
-    Array.init n (fun s ->
-        List.map
-          (fun dst -> fr.(s) <> None && useful.(s) && useful.(dst))
-          t.eps.(s))
-  in
-  { pm_signature = signature t; pm_moves; pm_eps }
+  let pm_moves = Bytes.create (move_count t) and i = ref 0 in
+  Array.iteri
+    (fun s ms ->
+      List.iter2
+        (fun (_, _, dst) k ->
+          Bytes.set pm_moves !i
+            (if k = 0 then if fr.(s) = None then dropped else blocked
+             else if useful.(s) && useful.(dst) then Char.chr k
+             else dropped);
+          incr i)
+        ms admitted.(s))
+    t.moves;
+  let pm_eps = Buffer.create 16 in
+  Array.iteri
+    (fun s es ->
+      List.iter
+        (fun dst ->
+          Buffer.add_char pm_eps
+            (if fr.(s) <> None && useful.(s) && useful.(dst) then kept
+             else dropped))
+        es)
+    t.eps;
+  {
+    pm_signature = signature t;
+    pm_moves = Bytes.unsafe_to_string pm_moves;
+    pm_eps = Buffer.contents pm_eps;
+    pm_accept = fr.(t.accept);
+  }
 
 let apply_mask t pm =
   if pm.pm_signature <> signature t then
     invalid_arg "Nfa.apply_mask: automaton does not match the mask";
-  let moves =
-    Array.mapi
-      (fun s ms ->
-        List.concat
-          (List.map2
-             (fun (tr, _, dst) k ->
-               match k with Some kk -> [ (tr, kk, dst) ] | None -> [])
-             ms pm.pm_moves.(s)))
-      t.moves
+  let i = ref 0 and j = ref 0 in
+  let rec keep_moves = function
+    | [] -> []
+    | (tr, _, dst) :: rest -> (
+        let k = kinds_of_byte pm.pm_moves.[!i] in
+        incr i;
+        match k with
+        | Some k -> (tr, k, dst) :: keep_moves rest
+        | None -> keep_moves rest)
   in
-  let eps =
-    Array.mapi
-      (fun s es ->
-        List.concat
-          (List.map2 (fun dst keep -> if keep then [ dst ] else []) es
-             pm.pm_eps.(s)))
-      t.eps
+  let rec keep_eps = function
+    | [] -> []
+    | dst :: rest ->
+        let keep = pm.pm_eps.[!j] = kept in
+        incr j;
+        if keep then dst :: keep_eps rest else keep_eps rest
   in
+  let moves = Array.init (Array.length t.moves) (fun s -> keep_moves t.moves.(s)) in
+  let eps = Array.init (Array.length t.eps) (fun s -> keep_eps t.eps.(s)) in
   { t with moves; eps }
 
-let prune (o : 'f oracle) t = apply_mask t (prune_mask o t)
+let accept_frontier pm = pm.pm_accept
+
+type verdict = Live | Blocked | Unused
+
+(* Per atom, the best verdict over the Match transitions compiled from
+   it: one per unrolled copy of its enclosing repetitions. *)
+let match_verdict t pm =
+  if pm.pm_signature <> signature t then
+    invalid_arg "Nfa.match_verdict: automaton does not match the mask";
+  fun (a : Rpe.atom) ->
+    let best = ref Unused and i = ref 0 in
+    Array.iter
+      (List.iter (fun (tr, _, _) ->
+           let byte = pm.pm_moves.[!i] in
+           incr i;
+           match tr with
+           | Match a' when a' == a ->
+               if kinds_of_byte byte <> None then best := Live
+               else if byte = blocked && !best = Unused then best := Blocked
+           | Match _ | Skip -> ()))
+      t.moves;
+    !best
 
 (* -- simulation ----------------------------------------------------- *)
 

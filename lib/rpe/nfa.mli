@@ -35,8 +35,6 @@ val compile :
     without it every transition is assumed able to consume both
     kinds. *)
 
-val size : t -> int
-
 val move_count : t -> int
 (** Number of consuming transitions — EXPLAIN reports how many a
     product pruning removed. *)
@@ -48,19 +46,11 @@ type 'f oracle = {
   o_join : 'f -> 'f -> 'f;
   o_equal : 'f -> 'f -> bool;
 }
-(** Abstract frontier domain for {!prune}. A step returns [None] when
-    no element sequence conforming to the oracle's model can take the
-    transition from that frontier. [o_join] must be an upper bound and
-    the domain must have finite height (the pruner runs a fixpoint). *)
-
-val prune : 'f oracle -> t -> t
-(** Product-automaton pruning: runs the oracle alongside the NFA,
-    deletes transitions whose abstract step is dead, narrows each
-    transition's feasible kinds, and strands states that can no longer
-    reach the accept state. Sound for any store whose data conforms to
-    the oracle's model: accepted element sequences of conforming data
-    are preserved exactly. Equivalent to
-    [apply_mask t (prune_mask o t)]. *)
+(** Abstract frontier domain for {!prune_mask}. A step returns [None]
+    when no element sequence conforming to the oracle's model can take
+    the transition from that frontier. [o_join] must be an upper bound
+    and the domain must have finite height (the pruner runs a
+    fixpoint). *)
 
 val signature : t -> string
 (** Canonical description of the automaton's class-level structure —
@@ -70,20 +60,48 @@ val signature : t -> string
     {!prune_mask} results memoizable across queries that differ only in
     predicate literals. *)
 
-type prune_mask
+type 'f prune_mask
 (** A pruning verdict detached from the automaton it was computed on:
-    per transition, kept-with-narrowed-kinds or dead. Cheap to replay
-    with {!apply_mask}; carries the {!signature} it was computed for. *)
+    per transition, kept-with-narrowed-kinds or dead, and whether it was
+    blocked; plus the abstract frontier at the accept state. Cheap to
+    replay with {!apply_mask}; carries the {!signature} it was computed
+    for. *)
 
-val prune_mask : 'f oracle -> t -> prune_mask
-(** The analysis half of {!prune} — the expensive fixpoint, without
-    rebuilding the automaton. *)
+val prune_mask : 'f oracle -> t -> 'f prune_mask
+(** Product-automaton pruning: runs the oracle alongside the NFA (a
+    forward fixpoint joining, per state, every abstract frontier that
+    reaches it), marks dead the transitions whose abstract step is
+    empty, narrows each transition's feasible kinds, and strands states
+    that can no longer reach the accept state. Sound for any store
+    whose data conforms to the oracle's model: accepted element
+    sequences of conforming data are preserved exactly. *)
 
-val apply_mask : t -> prune_mask -> t
-(** The rebuild half of {!prune}. The automaton must have the same
-    {!signature} as the one the mask was computed on (its atoms may
-    carry different predicates — the verdict never depends on them);
-    raises [Invalid_argument] otherwise. *)
+val apply_mask : t -> 'f prune_mask -> t
+(** The pruned automaton: the transitions the mask kept, with their
+    narrowed kinds. The automaton must have the same {!signature} as the
+    one the mask was computed on (its atoms may carry different
+    predicates — the verdict never depends on them); raises
+    [Invalid_argument] otherwise. *)
+
+val accept_frontier : 'f prune_mask -> 'f option
+(** The join of every abstract frontier reaching the accept state;
+    [None] when none does, i.e. no sequence conforming to the oracle's
+    model is accepted. *)
+
+type verdict =
+  | Live  (** kept by the pruning: on some accepted conforming run *)
+  | Blocked
+      (** its source state is reached, but no conforming element can
+          take it from there *)
+  | Unused  (** neither: unreached, or unable to reach the accept state *)
+
+val match_verdict : t -> 'f prune_mask -> Rpe.atom -> verdict
+(** [match_verdict t mask a]: the best verdict ([Live] over [Blocked]
+    over [Unused]) among the Match transitions compiled from the atom
+    [a] itself (physical equality — one per unrolled copy of its
+    enclosing repetitions); [Unused] when [a] is not an atom of [t].
+    Same signature requirement as {!apply_mask}, checked once the mask
+    is given. *)
 
 type states = int list
 (** Sorted, duplicate-free, eps-closed. *)

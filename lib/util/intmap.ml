@@ -1,3 +1,1 @@
 include Map.Make (Int)
-
-let of_list l = List.fold_left (fun m (k, v) -> add k v m) empty l

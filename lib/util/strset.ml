@@ -1,3 +1,1 @@
 include Set.Make (String)
-
-let of_list l = List.fold_left (fun s x -> add x s) empty l

@@ -1,9 +1,11 @@
 (* Static analyzer tests: the golden bad-query corpus (one query per
-   diagnostic code, with spans), strict-mode rejection before any
+   diagnostic code, with pinned spans), strict-mode rejection before any
    backend round-trip, the no-false-positive property (engine-successful
-   queries carry zero error diagnostics on every backend), and the
-   observability wiring (analysis.rejected statement class, EXPLAIN
-   diagnostics, enriched error messages). *)
+   queries carry zero error diagnostics on every backend), NPL010 and
+   NPL011 checked against the reference evaluator, the analysis's
+   allocation per query, and the observability wiring
+   (analysis.rejected statement class, EXPLAIN diagnostics, enriched
+   error messages). *)
 
 module Nepal = Core.Nepal
 module Diag = Nepal.Diagnostic
@@ -27,71 +29,96 @@ let has ?severity code ds =
 
 (* -- golden corpus ---------------------------------------------------- *)
 
-(* One query per code; [sev] is the expected severity of the expected
-   code's diagnostic. Queries may legitimately trigger extra codes. *)
+(* One query per code; [sev] and [(line, col)] are the expected
+   severity and source position of the expected code's diagnostic
+   ([(0, 0)]: the finding has no span). Queries may legitimately trigger
+   extra codes. *)
 let corpus =
   [
-    ("NPL000", Diag.Error, "Retrieve P From PATHS P Where P MATCHES VNF( -> VFC()");
-    ("NPL001", Diag.Error, "Retrieve P From PATHS P Where P MATCHES Srever()");
-    ("NPL002", Diag.Error, "Retrieve P From PATHS P Where P MATCHES VM(cpu=1)");
-    ("NPL003", Diag.Error, "Retrieve P From PATHS P Where P MATCHES Server(id='abc')");
-    ("NPL004", Diag.Error, "Retrieve P From PATHS P Where P MATCHES Server(id.sub=1)");
-    ("NPL005", Diag.Error, "Retrieve P From PATHS P Where P MATCHES VNF(){3,1}");
-    ("NPL006", Diag.Error, "Retrieve Q From PATHS P Where P MATCHES VNF()");
-    ("NPL007", Diag.Error, "Retrieve P From PATHS P Where length(P) > 2");
+    ("NPL000", Diag.Error, (1, 46), "Retrieve P From PATHS P Where P MATCHES VNF( -> VFC()");
+    ("NPL001", Diag.Error, (1, 41), "Retrieve P From PATHS P Where P MATCHES Srever()");
+    ("NPL002", Diag.Error, (1, 41), "Retrieve P From PATHS P Where P MATCHES VM(cpu=1)");
+    ("NPL003", Diag.Error, (1, 41), "Retrieve P From PATHS P Where P MATCHES Server(id='abc')");
+    ("NPL004", Diag.Error, (1, 41), "Retrieve P From PATHS P Where P MATCHES Server(id.sub=1)");
+    ("NPL005", Diag.Error, (1, 51), "Retrieve P From PATHS P Where P MATCHES VNF(){3,1}");
+    ("NPL006", Diag.Error, (0, 0), "Retrieve Q From PATHS P Where P MATCHES VNF()");
+    ("NPL007", Diag.Error, (1, 23), "Retrieve P From PATHS P Where length(P) > 2");
     ( "NPL008",
       Diag.Error,
+      (0, 0),
       "Retrieve P From PATHS P Where P MATCHES VNF() Or length(P) > 2" );
     ( "NPL009",
       Diag.Error,
+      (1, 23),
       "Retrieve P From PATHS P, PATHS P Where P MATCHES VNF()" );
     ( "NPL010",
       Diag.Error,
+      (1, 69),
       "Retrieve P From PATHS P Where P MATCHES Container()->VirtualLink()->Container()"
     );
     ( "NPL011",
       Diag.Warning,
+      (1, 62),
       "Retrieve P From PATHS P Where P MATCHES VNF()->(ComposedOf()|Connects())->VFC()"
     );
     ( "NPL012",
       Diag.Warning,
+      (1, 48),
       "Retrieve P From PATHS P Where P MATCHES (VNF()|VNF())->VFC()" );
     ( "NPL013",
       Diag.Warning,
+      (1, 72),
       "AT '2017-02-15 10:00:00' : '2017-02-15 11:00:00' Retrieve P From PATHS \
        P(@'2019-01-01 00:00:00') Where P MATCHES VNF()->VFC()" );
     ( "NPL014",
       Diag.Error,
+      (1, 23),
       "Retrieve P From PATHS P Where P MATCHES [Vertical()]{0,3}" );
     ( "NPL015",
       Diag.Warning,
+      (1, 49),
       "Retrieve P From PATHS P Where P MATCHES VNF()->[Vertical()]{1,12}->Server()"
     );
     ( "NPL016",
       Diag.Warning,
+      (1, 35),
       "Retrieve P, Q From PATHS P, PATHS Q Where P MATCHES VNF()->VFC() And Q \
        MATCHES VM()->VirtualLink()->VirtualNetwork()" );
     ( "NPL017",
       Diag.Warning,
+      (0, 0),
       "Retrieve P From PATHS P Where P MATCHES VNF()->VFC() And \
        target(P).nonsense = 5" );
     ( "NPL018",
       Diag.Error,
+      (0, 0),
       "Retrieve P From PATHS P Where P MATCHES VNF()->VFC() And source(P) = 'x'"
     );
     ( "NPL020",
       Diag.Error,
+      (0, 0),
       "Retrieve P From PATHS P Where P MATCHES VNF()->VFC() And count(P) > 2" );
   ]
 
 let test_golden_corpus () =
   List.iter
-    (fun (code, sev, q) ->
+    (fun (code, sev, (line, col), q) ->
       let ds = analyze q in
       Alcotest.(check bool)
         (Printf.sprintf "%s fires on %s" code q)
         true
-        (has ~severity:sev code ds))
+        (has ~severity:sev code ds);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s at line %d, column %d on %s (got %s)" code line col
+           q
+           (String.concat "; " (List.map Diag.to_string ds)))
+        true
+        (List.exists
+           (fun d ->
+             d.Diag.code = code && d.Diag.severity = sev
+             && d.Diag.span.Nepal.Span.line = line
+             && d.Diag.span.Nepal.Span.col = col)
+           ds))
     corpus
 
 let test_npl019_with_cost () =
@@ -105,7 +132,7 @@ let test_npl019_with_cost () =
 
 let test_code_and_span_coverage () =
   let all =
-    List.concat_map (fun (_, _, q) -> analyze q) corpus
+    List.concat_map (fun (_, _, _, q) -> analyze q) corpus
   in
   let distinct = codes all in
   Alcotest.(check bool)
@@ -155,10 +182,10 @@ let test_strict_rejects_without_roundtrips () =
      parse failures never reach the engine at all. Hints do not gate,
      so the NPL019-style corpus entries are absent here by design. *)
   let gating =
-    List.filter (fun (code, _, _) -> code <> "NPL000" && code <> "NPL005") corpus
+    List.filter (fun (code, _, _, _) -> code <> "NPL000" && code <> "NPL005") corpus
   in
   List.iter
-    (fun (code, _, q) ->
+    (fun (code, _, _, q) ->
       let before = Nepal.Backend.conn_roundtrips conn in
       let m_rej = Nepal.Metrics.counter "engine.analysis_rejected" in
       let rejected_before = Nepal.Metrics.counter_value m_rej in
@@ -319,7 +346,7 @@ let npl010_table =
   let prefix = "Retrieve P From PATHS P Where P MATCHES " in
   let n = String.length prefix in
   List.filter_map
-    (fun (code, _, q) ->
+    (fun (code, _, _, q) ->
       if code = "NPL010" && String.starts_with ~prefix q then
         Some (String.sub q n (String.length q - n))
       else None)
@@ -419,6 +446,217 @@ let test_npl010_coverage () =
     true
     (fired >= 20 && fired <= 80)
 
+(* -- NPL011 against the reference evaluator ---------------------------- *)
+
+(* Each alternation branch of a repeated body matches in some iteration
+   (VNF -ComposedOf-> VFC -OnVM-> Container), so neither is dead even
+   though each one alone cannot take every iteration. *)
+let test_npl011_repeated_alternation () =
+  let ds =
+    analyze
+      "Retrieve P From PATHS P Where P MATCHES \
+       VNF()->[ComposedOf()|OnVM()]{1,3}->Container()"
+  in
+  Alcotest.(check (list string))
+    "no dead union branch" []
+    (List.map Diag.to_string (List.filter (fun d -> d.Diag.code = "NPL011") ds))
+
+(* When an optional block is skipped, the engine's automaton lets each
+   of the block's two junctions skip one unmatched element
+   (ComposedOf, VFC, OnVM, Container here), so the pattern has answers
+   and must not be reported provably empty. *)
+let test_npl010_optional_block () =
+  let q =
+    "Retrieve P From PATHS P Where P MATCHES \
+     ComposedOf()->[Router()]{0,1}->Container()"
+  in
+  (match Nepal.query db ~analyze:`Off q with
+  | Ok r ->
+      Alcotest.(check bool) "the engine finds pathways" true
+        (Nepal.Engine.result_count r > 0)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "no NPL010" false (has "NPL010" (analyze q))
+
+(* Walks down the virt schema's vertical edge rules (NetworkService to
+   Rack) whose hops are often alternations of the rule's edge with a
+   random one, bare or repeated as [(e1|e2)]{1,2}, or two consecutive
+   hops folded into one [(e1|e2)]{1,3} body: the shapes NPL011 judges,
+   on patterns that mostly stay satisfiable. The vertical hierarchy
+   keeps the reference evaluator's answers small; the connectivity
+   edges (VirtualLink, Connects, LogicalLink) only appear as random
+   alternatives. *)
+let gen_alt_rpe =
+  let open QCheck.Gen in
+  let rules =
+    [
+      ("NetworkService()", "ComposedOf()", "VNF()");
+      ("VNF()", "ComposedOf()", "VFC()");
+      ("VFC()", "OnVM()", "Container()");
+      ("Container()", "OnServer()", "Server()");
+      ("Server()", "PartOf()", "Rack()");
+    ]
+  in
+  let edge_atom =
+    oneofl
+      [
+        "ComposedOf()"; "OnVM()"; "OnServer()"; "PartOf()"; "HostedOn()";
+        "Connects()"; "VirtualLink()"; "Vertical()";
+      ]
+  in
+  let alt e =
+    map2
+      (fun o first ->
+        if first then Printf.sprintf "(%s|%s)" e o else Printf.sprintf "(%s|%s)" o e)
+      edge_atom bool
+  in
+  let hop e =
+    frequency
+      [ (1, return e); (2, alt e); (2, map (Printf.sprintf "[%s]{1,2}") (alt e)) ]
+  in
+  let rec walk c n =
+    match List.filter (fun (s, _, _) -> s = c) rules with
+    | next when n > 0 && next <> [] ->
+        let* _, e, d = oneofl next in
+        let* rest = walk d (n - 1) in
+        return ((e, d) :: rest)
+    | _ -> return []
+  in
+  let rec render = function
+    | [] -> return ""
+    | (e1, d1) :: (e2, d2) :: rest when e1 <> e2 ->
+        let* fold = bool in
+        if fold then
+          map (Printf.sprintf "->[(%s|%s)]{1,3}->%s%s" e1 e2 d2) (render rest)
+        else
+          let* body = hop e1 in
+          let* tail = render ((e2, d2) :: rest) in
+          return (Printf.sprintf "->%s->%s%s" body d1 tail)
+    | (e, d) :: rest ->
+        let* body = hop e in
+        map (Printf.sprintf "->%s->%s%s" body d) (render rest)
+  in
+  let* start, _, _ = oneofl rules in
+  let* n = int_range 1 3 in
+  let* hops = walk start n in
+  map (fun tail -> start ^ tail) (render hops)
+
+(* [norm] without the alternation branch an NPL011 diagnostic names:
+   the branch whose first atom starts at [start] and whose text the
+   message quotes. [None] when no branch fits. *)
+let drop_branch ~start ~message norm =
+  let module R = Nepal.Rpe in
+  let found = ref false in
+  let names r =
+    (match R.atoms r with a :: _ -> a.R.span.Nepal.Span.start = start | [] -> false)
+    && message
+       = Printf.sprintf "union branch %s can never match here and is dead"
+           (R.norm_to_string r)
+  in
+  let rec go = function
+    | R.N_atom _ as r -> r
+    | R.N_seq rs -> R.N_seq (List.map go rs)
+    | R.N_rep (r, m, n) -> R.N_rep (go r, m, n)
+    | R.N_alt rs -> (
+        let keep =
+          List.filter
+            (fun r ->
+              if (not !found) && names r then begin
+                found := true;
+                false
+              end
+              else true)
+            rs
+        in
+        match List.map go keep with [ r ] -> r | rs -> R.N_alt rs)
+  in
+  let pruned = go norm in
+  if !found then Some pruned else None
+
+(* NPL011 says an alternation branch can never contribute a pathway, so
+   deleting it must leave the reference answer unchanged under every
+   time constraint. [seen] counts the NPL011 findings checked. *)
+let npl011_removal_holds ~seen rpe =
+  let db = Lazy.force oracle_db in
+  let q = Reference.query_text Nepal.Time_constraint.Snapshot rpe in
+  let offset = String.length q - String.length rpe in
+  let dead =
+    List.filter
+      (fun d -> d.Diag.code = "NPL011")
+      (Nepal.check_on (Nepal.conn db) q)
+  in
+  dead = []
+  ||
+  match Nepal.Rpe.validate (Nepal.schema db) (Nepal.Rpe_parser.parse_exn rpe) with
+  | Error e -> QCheck.Test.fail_reportf "NPL011 on invalid %s: %s" rpe e
+  | Ok norm ->
+      let store = Nepal.store db in
+      let want = List.map (fun tc -> Reference.find_canon store ~tc norm) oracle_tcs in
+      List.for_all
+        (fun d ->
+          incr seen;
+          match
+            drop_branch
+              ~start:(d.Diag.span.Nepal.Span.start - offset)
+              ~message:d.Diag.message norm
+          with
+          | None ->
+              QCheck.Test.fail_reportf "%s: no branch for %s" rpe
+                (Diag.to_string d)
+          | Some pruned ->
+              List.for_all2
+                (fun tc want ->
+                  let got = Reference.find_canon store ~tc pruned in
+                  got = want
+                  || QCheck.Test.fail_reportf
+                       "%s: %s, yet without it the reference finds %d \
+                        pathway(s), not %d, under %s"
+                       rpe (Diag.to_string d) (List.length got)
+                       (List.length want)
+                       (Reference.query_text tc rpe))
+                oracle_tcs want)
+        dead
+
+let test_npl011_removal () =
+  let seen = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 2019 |])
+    (QCheck.Test.make
+       ~name:"removing an NPL011 branch leaves the reference answer unchanged"
+       ~count:150
+       (QCheck.make ~print:Fun.id gen_alt_rpe)
+       (npl011_removal_holds ~seen));
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 50 NPL011 findings checked (got %d)" !seen)
+    true (!seen >= 50)
+
+(* -- allocation -------------------------------------------------------- *)
+
+(* Words one warm [Engine.diagnostics] call allocates on the native
+   backend (the pre-execution analysis every [`Warn] query pays): the
+   measured figure plus 15%. The schema verdict is memoized after the
+   warm-up call, so the fixpoint itself is not counted; a change that
+   re-runs it, or walks the pattern again beside it, fails here. *)
+let diagnostics_words =
+  [
+    ("T1 top-down", Virt.q_top_down ~vnf_id:virt.Virt.vnf_ids.(0), 3562.);
+    ( "VM-VM(4)",
+      Virt.q_vm_vm ~a:virt.Virt.container_ids.(0) ~b:virt.Virt.container_ids.(1),
+      2971. );
+  ]
+
+let test_diagnostics_words () =
+  let conn = Nepal.conn db in
+  List.iter
+    (fun (name, text, measured) ->
+      let q = Nepal.Query_parser.parse_exn text in
+      ignore (Nepal.Engine.diagnostics ~conn q);
+      let used, ds = Words.during (fun () -> Nepal.Engine.diagnostics ~conn q) in
+      Alcotest.(check (list string)) (name ^ ": no findings") []
+        (List.map Diag.to_string ds);
+      let bound = measured *. 1.15 in
+      if used > bound then
+        Alcotest.failf "%s: %.0f words per analysis (bound %.0f)" name used bound)
+    diagnostics_words
+
 (* -- observability wiring --------------------------------------------- *)
 
 let test_analysis_rejected_stat_class () =
@@ -514,6 +752,18 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_npl010_reference;
           Alcotest.test_case "NPL010 oracle coverage" `Quick
             test_npl010_coverage;
+          Alcotest.test_case "no NPL010 across a skipped optional block"
+            `Quick test_npl010_optional_block;
+          Alcotest.test_case "no NPL011 on a repeated alternation" `Quick
+            test_npl011_repeated_alternation;
+          Alcotest.test_case
+            "removing an NPL011 branch leaves the reference answer unchanged"
+            `Quick test_npl011_removal;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "diagnostics words per query" `Quick
+            test_diagnostics_words;
         ] );
       ( "observability",
         [

@@ -218,7 +218,7 @@ let test_chosen_plan_allocates_least () =
         | _ -> Alcotest.failf "%s: expected one pathway variable" name
       in
       let chosen, n = cost vp.vp_opt.vd_strategy vp.vp_opt.vd_prune vp in
-      let prune = Some (Nepal.Planner.pruner_of schema) in
+      let prune = Some (Nepal.Analysis.pruner schema) in
       let anchored =
         Nepal.Anchor.enumerate ~cost:(Nepal.Backend.estimate_atom conn)
           vp.vp_rpe
@@ -283,7 +283,7 @@ let compile_nfa sch text =
 let test_prune_preserves_results () =
   let _, db, _, _ = Lazy.force shared in
   let conn = Nepal.conn db and sch = Nepal.schema db in
-  let prune = Nepal.Planner.pruner_of sch in
+  let prune = Nepal.Analysis.pruner sch in
   List.iter
     (fun text ->
       let norm =
@@ -309,7 +309,7 @@ let test_prune_kills_dead_walks () =
   let conn = Nepal.conn db and sch = Nepal.schema db in
   let text = "VNF()->Connects()->VNF()" in
   let norm, nfa = compile_nfa sch text in
-  let prune = Nepal.Planner.pruner_of sch in
+  let prune = Nepal.Analysis.pruner sch in
   let pruned_nfa = prune ~dir:Nepal.Backend.Fwd nfa in
   check_bool "pruning removed transitions" true
     (Nepal_rpe.Nfa.move_count pruned_nfa < Nepal_rpe.Nfa.move_count nfa);
@@ -322,7 +322,7 @@ let test_prune_mask_memoized () =
      memoized mask and prune identically. *)
   let _, db, _, _ = Lazy.force shared in
   let sch = Nepal.schema db in
-  let prune = Nepal.Planner.pruner_of sch in
+  let prune = Nepal.Analysis.pruner sch in
   let _, nfa_a = compile_nfa sch "VNF(id=1)->[Vertical()]{1,6}->Server()" in
   let _, nfa_b = compile_nfa sch "VNF(id=2)->[Vertical()]{1,6}->Server()" in
   check_bool "same class-level signature" true

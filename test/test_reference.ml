@@ -315,7 +315,7 @@ let test_forced_bidi () =
   let db = Lazy.force w_churn in
   let schema = Nepal.schema db in
   let conns = conns db in
-  let prune = Nepal.Planner.pruner_of schema in
+  let prune = Nepal.Analysis.pruner schema in
   let nonempty = ref 0 and multi = ref 0 in
   let tcs =
     [
